@@ -137,8 +137,7 @@ mod tests {
 
     #[test]
     fn placement_is_group_shaped_and_budgeted() {
-        let inst =
-            Instance::from_estimates(&[9.0, 7.0, 5.0, 3.0, 2.0, 1.0, 1.0, 1.0], 6).unwrap();
+        let inst = Instance::from_estimates(&[9.0, 7.0, 5.0, 3.0, 2.0, 1.0, 1.0, 1.0], 6).unwrap();
         let s = SpeedRobustBags::new(3);
         let p = s.place(&inst, Uncertainty::of(2.0)).unwrap();
         assert_eq!(p.max_replicas(), 2);

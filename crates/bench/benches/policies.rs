@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rds_algs::Strategy;
 use rds_core::{Instance, MachineId, Placement, Time, Uncertainty};
 use rds_policies::{ChainedReplication, CriticalTaskReplication};
-use rds_sim::failures::{run_with_failures, Failure};
+use rds_sim::faults::{FaultEvent, FaultScript, ResilienceEngine};
 use rds_sim::OrderedDispatcher;
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
@@ -52,38 +52,27 @@ fn bench_failure_engine(c: &mut Criterion) {
     let (n, m) = (1_000usize, 16usize);
     let (inst, _unc, real) = setup(n, m);
     let placement = Placement::everywhere(&inst);
-    let failures: Vec<Failure> = (0..4)
-        .map(|i| Failure {
-            machine: MachineId::new(i),
-            at: Time::of(10.0 * (i + 1) as f64),
-        })
-        .collect();
-    group.bench_function("no_failures", |b| {
-        b.iter(|| {
-            run_with_failures(
-                &inst,
-                &placement,
-                &real,
-                &mut OrderedDispatcher::lpt_by_estimate(&inst),
-                &[],
-            )
-            .unwrap()
-            .makespan
-        })
-    });
-    group.bench_function("four_failures", |b| {
-        b.iter(|| {
-            run_with_failures(
-                &inst,
-                &placement,
-                &real,
-                &mut OrderedDispatcher::lpt_by_estimate(&inst),
-                &failures,
-            )
-            .unwrap()
-            .makespan
-        })
-    });
+    let none = FaultScript::empty();
+    let failures = FaultScript::new(
+        (0..4)
+            .map(|i| FaultEvent::Crash {
+                machine: MachineId::new(i),
+                at: Time::of(10.0 * (i + 1) as f64),
+            })
+            .collect(),
+    );
+    for (name, script) in [("no_failures", &none), ("four_failures", &failures)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                ResilienceEngine::new(&inst, &placement, &real, script)
+                    .unwrap()
+                    .run(&mut OrderedDispatcher::lpt_by_estimate(&inst))
+                    .unwrap()
+                    .metrics
+                    .makespan
+            })
+        });
+    }
     group.finish();
 }
 

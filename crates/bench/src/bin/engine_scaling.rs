@@ -37,7 +37,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Global allocation counter (see `engine_throughput` for rationale).
+/// Global allocation counter: every `alloc`/`realloc`/`alloc_zeroed`
+/// bumps it, so a steady-state trial that allocates anything shows up
+/// as a nonzero count. Only this binary installs it — the workspace
+/// libraries stay `forbid(unsafe_code)`.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;

@@ -18,24 +18,26 @@ use rds_bench::{arg_flag, arg_value, header, quick_mode};
 use rds_core::{Instance, MachineId, Time, Uncertainty};
 use rds_policies::{run_campaign_resumable, standard_suite, CampaignConfig, Trial};
 use rds_report::{table::fmt, Align, Table};
-use rds_sim::failures::Failure;
-use rds_sim::faults::FaultScript;
+use rds_sim::faults::{FaultEvent, FaultScript};
 use rds_workloads::{realize::RealizationModel, rng};
 
-/// Draws `count` distinct machines failing at random times in `[0, horizon)`.
-fn draw_failures(m: usize, count: usize, horizon: f64, seed: u64) -> Vec<Failure> {
+/// Draws `count` distinct machines crashing at random times in
+/// `[0, horizon)`.
+fn draw_failures(m: usize, count: usize, horizon: f64, seed: u64) -> FaultScript {
     use rand::seq::SliceRandom;
     use rand::Rng;
     let mut r = rng::rng(seed);
     let mut ids: Vec<usize> = (0..m).collect();
     ids.shuffle(&mut r);
     ids.truncate(count);
-    ids.into_iter()
-        .map(|i| Failure {
-            machine: MachineId::new(i),
-            at: Time::of(r.gen_range(0.0..horizon)),
-        })
-        .collect()
+    FaultScript::new(
+        ids.into_iter()
+            .map(|i| FaultEvent::Crash {
+                machine: MachineId::new(i),
+                at: Time::of(r.gen_range(0.0..horizon)),
+            })
+            .collect(),
+    )
 }
 
 fn main() -> rds_core::Result<()> {
@@ -58,7 +60,7 @@ fn main() -> rds_core::Result<()> {
             let trial_seed = rng::child_seed(777, rep as u64);
             let mut rr = rng::rng(trial_seed);
             let real = RealizationModel::UniformFactor.realize(&inst, unc, &mut rr)?;
-            let failures = draw_failures(
+            let script = draw_failures(
                 m,
                 failures_per_run,
                 horizon,
@@ -67,7 +69,7 @@ fn main() -> rds_core::Result<()> {
             Ok(Trial {
                 seed: trial_seed,
                 realization: real,
-                script: FaultScript::from_failures(&failures),
+                script,
             })
         })
         .collect::<rds_core::Result<_>>()?;

@@ -531,6 +531,15 @@ pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> 
     let n: usize = args.get_or("n", 8 * m)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let beta: f64 = args.get_or("beta", 1.5)?;
+    // Speculation's patience must be positive and finite; reject any
+    // other value here as a usage error instead of panicking later.
+    if !(beta > 0.0 && beta.is_finite()) {
+        return Err(crate::args::ArgError::BadValue {
+            key: "beta".into(),
+            value: beta.to_string(),
+        }
+        .into());
+    }
     let reps: usize = args.get_or("reps", 10)?;
     let stragglers: f64 = args.get_or("stragglers", 0.0)?;
 
@@ -1052,7 +1061,10 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let speeds_raw = args.get::<String>("speeds")?;
     let topology_raw = args.get::<String>("topology")?;
     let speed_dist = speeds_raw.as_deref().map(parse_speed_spec).transpose()?;
-    let topo_model = topology_raw.as_deref().map(parse_topology_spec).transpose()?;
+    let topo_model = topology_raw
+        .as_deref()
+        .map(parse_topology_spec)
+        .transpose()?;
 
     let mut r = rng::rng(seed);
     let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
@@ -1141,12 +1153,10 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             // a topology is also present).
             let opt_lo = match &speeds {
                 Some(s) => rds_algs::speed_lower_bound(real.times(), s).get(),
-                None => {
-                    OptimalSolver::default()
-                        .solve_realization(&real, inst.m())
-                        .lo
-                        .get()
-                }
+                None => OptimalSolver::default()
+                    .solve_realization(&real, inst.m())
+                    .lo
+                    .get(),
             };
             for policy in pending {
                 let body_inst = inst.clone();
@@ -1155,20 +1165,10 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
                 let body_speeds = speeds.clone();
                 let body_topo = topo.clone();
                 let outcome = supervise(&config.watchdog, trial_seed, move |_token| {
-                    if body_speeds.is_none() && body_topo.is_none() {
-                        let mut d = body_policy.dispatcher(&body_inst);
-                        let report = rds_sim::ResilienceEngine::new(
-                            &body_inst,
-                            &body_policy.placement,
-                            &body_real,
-                            &rds_sim::faults::FaultScript::empty(),
-                        )?
-                        .run(d.as_mut())?;
-                        return Ok(report.metrics.makespan.get());
-                    }
-                    // Heterogeneous trial: the locality-aware dispatcher
-                    // takes over phase 2 when a topology is present;
-                    // otherwise each policy keeps its own dispatcher.
+                    // The locality-aware dispatcher takes over phase 2
+                    // when a topology is present; otherwise each policy
+                    // keeps its own dispatcher. Without speeds and
+                    // topology `run_hetero` is exactly `Engine::run`.
                     let engine =
                         rds_sim::Engine::new(&body_inst, &body_policy.placement, &body_real)?;
                     let mut d: Box<dyn rds_sim::Dispatcher> = match &body_topo {
@@ -2121,6 +2121,34 @@ mod tests {
     }
 
     #[test]
+    fn non_positive_or_non_finite_beta_is_a_usage_error() {
+        for beta in ["0", "-1", "nan", "inf"] {
+            let err = run_to_string(&[
+                "resilience",
+                "--m",
+                "4",
+                "--n",
+                "8",
+                "--mtbf",
+                "20",
+                "--reps",
+                "1",
+                "--beta",
+                beta,
+            ])
+            .unwrap_err();
+            // An `ArgError` is what `main` maps to exit code 2.
+            let arg_err = err
+                .downcast_ref::<crate::args::ArgError>()
+                .unwrap_or_else(|| panic!("--beta {beta}: not a usage error: {err}"));
+            assert!(
+                matches!(arg_err, crate::args::ArgError::BadValue { key, .. } if key == "beta"),
+                "--beta {beta}: {arg_err}"
+            );
+        }
+    }
+
+    #[test]
     fn resilience_journal_resume_reproduces_identical_table() {
         let path = std::env::temp_dir().join(format!("rds-cli-res-{}", std::process::id()));
         let path_str = path.to_string_lossy().into_owned();
@@ -2429,8 +2457,7 @@ mod tests {
 
     #[test]
     fn frontier_rejects_malformed_hetero_specs() {
-        let err =
-            run_to_string(&["frontier", "--m", "3", "--speeds", "uniform:2,1"]).unwrap_err();
+        let err = run_to_string(&["frontier", "--m", "3", "--speeds", "uniform:2,1"]).unwrap_err();
         assert!(err.to_string().contains("speed"), "{err}");
         let err = run_to_string(&["frontier", "--m", "3", "--topology", "warp:9"]).unwrap_err();
         assert!(err.to_string().contains("--topology"), "{err}");
@@ -2454,7 +2481,10 @@ mod tests {
             "clustered:2,0.1,1.0",
         ])
         .unwrap();
-        assert!(out.contains("hetero profile: speeds = uniform:0.5,2.0"), "{out}");
+        assert!(
+            out.contains("hetero profile: speeds = uniform:0.5,2.0"),
+            "{out}"
+        );
         assert!(out.contains("speed-aware lower bound"), "{out}");
         assert!(out.contains("mean ratio"), "{out}");
         // Ratios stay finite and at least 1 against the sound bound.
@@ -2467,15 +2497,36 @@ mod tests {
             std::env::temp_dir().join(format!("rds-cli-hetero-sweep-{}", std::process::id()));
         let path_str = path.to_string_lossy().into_owned();
         run_to_string(&[
-            "sweep", "--m", "3", "--n", "9", "--reps", "1", "--seed", "5", "--speeds", "unit",
-            "--journal", &path_str,
+            "sweep",
+            "--m",
+            "3",
+            "--n",
+            "9",
+            "--reps",
+            "1",
+            "--seed",
+            "5",
+            "--speeds",
+            "unit",
+            "--journal",
+            &path_str,
         ])
         .unwrap();
         // Resuming without the hetero flags must refuse the journal:
         // the params differ, so the records are not comparable.
         let err = run_to_string(&[
-            "sweep", "--m", "3", "--n", "9", "--reps", "1", "--seed", "5", "--journal",
-            &path_str, "--resume",
+            "sweep",
+            "--m",
+            "3",
+            "--n",
+            "9",
+            "--reps",
+            "1",
+            "--seed",
+            "5",
+            "--journal",
+            &path_str,
+            "--resume",
         ])
         .unwrap_err();
         assert!(err.to_string().contains("params"), "{err}");

@@ -210,9 +210,7 @@ fn reference_makespan(
     let m = instance.m();
     let n = instance.n();
     let order = instance.ids_by_estimate_desc();
-    let homes: Vec<MachineId> = (0..n)
-        .map(|j| placement.primary(TaskId::new(j)))
-        .collect();
+    let homes: Vec<MachineId> = (0..n).map(|j| placement.primary(TaskId::new(j))).collect();
     let mut avail = vec![0.0f64; m];
     let mut starved = vec![false; m];
     let mut done = vec![false; n];
@@ -389,7 +387,13 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
         Mutation::IgnoreTransferCost => &zero,
         _ => topology,
     };
-    match simulate_hetero(instance, placement, realization, None, Some(engine_topology)) {
+    match simulate_hetero(
+        instance,
+        placement,
+        realization,
+        None,
+        Some(engine_topology),
+    ) {
         Err(e) => engine_error(&mut report, "locality run failed", &e),
         Ok(res) => {
             let expect = reference_makespan(instance, placement, realization, None, Some(topology));
@@ -410,7 +414,13 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
     // Checks 5 + 6: the combined run respects the sound speed lower
     // bound and is deterministic.
     report.checks_run += 2;
-    let combined = simulate_hetero(instance, placement, realization, Some(speeds), Some(topology));
+    let combined = simulate_hetero(
+        instance,
+        placement,
+        realization,
+        Some(speeds),
+        Some(topology),
+    );
     match combined {
         Err(e) => engine_error(&mut report, "combined run failed", &e),
         Ok(res) => {
@@ -423,10 +433,19 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
                     check: HeteroCheck::LowerBound,
                     observed: res.makespan.get(),
                     limit: lb,
-                    detail: format!("combined makespan {} beat the lower bound {lb}", res.makespan),
+                    detail: format!(
+                        "combined makespan {} beat the lower bound {lb}",
+                        res.makespan
+                    ),
                 });
             }
-            match simulate_hetero(instance, placement, realization, Some(speeds), Some(topology)) {
+            match simulate_hetero(
+                instance,
+                placement,
+                realization,
+                Some(speeds),
+                Some(topology),
+            ) {
                 Err(e) => engine_error(&mut report, "combined re-run failed", &e),
                 Ok(again) => {
                     if again.trace.events() != res.trace.events() {

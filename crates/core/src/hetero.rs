@@ -89,7 +89,10 @@ impl MachineSpeeds {
 
     /// Fastest machine's speed `max_i s_i`.
     pub fn max(&self) -> f64 {
-        self.speeds.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        self.speeds
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Aggregate capacity `Σ_i s_i`.

@@ -326,9 +326,8 @@ mod tests {
         assert!(!cold.iter().any(|p| p.label.starts_with("SpeedRobust-Bags")));
         // A slow machine and transfer charges can only hurt the best
         // achievable makespan of the sweep.
-        let best = |pts: &[ParetoPoint]| {
-            pts.iter().map(|p| p.makespan).fold(f64::INFINITY, f64::min)
-        };
+        let best =
+            |pts: &[ParetoPoint]| pts.iter().map(|p| p.makespan).fold(f64::INFINITY, f64::min);
         assert!(best(&hot) >= best(&cold) - 1e-9);
         // Determinism.
         let again = pareto_sweep_hetero(&inst, unc, &real, &[1], &budgets, &profile).unwrap();

@@ -7,8 +7,10 @@
 //! allocator on the hottest path in the repo. A [`SimArena`] owns that
 //! storage once; [`crate::Engine::run_in`] resets and refills it, so in
 //! steady state (same instance shape run after run) a trial performs
-//! **zero** heap allocations — the `engine_throughput` bench in
-//! `rds-bench` counts them to prove it, and CI regresses on the count.
+//! **zero** heap allocations — the `engine_scaling` bench in `rds-bench`
+//! counts them at every size and fails on a nonzero count.
+//! [`crate::ResilienceEngine::run_in`] uses the same arena: its queue,
+//! hot column, and fault-state columns are reused across trials too.
 //!
 //! Executed slots are not recorded separately at all: a `Start` trace
 //! event carries the slot's task, machine, and start time, and the
@@ -42,7 +44,7 @@
 use crate::dispatcher::HotTask;
 use crate::engine::SimResult;
 use crate::event::{EventQueue, IdleEvent, QueueMode};
-use crate::faults::FaultScratch;
+use crate::faults::FaultColumns;
 use crate::trace::{Trace, TraceEvent};
 use rds_core::{Schedule, Slot, Time};
 
@@ -70,8 +72,8 @@ pub struct SimArena {
     pub(crate) round: Vec<IdleEvent>,
     /// Which event-queue backend runs should use.
     pub(crate) queue_mode: QueueMode,
-    /// Reusable state for the fault-injecting resilience engine.
-    pub(crate) fault_scratch: FaultScratch,
+    /// Per-task and per-machine state of the engine's fault arm.
+    pub(crate) faults: FaultColumns,
     /// Makespan of the last completed run.
     pub(crate) makespan: Time,
 }
@@ -94,7 +96,7 @@ impl SimArena {
             queue: EventQueue::with_capacity(m),
             round: Vec::with_capacity(m.min(64)),
             queue_mode: QueueMode::Auto,
-            fault_scratch: FaultScratch::default(),
+            faults: FaultColumns::default(),
             makespan: Time::ZERO,
         }
     }

@@ -25,12 +25,11 @@ const NON_SPAN: u32 = STARTED - 1;
 ///
 /// The span covers the `One`/`Span`/`All` placement shapes (the paper's
 /// strategies); arbitrary mask placements store a sentinel and fall
-/// back to [`Placement::allows`]. The faults engine, which tracks its
-/// own per-attempt durations, fills only the pending flag.
+/// back to [`Placement::allows`]. The engine's fault arm uses the same
+/// column: a lost attempt flips its task's record back to pending.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotTask {
-    /// Actual processing time (zero on the faults path, which never
-    /// reads it — its durations are per-attempt, not per-task).
+    /// Actual processing time (zero in [`Self::pending_only`] records).
     actual: f64,
     /// Eligibility span start (meaningless under the sentinel).
     lo: u32,
@@ -76,7 +75,8 @@ impl HotTask {
         self.lo
     }
 
-    /// Record carrying only the pending flag (faults path).
+    /// Record carrying only the pending flag; eligibility falls back to
+    /// [`Placement::allows`].
     pub fn pending_only(pending: bool) -> Self {
         HotTask {
             actual: 0.0,
@@ -99,6 +99,12 @@ impl HotTask {
     #[inline]
     pub(crate) fn mark_started(&mut self) {
         self.hi |= STARTED;
+    }
+
+    /// Marks a started task pending again (its only attempt was lost).
+    #[inline]
+    pub(crate) fn mark_pending(&mut self) {
+        self.hi &= !STARTED;
     }
 
     /// The task's actual processing time.
@@ -764,7 +770,7 @@ impl Dispatcher for PinnedDispatcher {
 
     // Note: a pinned task requeued after its machine failed is stranded
     // by construction (its queue entry was popped and no other machine
-    // holds it); the failure engine reports it. No cursor to reset.
+    // holds it); the fault arm reports it unfinished. No cursor to reset.
 }
 
 /// Two-stage dispatcher for `ABO_Δ`: first drain a pinned set (the
@@ -1087,8 +1093,8 @@ mod tests {
     fn locality_prefers_local_task_over_rank() {
         let inst = Instance::from_estimates(&[4.0, 3.0], 2).unwrap();
         let sets = vec![
-            rds_core::MachineSet::All,                      // home m0
-            rds_core::MachineSet::Span { start: 1, end: 2 } // home m1
+            rds_core::MachineSet::All,                       // home m0
+            rds_core::MachineSet::Span { start: 1, end: 2 }, // home m1
         ];
         let p = Placement::new(&inst, sets).unwrap();
         let topo = NetworkTopology::uniform(2, 10.0).unwrap();

@@ -7,10 +7,18 @@
 //! are reported to the dispatcher only at *completion* — the dispatcher
 //! itself never sees them earlier, enforcing semi-clairvoyance
 //! structurally.
+//!
+//! One event loop serves every run. Three const-generic arms compile
+//! in only where used: instrumentation (`OBS`), machine speeds and
+//! transfer latencies (`HET`), and scripted faults with speculative
+//! backups (`FLT`, driven by [`crate::faults::ResilienceEngine`]). With
+//! an arm off its code folds away, so the plain homogeneous run pays
+//! nothing for the others.
 
 use crate::arena::SimArena;
 use crate::dispatcher::{Dispatcher, HotTask, SimView};
 use crate::event::{EventQueue, IdleEvent, QueueMode};
+use crate::faults::FaultArm;
 use crate::trace::{Trace, TraceEvent};
 use rds_core::{
     Error, Instance, MachineId, MachineSpeeds, NetworkTopology, Placement, Realization, Result,
@@ -58,9 +66,9 @@ pub struct SimResult {
 /// Discrete-event executor for one (instance, placement, realization).
 #[derive(Debug)]
 pub struct Engine<'a> {
-    instance: &'a Instance,
-    placement: &'a Placement,
-    realization: &'a Realization,
+    pub(crate) instance: &'a Instance,
+    pub(crate) placement: &'a Placement,
+    pub(crate) realization: &'a Realization,
 }
 
 impl<'a> Engine<'a> {
@@ -142,9 +150,9 @@ impl<'a> Engine<'a> {
         // `HET = false` likewise folds the heterogeneity math away, so
         // the homogeneous hot path is byte-for-byte the PR 9 loop.
         if rds_obs::enabled() {
-            self.run_inner::<true, false, D>(arena, dispatcher, None)
+            self.run_inner::<true, false, false, D>(arena, dispatcher, None, None)
         } else {
-            self.run_inner::<false, false, D>(arena, dispatcher, None)
+            self.run_inner::<false, false, false, D>(arena, dispatcher, None, None)
         }
     }
 
@@ -154,9 +162,9 @@ impl<'a> Engine<'a> {
     /// `home` is the task's primary replica ([`Placement::primary`]) —
     /// the one-time cost of pulling the data to a non-home replica.
     /// `None` (or unit speeds / a zero topology) collapses exactly to
-    /// [`Engine::run`]: no heterogeneity float op is applied at all in
-    /// the `None` cases, and `p / 1.0` and `d + 0.0` are bit-identical
-    /// otherwise.
+    /// [`Engine::run`]: with both `None` the run *is* [`Engine::run`]'s
+    /// loop, no heterogeneity float op is applied in the other `None`
+    /// cases, and `p / 1.0` and `d + 0.0` are bit-identical otherwise.
     ///
     /// # Errors
     /// - [`Error::InvalidParameter`] when `speeds` or `topology` covers
@@ -186,6 +194,9 @@ impl<'a> Engine<'a> {
         speeds: Option<&MachineSpeeds>,
         topology: Option<&NetworkTopology>,
     ) -> Result<Time> {
+        if speeds.is_none() && topology.is_none() {
+            return self.run_in(arena, dispatcher);
+        }
         let m = self.instance.m();
         if speeds.is_some_and(|s| s.m() != m) {
             return Err(Error::InvalidParameter {
@@ -208,9 +219,27 @@ impl<'a> Engine<'a> {
             locality,
         };
         if rds_obs::enabled() {
-            self.run_inner::<true, true, D>(arena, dispatcher, Some(&ctx))
+            self.run_inner::<true, true, false, D>(arena, dispatcher, Some(&ctx), None)
         } else {
-            self.run_inner::<false, true, D>(arena, dispatcher, Some(&ctx))
+            self.run_inner::<false, true, false, D>(arena, dispatcher, Some(&ctx), None)
+        }
+    }
+
+    /// Runs the loop with the fault arm on: `faults` seeds its scripted
+    /// events, handles every event the arm owns, and keeps the attempt
+    /// state the report is assembled from. The returned time is the
+    /// arm's makespan. Only [`crate::faults::ResilienceEngine`] calls
+    /// this.
+    pub(crate) fn run_faults_in<D: Dispatcher + ?Sized>(
+        &self,
+        arena: &mut SimArena,
+        dispatcher: &mut D,
+        faults: &mut FaultArm<'_>,
+    ) -> Result<Time> {
+        if rds_obs::enabled() {
+            self.run_inner::<true, false, true, D>(arena, dispatcher, None, Some(faults))
+        } else {
+            self.run_inner::<false, false, true, D>(arena, dispatcher, None, Some(faults))
         }
     }
 
@@ -232,16 +261,22 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run_inner<const OBS: bool, const HET: bool, D: Dispatcher + ?Sized>(
+    fn run_inner<const OBS: bool, const HET: bool, const FLT: bool, D: Dispatcher + ?Sized>(
         &self,
         arena: &mut SimArena,
         dispatcher: &mut D,
         hetero: Option<&HeteroCtx<'_>>,
+        mut faults: Option<&mut FaultArm<'_>>,
     ) -> Result<Time> {
         let n = self.instance.n();
         let m = self.instance.m();
         let bucket_width = self.bucket_width(arena.queue_mode(), n, m);
         arena.prepare(n, m, bucket_width);
+        if let Some(f) = faults.as_deref_mut() {
+            // The fault arm lays out its own event ids (faults,
+            // recoveries, idle/completion, speculation checks).
+            f.seed(&mut arena.queue, bucket_width);
+        }
         // Pack each task's hot data — pending flag, eligibility span,
         // actual duration — into one 16-byte record, filled in a single
         // sequential pass. Every later touch (dispatcher scan, engine
@@ -303,7 +338,7 @@ impl<'a> Engine<'a> {
                 g.counter("engine.starved"),
             )
         });
-        let _run_span = rds_obs::span_if(OBS, "engine.run");
+        let _run_span = rds_obs::span_if(OBS, if FLT { "resilience.run" } else { "engine.run" });
 
         // Batched event loop: the queue is drained in whole timestamp
         // groups (each in ascending machine order), and up to
@@ -320,7 +355,8 @@ impl<'a> Engine<'a> {
         // that a serial loop would pay one dependent latency each.
         while queue.pop_round(round) {
             while round.len() < EVENT_WINDOW && queue.append_round(round) {}
-            if round.len() > 1 && remaining > 0 {
+            // Fault-arm event ids are not machines, so nothing to warm.
+            if !FLT && round.len() > 1 && remaining > 0 {
                 let view = SimView {
                     instance: self.instance,
                     placement: self.placement,
@@ -340,26 +376,48 @@ impl<'a> Engine<'a> {
                     actual: finished_actual,
                 } = round[i];
                 i += 1;
-                let _event_span = rds_obs::span_if(OBS, "engine.event");
+                let _event_span = rds_obs::span_if(OBS && !FLT, "engine.event");
                 if let Some((events, _, _)) = &obs {
                     events.inc();
                 }
-                // Report the completion that made this machine idle. The
-                // finishing task's identity travels in the event itself, so
-                // no float comparison can silently drop a `Complete`.
-                if let Some(task) = finished {
-                    let actual = finished_actual;
-                    trace.push(TraceEvent::Complete {
-                        time,
-                        task,
-                        machine,
-                        actual,
-                    });
-                    dispatcher.on_complete(task, machine, actual, time);
-                }
-                if remaining == 0 {
-                    continue;
-                }
+                let machine = if FLT {
+                    // The arm handles its own event kinds and answers
+                    // with the machine to offer work to, if any.
+                    let Some(f) = faults.as_deref_mut() else {
+                        unreachable!("the fault arm runs with its state")
+                    };
+                    let io = &mut LoopIo {
+                        trace,
+                        pending,
+                        dispatcher,
+                        queue,
+                        round,
+                        next: i,
+                    };
+                    match f.on_event(time, machine.index(), io) {
+                        Some(w) => w,
+                        None => continue,
+                    }
+                } else {
+                    // Report the completion that made this machine idle.
+                    // The finishing task's identity travels in the event
+                    // itself, so no float comparison can silently drop a
+                    // `Complete`.
+                    if let Some(task) = finished {
+                        let actual = finished_actual;
+                        trace.push(TraceEvent::Complete {
+                            time,
+                            task,
+                            machine,
+                            actual,
+                        });
+                        dispatcher.on_complete(task, machine, actual, time);
+                    }
+                    if remaining == 0 {
+                        continue;
+                    }
+                    machine
+                };
                 let view = SimView {
                     instance: self.instance,
                     placement: self.placement,
@@ -412,6 +470,20 @@ impl<'a> Engine<'a> {
                             });
                         }
                         pending[si].mark_started();
+                        if FLT {
+                            if let Some(f) = faults.as_deref_mut() {
+                                let io = &mut LoopIo {
+                                    trace,
+                                    pending,
+                                    dispatcher,
+                                    queue,
+                                    round,
+                                    next: i,
+                                };
+                                f.start(time, machine, task, si as u32, io);
+                            }
+                            continue;
+                        }
                         remaining -= 1;
                         let actual = hot.actual();
                         // Wall-clock occupancy: the actual work, speed-
@@ -445,19 +517,23 @@ impl<'a> Engine<'a> {
                             finished: Some(task),
                             actual: dur,
                         };
-                        // An event no later than the window's tail must
-                        // run from the window to keep global order; the
-                        // queue only ever holds strictly later groups.
-                        let tail = round.last().map_or(Time::ZERO, |e| e.time);
-                        if end <= tail {
-                            let pos = i + round[i..]
-                                .partition_point(|e| (e.time, e.machine) < (end, machine));
-                            round.insert(pos, next);
-                        } else {
-                            queue.push(next);
-                        }
+                        schedule(queue, round, i, next);
                     }
                     None => {
+                        if FLT {
+                            if let Some(f) = faults.as_deref_mut() {
+                                let io = &mut LoopIo {
+                                    trace,
+                                    pending,
+                                    dispatcher,
+                                    queue,
+                                    round,
+                                    next: i,
+                                };
+                                f.no_pick(time, machine, io);
+                            }
+                            continue;
+                        }
                         trace.push(TraceEvent::Starved { time, machine });
                         if let Some((_, _, starved)) = &obs {
                             starved.inc();
@@ -467,6 +543,11 @@ impl<'a> Engine<'a> {
             }
         }
 
+        if FLT {
+            // Stranded tasks are the arm's partial outcome, not an error;
+            // it assembles and validates its own report.
+            return Ok(faults.map_or(Time::ZERO, |f| f.makespan()));
+        }
         if remaining > 0 {
             // Some pending task was eligible nowhere (or the dispatcher
             // starved every machine that could run it).
@@ -500,6 +581,44 @@ impl<'a> Engine<'a> {
             )?;
         }
         Ok(makespan)
+    }
+}
+
+/// Inserts `ev` where the event loop will meet it in global
+/// `(time, id)` order: into the unprocessed part `round[next..]` of the
+/// look-ahead window when it is due no later than the window's tail —
+/// the queue only ever holds strictly later timestamp groups — and into
+/// the queue otherwise. An event that sorts before everything left in
+/// the window (e.g. a zero-delay re-entry) lands at `next` and runs
+/// immediately, exactly as a heap would pop it.
+#[inline(always)]
+fn schedule(queue: &mut EventQueue, round: &mut Vec<IdleEvent>, next: usize, ev: IdleEvent) {
+    let tail = round.last().map_or(Time::ZERO, |e| e.time);
+    if ev.time <= tail {
+        let pos =
+            next + round[next..].partition_point(|e| (e.time, e.machine) < (ev.time, ev.machine));
+        round.insert(pos, ev);
+    } else {
+        queue.push(ev);
+    }
+}
+
+/// What the fault arm may touch of a running loop: the trace, the hot
+/// column, the dispatcher, and the pending events — the unprocessed
+/// look-ahead window `round[next..]` plus the queue behind it.
+pub(crate) struct LoopIo<'r, D: ?Sized> {
+    pub(crate) trace: &'r mut Trace,
+    pub(crate) pending: &'r mut [HotTask],
+    pub(crate) dispatcher: &'r mut D,
+    queue: &'r mut EventQueue,
+    round: &'r mut Vec<IdleEvent>,
+    next: usize,
+}
+
+impl<D: ?Sized> LoopIo<'_, D> {
+    /// Schedules the fault arm's event id `id` at `time`.
+    pub(crate) fn push(&mut self, time: Time, id: usize) {
+        schedule(self.queue, self.round, self.next, IdleEvent::bare(time, id));
     }
 }
 

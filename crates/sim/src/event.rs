@@ -53,6 +53,21 @@ pub struct IdleEvent {
     pub actual: Time,
 }
 
+impl IdleEvent {
+    /// A payload-free event for queue id `id` at `time`. The engine's
+    /// fault arm keys its events by ids that are not all machines (see
+    /// `faults::FaultArm`); the queue orders them by `(time, id)` all
+    /// the same.
+    pub(crate) fn bare(time: Time, id: usize) -> Self {
+        IdleEvent {
+            time,
+            machine: MachineId::new(id),
+            finished: None,
+            actual: Time::ZERO,
+        }
+    }
+}
+
 /// Heap entry ordering [`IdleEvent`]s by `(time, machine)` only — the
 /// `finished` payload rides along without affecting queue order.
 #[derive(Debug)]
@@ -515,17 +530,8 @@ impl EventQueue {
     /// like a fresh [`EventQueue::all_idle`]. Once the heap has
     /// capacity for `m` events this never allocates.
     pub fn reset_all_idle(&mut self, m: usize) {
-        self.active = Active::Heap;
-        self.heap.clear();
-        self.heap.reserve(m);
-        for i in 0..m {
-            self.push(IdleEvent {
-                time: Time::ZERO,
-                machine: MachineId::new(i),
-                finished: None,
-                actual: Time::ZERO,
-            });
-        }
+        self.reset_empty(m, None);
+        self.seed_idle(m);
     }
 
     /// Clears the queue, selects the **calendar** backend with bucket
@@ -534,9 +540,31 @@ impl EventQueue {
     /// machine idle at time zero. Bucket storage is retained across
     /// resets with the same `m`.
     pub fn reset_bucketed(&mut self, m: usize, width: f64) {
-        self.active = Active::Calendar;
+        self.reset_empty(m, Some(width));
+        self.seed_idle(m);
+    }
+
+    /// Clears the queue (keeping its storage) without seeding anything,
+    /// sized for `ids` distinct event ids: the calendar backend with
+    /// bucket `width`, or the heap when `width` is `None`. The engine's
+    /// fault arm uses this to lay out its own event ids (see
+    /// `faults::FaultArm`).
+    pub(crate) fn reset_empty(&mut self, ids: usize, width: Option<f64>) {
         self.heap.clear();
-        self.cal.reset(m, width);
+        match width {
+            Some(w) => {
+                self.active = Active::Calendar;
+                self.cal.reset(ids, w);
+            }
+            None => {
+                self.active = Active::Heap;
+                self.heap.reserve(ids);
+            }
+        }
+    }
+
+    /// Pushes one idle-at-zero seed per machine.
+    fn seed_idle(&mut self, m: usize) {
         for i in 0..m {
             self.push(IdleEvent {
                 time: Time::ZERO,

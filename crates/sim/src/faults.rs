@@ -1,8 +1,13 @@
 //! The resilience engine: scripted faults, recovery, speculative
 //! re-execution, and graceful degradation.
 //!
-//! This generalizes the single-shot crash model of [`crate::failures`]
-//! into a full fault taxonomy:
+//! The paper motivates replication partly through Hadoop, which
+//! replicates data "for the purpose of tolerating hardware faults": a
+//! failed machine's in-flight task must restart *on another machine
+//! holding its data* — impossible without replication. The same
+//! [`Dispatcher`] policies drive the surviving machines, and the runs
+//! execute in the one engine event loop ([`crate::Engine`]) with its
+//! fault arm switched on. The fault taxonomy:
 //!
 //! - **Crash** — the machine is gone permanently; its in-flight attempt
 //!   is lost and the task requeues on another data-holding machine.
@@ -36,22 +41,27 @@
 //! recovery (1) → idle/completion (2) → speculation check (3)*:
 //!
 //! - A failure at exactly a task's completion instant **kills the
-//!   attempt** (conservative: the machine is gone first). This is the
-//!   `KIND_FAULT < KIND_IDLE` tie-break, pinned by
-//!   `failure_at_exact_completion_instant_kills_the_attempt`.
+//!   attempt** (conservative: the machine is gone first, so work
+//!   needing the full interval `[start, t]` never commits). Fault event
+//!   ids sort before completion ids; the tie-break is pinned by
+//!   `failure_at_exact_completion_instant_kills_the_attempt` below.
 //! - A machine rejoining at time `t` participates in dispatch at `t`.
 //! - A completion at exactly the speculation threshold does *not* launch
 //!   a useless backup (completion processes first).
+//!
+//! Equal-time events of one kind then process by machine (faults by
+//! script index), exactly as the event ids of [`FaultArm`] sort.
 
 use crate::arena::SimArena;
-use crate::dispatcher::{Dispatcher, HotTask, SimView};
+use crate::dispatcher::Dispatcher;
+use crate::engine::{Engine, LoopIo};
+use crate::event::{EventQueue, IdleEvent};
 use crate::trace::{Trace, TraceEvent};
 use rds_core::{
     Error, Instance, MachineId, Placement, Realization, Result, Schedule, Slot, TaskId, Time,
     Uncertainty,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// One scripted fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,19 +124,6 @@ impl FaultScript {
     /// The empty (fault-free) script.
     pub fn empty() -> Self {
         Self::default()
-    }
-
-    /// Bridges the legacy crash-only API.
-    pub fn from_failures(failures: &[crate::failures::Failure]) -> Self {
-        FaultScript {
-            events: failures
-                .iter()
-                .map(|f| FaultEvent::Crash {
-                    machine: f.machine,
-                    at: f.at,
-                })
-                .collect(),
-        }
     }
 
     /// The scripted events, in script order.
@@ -351,22 +348,14 @@ impl ResilienceReport {
     }
 }
 
-/// Event kinds, ordered so that at equal times: faults kill first,
-/// recoveries rejoin next, completions/dispatches process third, and
-/// speculation checks observe the post-completion state last.
-const KIND_FAULT: u8 = 0;
-const KIND_RECOVERY: u8 = 1;
-const KIND_IDLE: u8 = 2;
-const KIND_SPEC: u8 = 3;
-
-/// Recovery-event payloads (`data` field).
-const RECOVER_REJOIN: u64 = 0;
-const RECOVER_SPEED: u64 = 1;
+/// Recovery kinds, in tie-break order: at equal times a machine's
+/// rejoin precedes its speed restoration.
+const RECOVER_REJOIN: usize = 0;
+const RECOVER_SPEED: usize = 1;
 
 /// A running attempt of a task on a machine.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
-    id: u64,
     task: TaskId,
     start: Time,
     /// Work units this attempt must process (actual × straggler factor).
@@ -376,6 +365,9 @@ struct Attempt {
     /// Wall-clock instant `done` was last advanced to.
     last: Time,
     speculative: bool,
+    /// When this attempt's speculation check is due (primary attempts
+    /// under a [`Speculation`] policy, until the check runs).
+    check: Option<Time>,
 }
 
 impl Attempt {
@@ -391,17 +383,22 @@ impl Attempt {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct MachineState {
     alive: bool,
     /// Permanently crashed (suppresses a pending rejoin).
     crashed: bool,
-    speed: f64,
     /// Parked: idle with no eligible work; woken on requeues/backups.
     parked: bool,
     attempt: Option<Attempt>,
-    /// Invalidates queued completion events after any state change.
-    epoch: u64,
+    /// Due time of the machine's one live idle/completion event. Every
+    /// other event still queued for the machine was superseded (a
+    /// re-projected completion, a lost attempt) and pops as a no-op.
+    /// Matching on the time alone is exact: events of one machine at
+    /// one time pop back to back and carry nothing else, so whichever
+    /// of them pops first acts for the live one, and the rest see the
+    /// cleared (or re-armed) due time.
+    due: Option<Time>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -411,13 +408,35 @@ enum TaskState {
     Done,
 }
 
+#[derive(Debug, Clone, Copy)]
+struct TaskRec {
+    state: TaskState,
+    /// Straggler multiplier (product of the scripted factors).
+    straggle: f64,
+    /// Position of the task's record in the engine's hot column, set
+    /// when its first attempt starts; a lost attempt flips it pending.
+    slot: u32,
+    /// A speculative backup was already requested.
+    spec_launched: bool,
+}
+
+/// Column storage of the fault arm, kept in [`SimArena`] between runs
+/// so same-shape trials rebuild none of it.
+#[derive(Debug, Default)]
+pub(crate) struct FaultColumns {
+    machines: Vec<MachineState>,
+    /// Per-machine processing speed (1.0 nominal; slowdowns change it).
+    speed: Vec<f64>,
+    tasks: Vec<TaskRec>,
+    /// Tasks with a requested-but-unplaced speculative backup.
+    spec_queue: VecDeque<TaskId>,
+}
+
 /// The resilience engine: one (instance, placement, realization, fault
 /// script) execution context.
 #[derive(Debug)]
 pub struct ResilienceEngine<'a> {
-    instance: &'a Instance,
-    placement: &'a Placement,
-    realization: &'a Realization,
+    engine: Engine<'a>,
     script: &'a FaultScript,
     speculation: Option<Speculation>,
     recovery_costs: Option<Vec<f64>>,
@@ -435,27 +454,11 @@ impl<'a> ResilienceEngine<'a> {
         realization: &'a Realization,
         script: &'a FaultScript,
     ) -> Result<Self> {
-        // Name the component that actually disagreed: `min()` of the two
-        // counts could report the *matching* one on a one-sided mismatch.
-        if placement.n() != instance.n() {
-            return Err(Error::TaskCountMismatch {
-                what: "placement",
-                expected: instance.n(),
-                got: placement.n(),
-            });
-        }
-        if realization.n() != instance.n() {
-            return Err(Error::TaskCountMismatch {
-                what: "realization",
-                expected: instance.n(),
-                got: realization.n(),
-            });
-        }
+        let engine = Engine::new(instance, placement, realization)?;
         script.validate(instance)?;
+        EventQueue::check_capacity(instance.n(), script.len() + 4 * instance.m())?;
         Ok(ResilienceEngine {
-            instance,
-            placement,
-            realization,
+            engine,
             script,
             speculation: None,
             recovery_costs: None,
@@ -478,7 +481,7 @@ impl<'a> ResilienceEngine<'a> {
     /// [`Error::InvalidParameter`] on length mismatch or a non-finite
     /// or negative weight.
     pub fn with_recovery_costs(mut self, costs: Vec<f64>) -> Result<Self> {
-        if costs.len() != self.instance.m() {
+        if costs.len() != self.engine.instance.m() {
             return Err(Error::InvalidParameter {
                 what: "recovery costs must cover every machine",
             });
@@ -501,19 +504,18 @@ impl<'a> ResilienceEngine<'a> {
     /// Only dispatcher-misbehaviour errors (out-of-range, ineligible, or
     /// already-started picks).
     pub fn run(&self, dispatcher: &mut dyn Dispatcher) -> Result<ResilienceReport> {
-        let mut scratch = FaultScratch::default();
-        Run::new(self, dispatcher, &mut scratch).execute()
+        self.run_in(&mut SimArena::new(), dispatcher)
     }
 
     /// Runs the execution to quiescence under `dispatcher`, reusing the
-    /// arena's fault scratch across trials.
+    /// arena across trials.
     ///
     /// Same semantics as [`Self::run`] — the report still owns its
-    /// schedule and trace — but the event heap, per-task / per-machine
-    /// state vectors, and the dispatcher's pending snapshot are borrowed
-    /// from `arena` and returned to it when the run finishes, so a
-    /// steady-state campaign (same instance shape trial after trial)
-    /// rebuilds none of them.
+    /// schedule and trace — but the event queue, the hot column, and
+    /// the per-task / per-machine fault state are borrowed from `arena`
+    /// and keep their storage for the next run, so a steady-state
+    /// campaign (same instance shape trial after trial) rebuilds none of
+    /// them.
     ///
     /// # Errors
     /// Same as [`Self::run`].
@@ -522,130 +524,88 @@ impl<'a> ResilienceEngine<'a> {
         arena: &mut SimArena,
         dispatcher: &mut dyn Dispatcher,
     ) -> Result<ResilienceReport> {
-        Run::new(self, dispatcher, &mut arena.fault_scratch).execute()
+        let mut arm = FaultArm::new(self, std::mem::take(&mut arena.faults));
+        let report = self
+            .engine
+            .run_faults_in(arena, dispatcher, &mut arm)
+            .and_then(|_| arm.report(std::mem::take(&mut arena.trace)));
+        arena.faults = arm.cols;
+        report
     }
 }
 
-/// Reusable buffers for the resilience engine, owned by [`SimArena`].
+/// The fault arm of the engine's event loop ([`Engine::run_faults_in`]):
+/// crashes, outages with rejoin, slowdowns, stragglers, speculative
+/// backups with first-finisher-wins cancellation, and parking.
 ///
-/// A faulty trial needs an event heap seeded with `m` idle events plus
-/// one entry per scripted fault, per-task and per-machine state vectors,
-/// straggler multipliers, and a pending snapshot per dispatch call.
-/// [`ResilienceEngine::run`] builds all of that from scratch;
-/// [`ResilienceEngine::run_in`] takes the buffers out of this scratch at
-/// run start and puts them back (storage intact) at run end, so repeated
-/// same-shape trials allocate only the report's own schedule and trace.
-#[derive(Debug, Default)]
-pub struct FaultScratch {
-    queue: BinaryHeap<Reverse<(Time, u8, usize, u64)>>,
-    machines: Vec<MachineState>,
-    tasks: Vec<TaskState>,
-    straggle: Vec<f64>,
-    spec_queue: VecDeque<TaskId>,
-    spec_launched: Vec<bool>,
-    recovery_costs: Vec<f64>,
-    pending: Vec<HotTask>,
-}
-
-/// Per-run mutable state, split out of the engine for borrow hygiene.
-struct Run<'a, 'b> {
-    engine: &'a ResilienceEngine<'a>,
-    dispatcher: &'b mut dyn Dispatcher,
-    machines: Vec<MachineState>,
-    tasks: Vec<TaskState>,
-    /// Straggler multiplier per task (product of scripted factors).
-    straggle: Vec<f64>,
-    /// Tasks with a requested-but-unplaced speculative backup.
-    spec_queue: VecDeque<TaskId>,
-    spec_launched: Vec<bool>,
-    /// (time, kind, index, data): index is a fault index for
-    /// `KIND_FAULT`, else a machine index; data is an epoch for
-    /// `KIND_IDLE`, an attempt id for `KIND_SPEC`, a recovery tag for
-    /// `KIND_RECOVERY`.
-    queue: BinaryHeap<Reverse<(Time, u8, usize, u64)>>,
-    slots: Vec<Vec<Slot>>,
-    trace: Trace,
-    metrics: ResilienceMetrics,
-    remaining: usize,
-    next_attempt_id: u64,
+/// The loop owns the clock and the dispatcher calls; the arm owns every
+/// event kind it adds and the attempt state behind them. Its event ids
+/// sort in the tie-break order documented at the top of this module —
+/// with `F` scripted faults and `m` machines:
+///
+/// - `[0, F)`: scripted faults, by script index;
+/// - `[F, F + 2m)`: recoveries, machine-major (rejoin before speed);
+/// - `[F + 2m, F + 3m)`: idle/completion events, by machine;
+/// - `[F + 3m, F + 4m)`: speculation checks, by machine.
+pub(crate) struct FaultArm<'a> {
+    instance: &'a Instance,
+    placement: &'a Placement,
+    realization: &'a Realization,
+    script: &'a FaultScript,
+    speculation: Option<Speculation>,
     /// Per-machine down-event weights (unit when the engine set none).
-    recovery_costs: Vec<f64>,
-    /// Pending snapshot handed to the dispatcher, reused across calls.
-    pending: Vec<HotTask>,
-    /// Where the reusable buffers go back when the run finishes.
-    scratch: Option<&'b mut FaultScratch>,
-    /// Metric handles resolved once at run start (`None` while
-    /// instrumentation is disabled, so the hot path pays one branch).
-    obs_events: Option<std::sync::Arc<rds_obs::Counter>>,
-    obs_dispatch: Option<std::sync::Arc<rds_obs::Counter>>,
+    recovery_costs: Option<&'a [f64]>,
+    cols: FaultColumns,
+    /// Completed work per machine. The report moves these out, so they
+    /// stay per-run.
+    slots: Vec<Vec<Slot>>,
+    metrics: ResilienceMetrics,
+    /// Tasks not yet done.
+    remaining: usize,
 }
 
-impl<'a, 'b> Run<'a, 'b> {
-    fn new(
-        engine: &'a ResilienceEngine<'a>,
-        dispatcher: &'b mut dyn Dispatcher,
-        scratch: &'b mut FaultScratch,
-    ) -> Self {
-        let n = engine.instance.n();
-        let m = engine.instance.m();
-        let mut straggle = std::mem::take(&mut scratch.straggle);
-        straggle.clear();
-        straggle.resize(n, 1.0);
-        let mut queue = std::mem::take(&mut scratch.queue);
-        queue.clear();
-        for i in 0..m {
-            queue.push(Reverse((Time::ZERO, KIND_IDLE, i, 0)));
-        }
-        for (idx, ev) in engine.script.events().iter().enumerate() {
-            match *ev {
-                FaultEvent::Crash { at, .. }
-                | FaultEvent::Outage { at, .. }
-                | FaultEvent::Slowdown { at, .. } => {
-                    queue.push(Reverse((at, KIND_FAULT, idx, 0)));
-                }
-                FaultEvent::Straggler { task, factor } => {
-                    straggle[task.index()] *= factor;
-                }
+impl<'a> FaultArm<'a> {
+    fn new(engine: &'a ResilienceEngine<'_>, mut cols: FaultColumns) -> Self {
+        let n = engine.engine.instance.n();
+        let m = engine.engine.instance.m();
+        cols.machines.clear();
+        cols.machines.resize(
+            m,
+            MachineState {
+                alive: true,
+                crashed: false,
+                parked: false,
+                attempt: None,
+                due: None,
+            },
+        );
+        cols.speed.clear();
+        cols.speed.resize(m, 1.0);
+        cols.tasks.clear();
+        cols.tasks.resize(
+            n,
+            TaskRec {
+                state: TaskState::Pending,
+                straggle: 1.0,
+                slot: u32::MAX,
+                spec_launched: false,
+            },
+        );
+        for ev in engine.script.events() {
+            if let FaultEvent::Straggler { task, factor } = *ev {
+                cols.tasks[task.index()].straggle *= factor;
             }
         }
-        let mut machines = std::mem::take(&mut scratch.machines);
-        machines.clear();
-        machines.extend((0..m).map(|_| MachineState {
-            alive: true,
-            crashed: false,
-            speed: 1.0,
-            parked: false,
-            attempt: None,
-            epoch: 0,
-        }));
-        let mut tasks = std::mem::take(&mut scratch.tasks);
-        tasks.clear();
-        tasks.resize(n, TaskState::Pending);
-        let mut spec_queue = std::mem::take(&mut scratch.spec_queue);
-        spec_queue.clear();
-        let mut spec_launched = std::mem::take(&mut scratch.spec_launched);
-        spec_launched.clear();
-        spec_launched.resize(n, false);
-        let mut recovery_costs = std::mem::take(&mut scratch.recovery_costs);
-        recovery_costs.clear();
-        match &engine.recovery_costs {
-            Some(costs) => recovery_costs.extend_from_slice(costs),
-            None => recovery_costs.resize(m, 1.0),
-        }
-        let mut pending = std::mem::take(&mut scratch.pending);
-        pending.clear();
-        Run {
-            engine,
-            dispatcher,
-            machines,
-            tasks,
-            straggle,
-            spec_queue,
-            spec_launched,
-            queue,
-            // The report moves these out, so they stay per-run.
+        cols.spec_queue.clear();
+        FaultArm {
+            instance: engine.engine.instance,
+            placement: engine.engine.placement,
+            realization: engine.engine.realization,
+            script: engine.script,
+            speculation: engine.speculation,
+            recovery_costs: engine.recovery_costs.as_deref(),
+            cols,
             slots: vec![Vec::new(); m],
-            trace: Trace::new(),
             metrics: ResilienceMetrics {
                 n,
                 completed: 0,
@@ -661,106 +621,144 @@ impl<'a, 'b> Run<'a, 'b> {
                 fault_free_makespan: None,
             },
             remaining: n,
-            next_attempt_id: 0,
-            recovery_costs,
-            pending,
-            scratch: Some(scratch),
-            obs_events: rds_obs::enabled().then(|| rds_obs::global().counter("engine.events")),
-            obs_dispatch: rds_obs::enabled().then(|| rds_obs::global().counter("engine.dispatch")),
         }
     }
 
-    /// Returns the reusable buffers to the scratch they came from.
-    /// Called once the run is over (the heap is empty and no dispatch
-    /// will happen again); storage — not contents — is what survives.
-    fn reclaim(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            scratch.queue = std::mem::take(&mut self.queue);
-            scratch.machines = std::mem::take(&mut self.machines);
-            scratch.tasks = std::mem::take(&mut self.tasks);
-            scratch.straggle = std::mem::take(&mut self.straggle);
-            scratch.spec_queue = std::mem::take(&mut self.spec_queue);
-            scratch.spec_launched = std::mem::take(&mut self.spec_launched);
-            scratch.recovery_costs = std::mem::take(&mut self.recovery_costs);
-            scratch.pending = std::mem::take(&mut self.pending);
+    fn m(&self) -> usize {
+        self.cols.machines.len()
+    }
+
+    fn recovery_id(&self, mi: usize, kind: usize) -> usize {
+        self.script.len() + 2 * mi + kind
+    }
+
+    fn idle_id(&self, mi: usize) -> usize {
+        self.script.len() + 2 * self.m() + mi
+    }
+
+    fn check_id(&self, mi: usize) -> usize {
+        self.script.len() + 3 * self.m() + mi
+    }
+
+    /// Resets `queue` for this arm's ids and seeds every machine idle at
+    /// time zero plus every timed scripted fault.
+    pub(crate) fn seed(&mut self, queue: &mut EventQueue, width: Option<f64>) {
+        let m = self.m();
+        queue.reset_empty(self.script.len() + 4 * m, width);
+        for mi in 0..m {
+            self.cols.machines[mi].due = Some(Time::ZERO);
+            queue.push(IdleEvent::bare(Time::ZERO, self.idle_id(mi)));
+        }
+        for (idx, ev) in self.script.events().iter().enumerate() {
+            match *ev {
+                FaultEvent::Crash { at, .. }
+                | FaultEvent::Outage { at, .. }
+                | FaultEvent::Slowdown { at, .. } => queue.push(IdleEvent::bare(at, idx)),
+                FaultEvent::Straggler { .. } => {}
+            }
         }
     }
 
-    fn execute(mut self) -> Result<ResilienceReport> {
-        let _run_span = rds_obs::span("resilience.run");
-        while let Some(Reverse((time, kind, index, data))) = self.queue.pop() {
-            if let Some(events) = &self.obs_events {
-                events.inc();
-            }
-            match kind {
-                KIND_FAULT => self.on_fault(time, index),
-                KIND_RECOVERY => self.on_recovery(time, index, data),
-                KIND_IDLE => self.on_idle(time, index, data)?,
-                _ => self.on_spec_check(time, index, data),
-            }
-        }
-        let unfinished: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, TaskState::Done))
-            .map(|(j, _)| TaskId::new(j))
-            .collect();
-        let outcome = if unfinished.is_empty() {
-            Outcome::Completed
-        } else {
-            Outcome::Partial { unfinished }
+    /// Makespan so far (the completion time of the last finished task).
+    pub(crate) fn makespan(&self) -> Time {
+        self.metrics.makespan
+    }
+
+    /// Handles event `id` at `time`. Returns the machine the loop should
+    /// offer work to: one whose live idle/completion event this was,
+    /// while unfinished tasks remain.
+    pub(crate) fn on_event<D: Dispatcher + ?Sized>(
+        &mut self,
+        time: Time,
+        id: usize,
+        io: &mut LoopIo<'_, D>,
+    ) -> Option<MachineId> {
+        let m = self.m();
+        let Some(id) = id.checked_sub(self.script.len()) else {
+            self.on_fault(time, id, io);
+            return None;
         };
-        let schedule = Schedule::from_slots(std::mem::take(&mut self.slots));
-        self.reclaim();
-        if crate::validate::enabled() {
-            // Even faulty runs must satisfy the structural invariants;
-            // completeness only when the run claims it, duration honesty
-            // only when the script cannot stretch time. Crashed attempts
-            // are not slots, so overlap/placement checks always hold.
-            let checks = crate::validate::Checks {
-                completeness: matches!(outcome, Outcome::Completed),
-                durations: !self.engine.script.stretches_time(),
-                ..crate::validate::Checks::structural()
-            };
-            crate::validate::check_schedule(
-                self.engine.instance,
-                self.engine.placement,
-                self.engine.realization,
-                &schedule,
-                &checks,
-            )?;
+        if id < 2 * m {
+            self.on_recovery(time, id / 2, id % 2, io);
+            return None;
         }
-        Ok(ResilienceReport {
-            outcome,
-            schedule,
-            trace: self.trace,
-            metrics: self.metrics,
-        })
+        if id >= 3 * m {
+            self.on_check(time, id - 3 * m, io);
+            return None;
+        }
+        let mi = id - 2 * m;
+        let st = &mut self.cols.machines[mi];
+        if st.due != Some(time) || !st.alive {
+            return None; // superseded (attempt/speed changed) or dead
+        }
+        st.due = None;
+        if let Some(att) = st.attempt {
+            // The live event of a running attempt is its (re-)projected
+            // completion instant.
+            self.complete(time, mi, att, io);
+        }
+        (self.remaining > 0).then(|| MachineId::new(mi))
+    }
+
+    /// The dispatcher picked `task` (hot record `slot`) for `machine`.
+    pub(crate) fn start<D: Dispatcher + ?Sized>(
+        &mut self,
+        time: Time,
+        machine: MachineId,
+        task: TaskId,
+        slot: u32,
+        io: &mut LoopIo<'_, D>,
+    ) {
+        self.cols.tasks[task.index()].slot = slot;
+        self.start_attempt(time, machine.index(), task, false, io);
+    }
+
+    /// The dispatcher had nothing for `machine`: host a queued
+    /// speculative backup if one fits, else park.
+    pub(crate) fn no_pick<D: Dispatcher + ?Sized>(
+        &mut self,
+        time: Time,
+        machine: MachineId,
+        io: &mut LoopIo<'_, D>,
+    ) {
+        let mi = machine.index();
+        if let Some(task) = self.pop_backup_for(machine) {
+            self.start_attempt(time, mi, task, true, io);
+        } else if !self.cols.machines[mi].parked {
+            self.cols.machines[mi].parked = true;
+            io.trace.push(TraceEvent::Starved { time, machine });
+        }
+    }
+
+    /// Schedules machine `mi`'s live idle/completion event at `time`,
+    /// superseding any earlier one still queued.
+    fn wake<D: ?Sized>(&mut self, time: Time, mi: usize, io: &mut LoopIo<'_, D>) {
+        self.cols.machines[mi].due = Some(time);
+        io.push(time, self.idle_id(mi));
     }
 
     /// Applies scripted fault `index` at `time`.
-    fn on_fault(&mut self, time: Time, index: usize) {
-        match self.engine.script.events()[index] {
+    fn on_fault<D: Dispatcher + ?Sized>(
+        &mut self,
+        time: Time,
+        index: usize,
+        io: &mut LoopIo<'_, D>,
+    ) {
+        match self.script.events()[index] {
             FaultEvent::Crash { machine, .. } => {
                 let mi = machine.index();
-                self.machines[mi].crashed = true;
-                if self.machines[mi].alive {
-                    self.take_down(time, mi);
+                self.cols.machines[mi].crashed = true;
+                if self.cols.machines[mi].alive {
+                    self.take_down(time, mi, io);
                 }
             }
             FaultEvent::Outage {
                 machine, down_for, ..
             } => {
                 let mi = machine.index();
-                if self.machines[mi].alive {
-                    self.take_down(time, mi);
-                    self.queue.push(Reverse((
-                        time + down_for,
-                        KIND_RECOVERY,
-                        mi,
-                        RECOVER_REJOIN,
-                    )));
+                if self.cols.machines[mi].alive {
+                    self.take_down(time, mi, io);
+                    io.push(time + down_for, self.recovery_id(mi, RECOVER_REJOIN));
                 }
             }
             FaultEvent::Slowdown {
@@ -770,16 +768,15 @@ impl<'a, 'b> Run<'a, 'b> {
                 ..
             } => {
                 let mi = machine.index();
-                if self.machines[mi].alive {
+                if self.cols.machines[mi].alive {
                     self.metrics.degraded_phases += 1;
-                    self.set_speed(time, mi, speed);
-                    self.trace.push(TraceEvent::Degraded {
+                    self.set_speed(time, mi, speed, io);
+                    io.trace.push(TraceEvent::Degraded {
                         time,
                         machine,
                         speed,
                     });
-                    self.queue
-                        .push(Reverse((time + lasting, KIND_RECOVERY, mi, RECOVER_SPEED)));
+                    io.push(time + lasting, self.recovery_id(mi, RECOVER_SPEED));
                 }
             }
             FaultEvent::Straggler { .. } => unreachable!("stragglers are not timed events"),
@@ -789,314 +786,290 @@ impl<'a, 'b> Run<'a, 'b> {
     /// Takes machine `mi` down, killing its in-flight attempt. A failure
     /// arriving at exactly an attempt's completion instant kills the
     /// attempt (fault events order before completion events).
-    fn take_down(&mut self, time: Time, mi: usize) {
-        let st = &mut self.machines[mi];
+    fn take_down<D: Dispatcher + ?Sized>(&mut self, time: Time, mi: usize, io: &mut LoopIo<'_, D>) {
+        let st = &mut self.cols.machines[mi];
         st.alive = false;
         st.parked = false;
-        st.epoch += 1;
-        let speed = st.speed;
-        self.metrics.recovery_cost += self.recovery_costs[mi];
-        self.trace.push(TraceEvent::Failure {
+        st.due = None;
+        let lost = st.attempt.take();
+        self.metrics.recovery_cost += self.recovery_costs.map_or(1.0, |c| c[mi]);
+        io.trace.push(TraceEvent::Failure {
             time,
             machine: MachineId::new(mi),
         });
-        if let Some(mut att) = st.attempt.take() {
-            att.advance(time, speed);
-            self.metrics.wasted_work += att.done.min(att.total);
-            let j = att.task.index();
-            match self.tasks[j] {
-                TaskState::Running { attempts } if attempts > 1 => {
-                    self.tasks[j] = TaskState::Running {
-                        attempts: attempts - 1,
-                    };
-                }
-                TaskState::Running { .. } => {
-                    self.tasks[j] = TaskState::Pending;
-                    self.metrics.restarts += 1;
-                    self.dispatcher.on_requeue(att.task);
-                    self.wake_parked(time);
-                }
-                _ => unreachable!("attempt for a non-running task"),
+        let Some(mut att) = lost else { return };
+        att.advance(time, self.cols.speed[mi]);
+        self.metrics.wasted_work += att.done.min(att.total);
+        let rec = &mut self.cols.tasks[att.task.index()];
+        match rec.state {
+            TaskState::Running { attempts } if attempts > 1 => {
+                rec.state = TaskState::Running {
+                    attempts: attempts - 1,
+                };
             }
+            TaskState::Running { .. } => {
+                rec.state = TaskState::Pending;
+                io.pending[rec.slot as usize].mark_pending();
+                self.metrics.restarts += 1;
+                io.dispatcher.on_requeue(att.task);
+                self.wake_parked(time, io);
+            }
+            _ => unreachable!("attempt for a non-running task"),
         }
     }
 
-    /// Handles a rejoin or a speed restoration for machine `index`.
-    fn on_recovery(&mut self, time: Time, index: usize, tag: u64) {
-        if tag == RECOVER_REJOIN {
-            let st = &mut self.machines[index];
+    /// Handles a rejoin or a speed restoration for machine `mi`.
+    fn on_recovery<D: ?Sized>(
+        &mut self,
+        time: Time,
+        mi: usize,
+        kind: usize,
+        io: &mut LoopIo<'_, D>,
+    ) {
+        let machine = MachineId::new(mi);
+        if kind == RECOVER_REJOIN {
+            let st = &mut self.cols.machines[mi];
             if st.crashed {
                 return; // a permanent crash arrived during the outage
             }
             st.alive = true;
-            st.speed = 1.0;
             st.parked = false;
-            st.epoch += 1;
+            self.cols.speed[mi] = 1.0;
             self.metrics.rejoins += 1;
-            self.trace.push(TraceEvent::Recovery {
-                time,
-                machine: MachineId::new(index),
-            });
-            let epoch = self.machines[index].epoch;
-            self.queue.push(Reverse((time, KIND_IDLE, index, epoch)));
-        } else {
+            io.trace.push(TraceEvent::Recovery { time, machine });
+            self.wake(time, mi, io);
+        } else if self.cols.machines[mi].alive && self.cols.speed[mi] != 1.0 {
             // End of a degraded phase: restore nominal speed. (An outage
             // in between also restores speed; this is then a no-op.)
-            if self.machines[index].alive && self.machines[index].speed != 1.0 {
-                self.set_speed(time, index, 1.0);
-                self.trace.push(TraceEvent::Degraded {
-                    time,
-                    machine: MachineId::new(index),
-                    speed: 1.0,
-                });
-            }
+            self.set_speed(time, mi, 1.0, io);
+            io.trace.push(TraceEvent::Degraded {
+                time,
+                machine,
+                speed: 1.0,
+            });
         }
     }
 
     /// Changes machine `mi`'s speed, re-projecting its in-flight
     /// completion from the remaining work.
-    fn set_speed(&mut self, time: Time, mi: usize, speed: f64) {
-        let st = &mut self.machines[mi];
-        let old = st.speed;
-        if let Some(att) = st.attempt.as_mut() {
+    fn set_speed<D: ?Sized>(&mut self, time: Time, mi: usize, speed: f64, io: &mut LoopIo<'_, D>) {
+        let old = std::mem::replace(&mut self.cols.speed[mi], speed);
+        if let Some(att) = self.cols.machines[mi].attempt.as_mut() {
             att.advance(time, old);
-            st.speed = speed;
-            st.epoch += 1;
             let end = att.projected_end(speed);
-            let epoch = st.epoch;
-            self.queue.push(Reverse((end, KIND_IDLE, mi, epoch)));
-        } else {
-            st.speed = speed;
+            self.wake(end, mi, io);
         }
     }
 
-    /// Handles an idle/completion event for machine `index`.
-    fn on_idle(&mut self, time: Time, index: usize, epoch: u64) -> Result<()> {
-        if epoch != self.machines[index].epoch || !self.machines[index].alive {
-            return Ok(()); // stale (attempt/speed changed) or dead
-        }
-        if let Some(att) = self.machines[index].attempt {
-            // A matching-epoch event while an attempt runs is that
-            // attempt's (re-)projected completion instant.
-            self.complete(time, index, att);
-        }
-        self.dispatch(time, index)
-    }
-
-    /// Completes `att` on machine `index` at `time`.
-    fn complete(&mut self, time: Time, index: usize, att: Attempt) {
-        let machine = MachineId::new(index);
-        let j = att.task.index();
-        let st = &mut self.machines[index];
-        st.attempt = None;
-        st.epoch += 1;
-        self.slots[index].push(Slot {
+    /// Completes `att` on machine `mi` at `time`.
+    fn complete<D: Dispatcher + ?Sized>(
+        &mut self,
+        time: Time,
+        mi: usize,
+        att: Attempt,
+        io: &mut LoopIo<'_, D>,
+    ) {
+        let machine = MachineId::new(mi);
+        self.cols.machines[mi].attempt = None;
+        self.slots[mi].push(Slot {
             task: att.task,
             start: att.start,
             end: time,
         });
-        let actual = self.engine.realization.actual(att.task);
-        self.trace.push(TraceEvent::Complete {
+        let actual = self.realization.actual(att.task);
+        io.trace.push(TraceEvent::Complete {
             time,
             task: att.task,
             machine,
             actual,
         });
-        self.dispatcher.on_complete(att.task, machine, actual, time);
+        io.dispatcher.on_complete(att.task, machine, actual, time);
         self.metrics.completed += 1;
         self.metrics.makespan = self.metrics.makespan.max(time);
         self.remaining -= 1;
         if att.speculative {
             self.metrics.speculative_wins += 1;
         }
-        self.tasks[j] = TaskState::Done;
+        let rec = &mut self.cols.tasks[att.task.index()];
+        let siblings = matches!(rec.state, TaskState::Running { attempts } if attempts > 1);
+        rec.state = TaskState::Done;
+        if !siblings {
+            return;
+        }
         // First finisher wins: cancel sibling attempts of the same task.
-        for w in 0..self.machines.len() {
-            let cancel = self.machines[w]
-                .attempt
-                .map(|a| a.task == att.task)
-                .unwrap_or(false);
-            if !cancel {
+        for w in 0..self.m() {
+            let st = &mut self.cols.machines[w];
+            let Some(mut lost) = st.attempt.filter(|a| a.task == att.task) else {
                 continue;
-            }
-            let speed = self.machines[w].speed;
-            let mut lost = self.machines[w].attempt.take().expect("checked above");
-            lost.advance(time, speed);
-            self.machines[w].epoch += 1;
+            };
+            st.attempt = None;
+            lost.advance(time, self.cols.speed[w]);
             self.metrics.cancelled += 1;
             self.metrics.wasted_work += lost.done.min(lost.total);
-            self.trace.push(TraceEvent::Cancelled {
+            io.trace.push(TraceEvent::Cancelled {
                 time,
                 task: lost.task,
                 machine: MachineId::new(w),
             });
             // The machine is free now; let it dispatch at this instant.
-            let epoch = self.machines[w].epoch;
-            self.queue.push(Reverse((time, KIND_IDLE, w, epoch)));
+            self.wake(time, w, io);
         }
-    }
-
-    /// Offers work to idle machine `index`: the dispatcher's pick first,
-    /// a queued speculative backup second, else park.
-    fn dispatch(&mut self, time: Time, index: usize) -> Result<()> {
-        if self.remaining == 0 {
-            return Ok(());
-        }
-        let machine = MachineId::new(index);
-        let n = self.engine.instance.n();
-        self.pending.clear();
-        self.pending.extend(
-            self.tasks
-                .iter()
-                .map(|s| HotTask::pending_only(matches!(s, TaskState::Pending))),
-        );
-        if let Some(dispatch) = &self.obs_dispatch {
-            dispatch.inc();
-        }
-        let choice = {
-            let _dispatch_span = rds_obs::span("engine.dispatch");
-            let view = SimView {
-                instance: self.engine.instance,
-                placement: self.engine.placement,
-                tasks: &self.pending,
-                by_slot: false,
-            };
-            self.dispatcher.next_task(machine, time, &view)
-        };
-        match choice {
-            Some(task) => {
-                if task.index() >= n {
-                    return Err(Error::TaskOutOfRange {
-                        task: task.index(),
-                        n,
-                    });
-                }
-                if !self.pending[task.index()].is_pending() {
-                    return Err(Error::InvalidParameter {
-                        what: "dispatcher returned an already-started task",
-                    });
-                }
-                if !self.engine.placement.allows(task, machine) {
-                    return Err(Error::InfeasibleAssignment {
-                        task: task.index(),
-                        machine: index,
-                    });
-                }
-                self.start_attempt(time, index, task, false);
-            }
-            None => {
-                if let Some(task) = self.pop_backup_for(machine) {
-                    self.start_attempt(time, index, task, true);
-                } else if !self.machines[index].parked {
-                    self.machines[index].parked = true;
-                    self.trace.push(TraceEvent::Starved { time, machine });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Pops the first queued backup this machine can host, dropping
     /// entries that became stale (task completed or requeued) meanwhile.
     fn pop_backup_for(&mut self, machine: MachineId) -> Option<TaskId> {
-        let tasks = &self.tasks;
-        self.spec_queue
-            .retain(|&t| matches!(tasks[t.index()], TaskState::Running { .. }));
+        let tasks = &self.cols.tasks;
+        self.cols
+            .spec_queue
+            .retain(|&t| matches!(tasks[t.index()].state, TaskState::Running { .. }));
         let pos = self
+            .cols
             .spec_queue
             .iter()
-            .position(|&t| self.engine.placement.allows(t, machine))?;
-        self.spec_queue.remove(pos)
+            .position(|&t| self.placement.allows(t, machine))?;
+        self.cols.spec_queue.remove(pos)
     }
 
-    /// Starts an attempt of `task` on machine `index`.
-    fn start_attempt(&mut self, time: Time, index: usize, task: TaskId, speculative: bool) {
-        let machine = MachineId::new(index);
-        let j = task.index();
-        self.tasks[j] = match (self.tasks[j], speculative) {
+    /// Starts an attempt of `task` on machine `mi`.
+    fn start_attempt<D: ?Sized>(
+        &mut self,
+        time: Time,
+        mi: usize,
+        task: TaskId,
+        speculative: bool,
+        io: &mut LoopIo<'_, D>,
+    ) {
+        let machine = MachineId::new(mi);
+        let rec = &mut self.cols.tasks[task.index()];
+        rec.state = match (rec.state, speculative) {
             (TaskState::Pending, false) => TaskState::Running { attempts: 1 },
             (TaskState::Running { attempts }, true) => TaskState::Running {
                 attempts: attempts + 1,
             },
             _ => unreachable!("invalid start"),
         };
-        let total = self.engine.realization.actual(task) * self.straggle[j];
-        let id = self.next_attempt_id;
-        self.next_attempt_id += 1;
-        let att = Attempt {
-            id,
+        let total = self.realization.actual(task) * rec.straggle;
+        let mut att = Attempt {
             task,
             start: time,
             total,
             done: Time::ZERO,
             last: time,
             speculative,
+            check: None,
         };
-        let st = &mut self.machines[index];
-        st.parked = false;
-        st.epoch += 1;
-        let end = att.projected_end(st.speed);
-        let epoch = st.epoch;
-        st.attempt = Some(att);
-        self.queue.push(Reverse((end, KIND_IDLE, index, epoch)));
+        let end = att.projected_end(self.cols.speed[mi]);
         if speculative {
             self.metrics.speculative_started += 1;
-            self.trace.push(TraceEvent::SpeculativeStart {
+            io.trace.push(TraceEvent::SpeculativeStart {
                 time,
                 task,
                 machine,
             });
         } else {
-            self.trace.push(TraceEvent::Start {
+            io.trace.push(TraceEvent::Start {
                 time,
                 task,
                 machine,
             });
-            if let Some(spec) = self.engine.speculation {
-                let check = time + spec.threshold(self.engine.instance.estimate(task));
-                self.queue.push(Reverse((check, KIND_SPEC, index, id)));
+            if let Some(spec) = self.speculation {
+                let check = time + spec.threshold(self.instance.estimate(task));
+                att.check = Some(check);
+                io.push(check, self.check_id(mi));
             }
         }
+        let st = &mut self.cols.machines[mi];
+        st.parked = false;
+        st.attempt = Some(att);
+        self.wake(end, mi, io);
     }
 
-    /// Handles a speculation check: if the watched attempt is still
-    /// running, request one backup on another data-holding machine.
-    fn on_spec_check(&mut self, time: Time, index: usize, attempt_id: u64) {
-        let att = match self.machines[index].attempt {
-            Some(a) if a.id == attempt_id => a,
+    /// Handles a speculation check on machine `mi`: if the watched
+    /// attempt is still running, request one backup on another
+    /// data-holding machine.
+    fn on_check<D: ?Sized>(&mut self, time: Time, mi: usize, io: &mut LoopIo<'_, D>) {
+        let task = match self.cols.machines[mi].attempt.as_mut() {
+            Some(a) if a.check == Some(time) => {
+                a.check = None;
+                a.task
+            }
             _ => return, // attempt finished or was killed — stale check
         };
-        let j = att.task.index();
-        if self.spec_launched[j] {
+        let rec = &mut self.cols.tasks[task.index()];
+        if rec.spec_launched {
             return;
         }
-        self.spec_launched[j] = true;
+        rec.spec_launched = true;
         // Prefer an immediately-idle host; otherwise queue the request
         // and wake parked machines so one can claim it.
-        let host = (0..self.machines.len()).find(|&w| {
-            w != index
-                && self.machines[w].alive
-                && self.machines[w].attempt.is_none()
-                && self.engine.placement.allows(att.task, MachineId::new(w))
+        let host = (0..self.m()).find(|&w| {
+            let st = &self.cols.machines[w];
+            w != mi
+                && st.alive
+                && st.attempt.is_none()
+                && self.placement.allows(task, MachineId::new(w))
         });
         match host {
-            Some(w) => self.start_attempt(time, w, att.task, true),
+            Some(w) => self.start_attempt(time, w, task, true, io),
             None => {
-                self.spec_queue.push_back(att.task);
-                self.wake_parked(time);
+                self.cols.spec_queue.push_back(task);
+                self.wake_parked(time, io);
             }
         }
     }
 
     /// Wakes every parked living machine at `time` (new work appeared).
-    fn wake_parked(&mut self, time: Time) {
-        for w in 0..self.machines.len() {
-            if self.machines[w].alive && self.machines[w].parked {
-                self.machines[w].parked = false;
-                let epoch = self.machines[w].epoch;
-                self.queue.push(Reverse((time, KIND_IDLE, w, epoch)));
+    fn wake_parked<D: ?Sized>(&mut self, time: Time, io: &mut LoopIo<'_, D>) {
+        for w in 0..self.m() {
+            let st = &mut self.cols.machines[w];
+            if st.alive && st.parked {
+                st.parked = false;
+                self.wake(time, w, io);
             }
         }
+    }
+
+    /// Assembles the report once the loop has drained every event.
+    fn report(&mut self, trace: Trace) -> Result<ResilienceReport> {
+        let unfinished: Vec<TaskId> = self
+            .cols
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.state != TaskState::Done)
+            .map(|(j, _)| TaskId::new(j))
+            .collect();
+        let outcome = if unfinished.is_empty() {
+            Outcome::Completed
+        } else {
+            Outcome::Partial { unfinished }
+        };
+        let schedule = Schedule::from_slots(std::mem::take(&mut self.slots));
+        if crate::validate::enabled() {
+            // Even faulty runs must satisfy the structural invariants;
+            // completeness only when the run claims it, duration honesty
+            // only when the script cannot stretch time. Crashed attempts
+            // are not slots, so overlap/placement checks always hold.
+            let checks = crate::validate::Checks {
+                completeness: matches!(outcome, Outcome::Completed),
+                durations: !self.script.stretches_time(),
+                ..crate::validate::Checks::structural()
+            };
+            crate::validate::check_schedule(
+                self.instance,
+                self.placement,
+                self.realization,
+                &schedule,
+                &checks,
+            )?;
+        }
+        Ok(ResilienceReport {
+            outcome,
+            schedule,
+            trace,
+            metrics: self.metrics,
+        })
     }
 }
 
@@ -1149,6 +1122,72 @@ mod tests {
                 got: 1,
             }
         );
+    }
+
+    #[test]
+    fn failure_at_exact_completion_instant_kills_the_attempt() {
+        // The tie-break: the task would complete at t=2.0, and machine 0
+        // fails at exactly t=2.0. The failure event orders before the
+        // completion event, so the attempt is lost and the task restarts
+        // on machine 1 at t=2.0, finishing at t=4.0.
+        let inst = Instance::from_estimates(&[2.0], 2).unwrap();
+        let p = Placement::everywhere(&inst);
+        let r = Realization::exact(&inst);
+        let script = FaultScript::new(vec![FaultEvent::Crash {
+            machine: MachineId::new(0),
+            at: Time::of(2.0),
+        }]);
+        let rep = run_fifo(&inst, &p, &r, &script, None);
+        assert_eq!(rep.outcome, Outcome::Completed);
+        assert_eq!(rep.metrics.restarts, 1);
+        assert_eq!(rep.metrics.makespan, Time::of(4.0));
+        assert!(rep.schedule.slots(MachineId::new(0)).is_empty());
+        let slots1 = rep.schedule.slots(MachineId::new(1));
+        assert_eq!(slots1.len(), 1);
+        assert_eq!(slots1[0].start, Time::of(2.0));
+    }
+
+    #[test]
+    fn failure_after_completion_is_harmless() {
+        let inst = Instance::from_estimates(&[2.0], 2).unwrap();
+        let p = Placement::everywhere(&inst);
+        let r = Realization::exact(&inst);
+        let script = FaultScript::new(vec![FaultEvent::Crash {
+            machine: MachineId::new(0),
+            at: Time::of(3.0),
+        }]);
+        let rep = run_fifo(&inst, &p, &r, &script, None);
+        assert_eq!(rep.outcome, Outcome::Completed);
+        assert_eq!(rep.metrics.restarts, 0);
+        assert_eq!(rep.metrics.makespan, Time::of(2.0));
+    }
+
+    #[test]
+    fn cascading_failures_with_enough_replicas() {
+        // The big task restarts at t=1 when m0 dies; if the restart
+        // landed on m1 it restarts again at t=2 on m2. Everything
+        // completes on the last survivor.
+        let inst = Instance::from_estimates(&[6.0, 1.0, 1.0], 3).unwrap();
+        let p = Placement::everywhere(&inst);
+        let r = Realization::exact(&inst);
+        let script = FaultScript::new(vec![
+            FaultEvent::Crash {
+                machine: MachineId::new(0),
+                at: Time::of(1.0),
+            },
+            FaultEvent::Crash {
+                machine: MachineId::new(1),
+                at: Time::of(2.0),
+            },
+        ]);
+        let rep = ResilienceEngine::new(&inst, &p, &r, &script)
+            .unwrap()
+            .run(&mut OrderedDispatcher::lpt_by_estimate(&inst))
+            .unwrap();
+        assert_eq!(rep.outcome, Outcome::Completed);
+        assert!(rep.metrics.restarts >= 1);
+        assert!(rep.metrics.makespan >= Time::of(7.0));
+        rep.schedule.validate(&inst, &r).unwrap();
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! when machines become idle, and actual processing times are revealed
 //! only at completion. This crate is that runtime:
 //!
-//! - [`engine::Engine`]: the event loop (machines, clock, pending set,
-//!   feasibility enforcement) — [`engine::Engine::run_in`] reuses a
+//! - [`engine::Engine`]: the one event loop (machines, clock, pending
+//!   set, feasibility enforcement) — [`engine::Engine::run_in`] reuses a
 //!   caller-owned [`arena::SimArena`] so steady-state Monte-Carlo trials
-//!   allocate nothing;
+//!   allocate nothing; heterogeneous speeds and scripted faults run in
+//!   the same loop as compile-time arms;
 //! - [`arena`]: the reusable scratch storage behind that hot path;
 //! - [`dispatcher`]: pluggable online policies (FIFO/LPT priority orders,
 //!   pinned queues, the staged policy of `ABO_Δ`);
@@ -17,7 +18,7 @@
 //! - [`faults`]: the resilience engine — scripted crashes, outages with
 //!   recovery, degraded-speed phases, stragglers, speculative
 //!   re-execution, and graceful degradation with [`faults::Outcome`] and
-//!   [`faults::ResilienceMetrics`];
+//!   [`faults::ResilienceMetrics`] — built on the engine's fault arm;
 //! - [`trace`]: chronological event traces for inspection and Gantt
 //!   rendering;
 //! - [`validate`]: the always-on schedule invariant validator (placement
@@ -51,7 +52,6 @@ pub mod dispatcher;
 pub mod engine;
 pub mod event;
 pub mod executors;
-pub mod failures;
 pub mod faults;
 pub mod trace;
 pub mod validate;
@@ -62,10 +62,9 @@ pub use dispatcher::{
 };
 pub use engine::{Engine, SimResult};
 pub use event::QueueMode;
-pub use failures::{run_with_failures, Failure, FaultySimResult};
 pub use faults::{
-    FaultEvent, FaultScratch, FaultScript, Outcome, ResilienceEngine, ResilienceMetrics,
-    ResilienceReport, Speculation,
+    FaultEvent, FaultScript, Outcome, ResilienceEngine, ResilienceMetrics, ResilienceReport,
+    Speculation,
 };
 pub use trace::{Trace, TraceEvent};
 pub use validate::{check_schedule, validate_schedule, Checks, Violation};

@@ -87,7 +87,13 @@ impl SpeedDistribution {
                 .map(|_| if lo == hi { lo } else { rng.gen_range(lo..=hi) })
                 .collect(),
             SpeedDistribution::TwoClass { slow, fast, p_fast } => (0..m)
-                .map(|_| if rng.gen::<f64>() < p_fast { fast } else { slow })
+                .map(|_| {
+                    if rng.gen::<f64>() < p_fast {
+                        fast
+                    } else {
+                        slow
+                    }
+                })
                 .collect(),
         };
         MachineSpeeds::new(speeds)

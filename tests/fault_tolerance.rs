@@ -3,15 +3,33 @@
 use proptest::prelude::*;
 use rds_algs::Strategy as _;
 use replicated_placement::prelude::*;
-use replicated_placement::sim::failures::{run_with_failures, Failure};
-use replicated_placement::sim::{OrderedDispatcher, PinnedDispatcher};
+use replicated_placement::sim::faults::{
+    FaultEvent, FaultScript, Outcome, ResilienceEngine, ResilienceReport,
+};
+use replicated_placement::sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher};
 use replicated_placement::workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
-fn failure(machine: usize, at: f64) -> Failure {
-    Failure {
+/// A permanent crash of `machine` at `at`.
+fn failure(machine: usize, at: f64) -> FaultEvent {
+    FaultEvent::Crash {
         machine: MachineId::new(machine),
         at: Time::of(at),
     }
+}
+
+/// Runs the resilience engine under a crash-only script. A stranded
+/// task surfaces as an [`Outcome::Partial`] report, not an error.
+fn run_with_crashes(
+    instance: &Instance,
+    placement: &Placement,
+    realization: &Realization,
+    dispatcher: &mut dyn Dispatcher,
+    crashes: &[FaultEvent],
+) -> ResilienceReport {
+    let script = FaultScript::new(crashes.to_vec());
+    ResilienceEngine::new(instance, placement, realization, &script)
+        .and_then(|engine| engine.run(dispatcher))
+        .unwrap()
 }
 
 #[test]
@@ -26,14 +44,14 @@ fn everywhere_placement_survives_any_single_failure() {
     let placement = Placement::everywhere(&inst);
     for target in 0..5usize {
         for &at in &[0.0, 5.0, 20.0] {
-            let res = run_with_failures(
+            let res = run_with_crashes(
                 &inst,
                 &placement,
                 &real,
                 &mut OrderedDispatcher::lpt_by_estimate(&inst),
                 &[failure(target, at)],
-            )
-            .unwrap_or_else(|e| panic!("machine {target} at {at}: {e}"));
+            );
+            assert_eq!(res.outcome, Outcome::Completed, "machine {target} at {at}");
             res.schedule.validate_completed(&inst, &real);
             // The dead machine contributes nothing after `at`.
             for slot in res.schedule.slots(MachineId::new(target)) {
@@ -67,8 +85,11 @@ fn pinned_placement_strands_exactly_the_failed_machines_tasks() {
     // Failing a machine early strands its pinned tasks.
     for target in 0..3usize {
         let mut d = PinnedDispatcher::new(assignment.machines(), 3);
-        let err = run_with_failures(&inst, &placement, &real, &mut d, &[failure(target, 0.5)]);
-        assert!(err.is_err(), "machine {target} had pinned work");
+        let res = run_with_crashes(&inst, &placement, &real, &mut d, &[failure(target, 0.5)]);
+        assert!(
+            matches!(res.outcome, Outcome::Partial { .. }),
+            "machine {target} had pinned work"
+        );
     }
 }
 
@@ -79,26 +100,26 @@ fn restarts_extend_but_bound_the_makespan() {
     let inst = Instance::from_estimates(&[6.0, 3.0, 3.0], 2).unwrap();
     let real = Realization::exact(&inst);
     let placement = Placement::everywhere(&inst);
-    let base = run_with_failures(
+    let base = run_with_crashes(
         &inst,
         &placement,
         &real,
         &mut OrderedDispatcher::lpt_by_estimate(&inst),
         &[],
-    )
-    .unwrap();
-    let hit = run_with_failures(
+    );
+    let hit = run_with_crashes(
         &inst,
         &placement,
         &real,
         &mut OrderedDispatcher::lpt_by_estimate(&inst),
         &[failure(0, 4.0)],
-    )
-    .unwrap();
-    assert!(hit.makespan >= base.makespan);
+    );
+    assert_eq!(base.outcome, Outcome::Completed);
+    assert_eq!(hit.outcome, Outcome::Completed);
+    assert!(hit.metrics.makespan >= base.metrics.makespan);
     // Lost 4 units of the big task, restarted at t=4 on the survivor.
-    assert!(hit.makespan <= base.makespan + Time::of(6.0) + Time::of(4.0));
-    assert_eq!(hit.restarts, 1);
+    assert!(hit.metrics.makespan <= base.metrics.makespan + Time::of(6.0) + Time::of(4.0));
+    assert_eq!(hit.metrics.restarts, 1);
 }
 
 proptest! {
@@ -118,28 +139,28 @@ proptest! {
         let placement = strategy.place(&inst, unc).unwrap();
 
         // One failure: every group keeps a living member → must survive.
-        let one = run_with_failures(
+        let one = run_with_crashes(
             &inst,
             &placement,
             &real,
             &mut OrderedDispatcher::fifo(&inst),
             &[failure((seed % 4) as usize, 0.1)],
         );
-        prop_assert!(one.is_ok());
+        prop_assert_eq!(one.outcome, Outcome::Completed);
 
         // Killing a whole group at time 0 strands its tasks — unless the
         // group happened to hold no tasks.
         let group0_has_tasks = inst
             .task_ids()
             .any(|t| placement.allows(t, MachineId::new(0)));
-        let both = run_with_failures(
+        let both = run_with_crashes(
             &inst,
             &placement,
             &real,
             &mut OrderedDispatcher::fifo(&inst),
             &[failure(0, 0.0), failure(1, 0.0)],
         );
-        prop_assert_eq!(both.is_err(), group0_has_tasks);
+        prop_assert_eq!(matches!(both.outcome, Outcome::Partial { .. }), group0_has_tasks);
     }
 
     #[test]
@@ -152,13 +173,14 @@ proptest! {
         let inst = Instance::from_estimates(&est, m).unwrap();
         let real = Realization::exact(&inst);
         let placement = Placement::everywhere(&inst);
-        let res = run_with_failures(
+        let res = run_with_crashes(
             &inst,
             &placement,
             &real,
             &mut OrderedDispatcher::fifo(&inst),
             &[failure(fail_machine, fail_at)],
-        ).unwrap();
+        );
+        prop_assert_eq!(&res.outcome, &Outcome::Completed);
         let completed: usize = res.schedule.all_slots().iter().map(|s| s.len()).sum();
         prop_assert_eq!(completed, inst.n());
         res.schedule.validate(&inst, &real).unwrap();
