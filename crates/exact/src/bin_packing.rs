@@ -29,41 +29,11 @@ pub enum FfdResult {
 /// Panics if `m == 0`.
 pub fn first_fit_decreasing(times: &[Time], m: usize, cap: Time) -> FfdResult {
     assert!(m >= 1, "m must be >= 1");
-    let tol = 1e-12 * cap.get().max(1.0);
-    let mut order: Vec<usize> = (0..times.len()).collect();
-    order.sort_by(|&a, &b| times[b].cmp(&times[a]).then(a.cmp(&b)));
-
-    let mut loads: Vec<f64> = Vec::with_capacity(m);
+    let order = decreasing(times);
     let mut assignment = vec![MachineId::new(0); times.len()];
-    let mut overflow_bins = 0usize;
-    for &j in &order {
-        let p = times[j].get();
-        match loads.iter().position(|&load| load + p <= cap.get() + tol) {
-            Some(bin) => {
-                loads[bin] += p;
-                assignment[j] = MachineId::new(bin);
-            }
-            None if loads.len() < m => {
-                if p > cap.get() + tol {
-                    // The task alone exceeds the capacity: unpackable.
-                    return FfdResult::Overflow {
-                        bins_needed: usize::MAX,
-                    };
-                }
-                assignment[j] = MachineId::new(loads.len());
-                loads.push(p);
-            }
-            None => {
-                overflow_bins += 1;
-            }
-        }
-    }
-    if overflow_bins == 0 {
-        FfdResult::Packed(assignment)
-    } else {
-        FfdResult::Overflow {
-            bins_needed: m + overflow_bins,
-        }
+    match ffd_pass(&order, cap, &mut MinLoadTree::new(m), &mut assignment) {
+        None => FfdResult::Packed(assignment),
+        Some(bins_needed) => FfdResult::Overflow { bins_needed },
     }
 }
 
@@ -81,32 +51,138 @@ pub fn multifit(times: &[Time], m: usize, iterations: usize) -> (Time, Vec<Machi
         .max(crate::lower_bounds::longest_task(times))
         .max(Time::of(1e-12));
     let mut lo = lb;
+    // Every pass packs the same order into the same bins; only the
+    // capacity changes, so sort once and reuse the buffers.
+    let order = decreasing(times);
+    let mut bins = MinLoadTree::new(m);
+    let mut best = vec![MachineId::new(0); times.len()];
+    let mut attempt = best.clone();
     // Ensure hi is genuinely feasible before the search.
-    let mut best = loop {
-        match first_fit_decreasing(times, m, hi) {
-            FfdResult::Packed(a) => break (hi, a),
-            FfdResult::Overflow { .. } => hi = hi * 2.0,
-        }
-    };
+    while ffd_pass(&order, hi, &mut bins, &mut best).is_some() {
+        hi = hi * 2.0;
+    }
     for _ in 0..iterations {
-        let mid = (lo + best.0) / 2.0;
-        match first_fit_decreasing(times, m, mid) {
-            FfdResult::Packed(a) => {
-                best = (mid, a);
-            }
-            FfdResult::Overflow { .. } => lo = mid,
+        let mid = (lo + hi) / 2.0;
+        if ffd_pass(&order, mid, &mut bins, &mut attempt).is_none() {
+            hi = mid;
+            std::mem::swap(&mut best, &mut attempt);
+        } else {
+            lo = mid;
         }
-        if (best.0 - lo).get() <= 1e-12 * best.0.get().max(1.0) {
+        if (hi - lo).get() <= 1e-12 * hi.get().max(1.0) {
             break;
         }
     }
     // Tighten the reported capacity to the actual max bin load.
     let mut loads = vec![Time::ZERO; m];
-    for (j, &bin) in best.1.iter().enumerate() {
+    for (j, &bin) in best.iter().enumerate() {
         loads[bin.index()] += times[j];
     }
     let makespan = loads.into_iter().max().unwrap_or(Time::ZERO);
-    (makespan, best.1)
+    (makespan, best)
+}
+
+/// `(task index, time)` by non-increasing time, ties by index: the order
+/// FFD considers tasks in.
+fn decreasing(times: &[Time]) -> Vec<(usize, f64)> {
+    let mut order: Vec<usize> = (0..times.len()).collect();
+    order.sort_unstable_by(|&a, &b| times[b].cmp(&times[a]).then(a.cmp(&b)));
+    order.into_iter().map(|j| (j, times[j].get())).collect()
+}
+
+/// One FFD pass of `order` into `bins` at capacity `cap`. Returns `None`
+/// when every task packed, with each task's bin in `assignment`;
+/// otherwise the number of bins FFD needed (`usize::MAX` when a task
+/// alone exceeds the capacity), with `assignment` partly overwritten.
+fn ffd_pass(
+    order: &[(usize, f64)],
+    cap: Time,
+    bins: &mut MinLoadTree,
+    assignment: &mut [MachineId],
+) -> Option<usize> {
+    let limit = cap.get() + 1e-12 * cap.get().max(1.0);
+    bins.clear();
+    let mut opened = 0usize;
+    let mut overflow_bins = 0usize;
+    for &(j, p) in order {
+        match bins.first_fit(p, limit) {
+            Some(bin) => {
+                bins.add(bin, p);
+                // Bins open left to right: a fit at `opened` opens one.
+                opened += usize::from(bin == opened);
+                assignment[j] = MachineId::new(bin);
+            }
+            // Not even an empty bin fits: the task alone exceeds the
+            // capacity, so it is unpackable.
+            None if opened < bins.m => return Some(usize::MAX),
+            None => overflow_bins += 1,
+        }
+    }
+    (overflow_bins > 0).then_some(bins.m + overflow_bins)
+}
+
+/// Min-load tournament tree over `m` bins. `node[1]` is the root, node
+/// `i` has children `2i` and `2i + 1`, and leaves `size..size + m` hold
+/// the bin loads, with `size` the next power of two. Unopened bins hold
+/// `0.0`, so the first of them is where FFD opens a new bin; padding
+/// leaves hold `+∞` and never fit.
+struct MinLoadTree {
+    m: usize,
+    size: usize,
+    node: Vec<f64>,
+}
+
+impl MinLoadTree {
+    fn new(m: usize) -> Self {
+        let size = m.next_power_of_two();
+        let mut tree = MinLoadTree {
+            m,
+            size,
+            node: vec![0.0; 2 * size],
+        };
+        tree.clear();
+        tree
+    }
+
+    /// Empties every bin.
+    fn clear(&mut self) {
+        let (size, m) = (self.size, self.m);
+        self.node[size..size + m].fill(0.0);
+        self.node[size + m..].fill(f64::INFINITY);
+        for i in (1..size).rev() {
+            self.node[i] = self.node[2 * i].min(self.node[2 * i + 1]);
+        }
+    }
+
+    /// The leftmost bin with `load + p <= limit`: the bin a left-to-right
+    /// scan picks. IEEE addition rounds monotonically, so a subtree holds
+    /// such a bin iff its minimum load qualifies, and the descent takes
+    /// the left child whenever it does.
+    fn first_fit(&self, p: f64, limit: f64) -> Option<usize> {
+        if self.node[1] + p > limit {
+            return None;
+        }
+        let mut i = 1;
+        while i < self.size {
+            i = 2 * i + usize::from(self.node[2 * i] + p > limit);
+        }
+        Some(i - self.size)
+    }
+
+    /// Adds `p` to `bin`'s load, repairing minima upward until one is
+    /// unchanged (loads only grow, so the ancestors above it are too).
+    fn add(&mut self, bin: usize, p: f64) {
+        let mut i = self.size + bin;
+        self.node[i] += p;
+        while i > 1 {
+            i /= 2;
+            let min = self.node[2 * i].min(self.node[2 * i + 1]);
+            if self.node[i] == min {
+                break;
+            }
+            self.node[i] = min;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,7 @@ pub fn pair_bound(times: &[Time], m: usize) -> Time {
     if times.len() <= m {
         return Time::ZERO;
     }
-    let mut sorted: Vec<Time> = times.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    sorted[m - 1] + sorted[m]
+    pair_of_sorted(&sorted_desc(times), m)
 }
 
 /// k-th slice bound, generalizing [`pair_bound`]: for any `h ≥ 1`, if
@@ -38,8 +36,37 @@ pub fn pair_bound(times: &[Time], m: usize) -> Time {
 /// long as the `(h·m+1)`-th. Maximized over all valid `h`.
 pub fn slice_bound(times: &[Time], m: usize) -> Time {
     assert!(m >= 1, "m must be >= 1");
-    let mut sorted: Vec<Time> = times.to_vec();
+    slice_of_sorted(&sorted_desc(times), m)
+}
+
+/// The combined bound: the maximum of all of the above.
+pub fn combined(times: &[Time], m: usize) -> Time {
+    // One sorted copy serves both order-statistic bounds. The average
+    // keeps summing in input order: a sorted sum can differ in the last
+    // bit.
+    let sorted = sorted_desc(times);
+    average_load(times, m)
+        .max(longest_task(times))
+        .max(pair_of_sorted(&sorted, m))
+        .max(slice_of_sorted(&sorted, m))
+}
+
+fn sorted_desc(times: &[Time]) -> Vec<Time> {
+    let mut sorted = times.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
+    sorted
+}
+
+/// [`pair_bound`] on times already sorted non-increasing.
+fn pair_of_sorted(sorted: &[Time], m: usize) -> Time {
+    if sorted.len() <= m {
+        return Time::ZERO;
+    }
+    sorted[m - 1] + sorted[m]
+}
+
+/// [`slice_bound`] on times already sorted non-increasing.
+fn slice_of_sorted(sorted: &[Time], m: usize) -> Time {
     let mut best = Time::ZERO;
     let mut h = 1usize;
     while h * m < sorted.len() {
@@ -49,14 +76,6 @@ pub fn slice_bound(times: &[Time], m: usize) -> Time {
         h += 1;
     }
     best
-}
-
-/// The combined bound: the maximum of all of the above.
-pub fn combined(times: &[Time], m: usize) -> Time {
-    average_load(times, m)
-        .max(longest_task(times))
-        .max(pair_bound(times, m))
-        .max(slice_bound(times, m))
 }
 
 #[cfg(test)]
