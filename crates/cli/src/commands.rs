@@ -959,7 +959,8 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     // (no flags) keep their historical stream bit-for-bit.
     let profile = hetero_profile(args, m, &mut r)?;
 
-    let points = pareto_sweep_hetero(&inst, unc, &real, &ks, &budgets, &profile)?;
+    let sweep = pareto_sweep_hetero(&inst, unc, &real, &ks, &budgets, &profile)?;
+    let points = &sweep.points;
 
     writeln!(
         out,
@@ -992,7 +993,7 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         a[0] = Align::Left;
         a
     });
-    for p in &points {
+    for p in points {
         t.row(vec![
             p.label.clone(),
             fmt(p.makespan, 2),
@@ -1003,6 +1004,13 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         ]);
     }
     writeln!(out, "{}", t.to_markdown())?;
+    if !sweep.unsolved.is_empty() {
+        writeln!(out, "unsolved, kept off the frontier:")?;
+        for u in &sweep.unsolved {
+            writeln!(out, "  {}: {}", u.label, u.reason)?;
+        }
+        writeln!(out)?;
+    }
 
     let greedy: Vec<(f64, f64)> = points
         .iter()
@@ -2411,6 +2419,33 @@ mod tests {
         assert!(out.contains("LPT-No Choice"), "no greedy baseline:\n{out}");
         assert!(out.contains("pareto frontier:"), "{out}");
         assert!(out.contains("realized makespan vs Mem_max"), "{out}");
+    }
+
+    #[test]
+    fn frontier_lists_budget_limited_points_as_unsolved() {
+        // At the tightest budget of this instance the ILP runs out of
+        // nodes; the sweep must still finish.
+        let out = run_to_string(&["frontier", "--m", "6", "--n", "18", "--seed", "42"]).unwrap();
+        let (table, rest) = out
+            .split_once("unsolved, kept off the frontier:\n")
+            .expect("no unsolved list");
+        let unsolved: Vec<&str> = rest
+            .lines()
+            .take_while(|l| !l.is_empty())
+            .map(|l| l.trim().split_once(": ").expect("label: reason").0)
+            .collect();
+        assert!(
+            rest.contains("ILP(k=1,B=15.127): resource limit reached: ILP node budget"),
+            "{out}"
+        );
+        let frontier = out
+            .lines()
+            .find(|l| l.starts_with("pareto frontier:"))
+            .expect("no frontier line");
+        for label in unsolved {
+            assert!(!table.contains(label), "{label} has a row:\n{out}");
+            assert!(!frontier.contains(label), "{label} on the frontier:\n{out}");
+        }
     }
 
     #[test]

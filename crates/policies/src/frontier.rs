@@ -49,6 +49,26 @@ impl ParetoPoint {
     }
 }
 
+/// A configuration whose solver stopped at its resource limit (e.g. the
+/// ILP node budget) before producing a placement. It has no point on
+/// the plane, so it is kept off the frontier and reported beside it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnsolvedPoint {
+    /// Display label (the strategy's `name()`).
+    pub label: String,
+    /// The limit the solver hit, as its error displays it.
+    pub reason: String,
+}
+
+/// Everything a sweep measured.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ParetoSweep {
+    /// One point per solved configuration, frontier marked.
+    pub points: Vec<ParetoPoint>,
+    /// Configurations whose solver hit its resource limit.
+    pub unsolved: Vec<UnsolvedPoint>,
+}
+
 /// A linear grid of `steps ≥ 2` per-machine memory budgets from the
 /// pigeonhole lower bound (`max(max_j s_j, Σ_j s_j / m)`, below which no
 /// placement can exist) up to the bound the size-driven greedy always
@@ -111,53 +131,64 @@ impl HeteroProfile {
     }
 }
 
-/// Runs one strategy and converts the outcome to a point; returns
-/// `Ok(None)` when the configuration is infeasible (a budget below the
-/// partition minimum) rather than failing the sweep. A homogeneous
-/// profile takes the closed-form path (bit-identical to the historical
-/// sweep); a heterogeneous one executes the strategy's placement
-/// through the speed/locality-aware event engine.
+/// Runs one strategy and records its point in `sweep`. An infeasible
+/// configuration (a budget below the partition minimum) is skipped and
+/// one whose solver hit its resource limit is recorded as unsolved,
+/// rather than failing the sweep. A homogeneous profile takes the
+/// closed-form path (bit-identical to the historical sweep); a
+/// heterogeneous one executes the strategy's placement through the
+/// speed/locality-aware event engine.
 fn run_point(
     strategy: &dyn Strategy,
     instance: &Instance,
     unc: Uncertainty,
     realization: &Realization,
     profile: &HeteroProfile,
-) -> Result<Option<ParetoPoint>> {
-    if profile.is_homogeneous() {
-        return match strategy.run(instance, unc, realization) {
-            Ok(outcome) => Ok(Some(ParetoPoint {
+    sweep: &mut ParetoSweep,
+) -> Result<()> {
+    let planned = if profile.is_homogeneous() {
+        strategy
+            .run(instance, unc, realization)
+            .map(|outcome| (outcome.placement, Some(outcome.makespan)))
+    } else {
+        strategy
+            .place(instance, unc)
+            .map(|placement| (placement, None))
+    };
+    let (placement, makespan) = match planned {
+        Ok(planned) => planned,
+        Err(Error::InvalidParameter { .. }) => return Ok(()),
+        Err(e @ Error::ResourceLimit { .. }) => {
+            sweep.unsolved.push(UnsolvedPoint {
                 label: strategy.name(),
-                makespan: outcome.makespan.get(),
-                mem_max: memory::mem_max(instance, &outcome.placement).get(),
-                total_memory: memory::total(instance, &outcome.placement).get(),
-                replicas: outcome.placement.total_replicas(),
-                on_frontier: false,
-            })),
-            Err(Error::InvalidParameter { .. }) => Ok(None),
-            Err(e) => Err(e),
-        };
-    }
-    let placement = match strategy.place(instance, unc) {
-        Ok(p) => p,
-        Err(Error::InvalidParameter { .. }) => return Ok(None),
+                reason: e.to_string(),
+            });
+            return Ok(());
+        }
         Err(e) => return Err(e),
     };
-    let res = rds_sim::executors::simulate_hetero(
-        instance,
-        &placement,
-        realization,
-        profile.speeds.as_ref(),
-        profile.topology.as_ref(),
-    )?;
-    Ok(Some(ParetoPoint {
+    let makespan = match makespan {
+        Some(makespan) => makespan,
+        None => {
+            rds_sim::executors::simulate_hetero(
+                instance,
+                &placement,
+                realization,
+                profile.speeds.as_ref(),
+                profile.topology.as_ref(),
+            )?
+            .makespan
+        }
+    };
+    sweep.points.push(ParetoPoint {
         label: strategy.name(),
-        makespan: res.makespan.get(),
+        makespan: makespan.get(),
         mem_max: memory::mem_max(instance, &placement).get(),
         total_memory: memory::total(instance, &placement).get(),
         replicas: placement.total_replicas(),
         on_frontier: false,
-    }))
+    });
+    Ok(())
 }
 
 /// Marks every non-dominated point of the sweep.
@@ -172,17 +203,19 @@ pub fn mark_frontier(points: &mut [ParetoPoint]) {
 /// extremes plus both group families for every divisor of `m`), then
 /// `IlpPlacement` and `LpRoundingPlacement` for every `k` in `ks` at
 /// every budget in `budgets`. All points run under the same
-/// `realization`; infeasible (budget, k) combinations are skipped.
+/// `realization`; infeasible (budget, k) combinations are skipped, and
+/// those whose solver hits its resource limit are listed as unsolved.
 ///
 /// # Errors
-/// Propagates placement and execution errors other than infeasibility.
+/// Propagates placement and execution errors other than infeasibility
+/// and resource limits.
 pub fn pareto_sweep(
     instance: &Instance,
     unc: Uncertainty,
     realization: &Realization,
     ks: &[usize],
     budgets: &[f64],
-) -> Result<Vec<ParetoPoint>> {
+) -> Result<ParetoSweep> {
     pareto_sweep_hetero(
         instance,
         unc,
@@ -199,7 +232,8 @@ pub fn pareto_sweep(
 /// machines actually differ, so the homogeneous sweep stays unchanged).
 ///
 /// # Errors
-/// Propagates placement and execution errors other than infeasibility.
+/// Propagates placement and execution errors other than infeasibility
+/// and resource limits.
 pub fn pareto_sweep_hetero(
     instance: &Instance,
     unc: Uncertainty,
@@ -207,10 +241,10 @@ pub fn pareto_sweep_hetero(
     ks: &[usize],
     budgets: &[f64],
     profile: &HeteroProfile,
-) -> Result<Vec<ParetoPoint>> {
+) -> Result<ParetoSweep> {
     let _span = rds_obs::span("frontier.pareto_sweep");
     let m = instance.m();
-    let mut points = Vec::new();
+    let mut sweep = ParetoSweep::default();
 
     let mut baselines: Vec<Box<dyn Strategy>> =
         vec![Box::new(LptNoChoice), Box::new(LptNoRestriction)];
@@ -222,32 +256,26 @@ pub fn pareto_sweep_hetero(
         }
     }
     for s in &baselines {
-        if let Some(p) = run_point(s.as_ref(), instance, unc, realization, profile)? {
-            points.push(p);
-        }
+        run_point(s.as_ref(), instance, unc, realization, profile, &mut sweep)?;
     }
 
     for &k in ks {
         for &b in budgets {
             let ilp = IlpPlacement::new(k)?.with_budget(Size::of(b));
-            if let Some(p) = run_point(&ilp, instance, unc, realization, profile)? {
-                points.push(p);
-            }
+            run_point(&ilp, instance, unc, realization, profile, &mut sweep)?;
             let lpr = LpRoundingPlacement::new(k)?.with_budget(Size::of(b));
-            if let Some(p) = run_point(&lpr, instance, unc, realization, profile)? {
-                points.push(p);
-            }
+            run_point(&lpr, instance, unc, realization, profile, &mut sweep)?;
         }
     }
 
-    mark_frontier(&mut points);
+    mark_frontier(&mut sweep.points);
     if rds_obs::enabled() {
         let g = rds_obs::global();
-        g.counter("frontier.points").add(points.len() as u64);
+        g.counter("frontier.points").add(sweep.points.len() as u64);
         g.counter("frontier.pareto")
-            .add(points.iter().filter(|p| p.on_frontier).count() as u64);
+            .add(sweep.points.iter().filter(|p| p.on_frontier).count() as u64);
     }
-    Ok(points)
+    Ok(sweep)
 }
 
 #[cfg(test)]
@@ -269,8 +297,12 @@ mod tests {
         let unc = Uncertainty::of(1.5);
         let real = Realization::uniform_factor(&inst, unc, 1.2).unwrap();
         let budgets = budget_grid(&inst, 4);
-        let a = pareto_sweep(&inst, unc, &real, &[1, 2], &budgets).unwrap();
-        let b = pareto_sweep(&inst, unc, &real, &[1, 2], &budgets).unwrap();
+        let a = pareto_sweep(&inst, unc, &real, &[1, 2], &budgets)
+            .unwrap()
+            .points;
+        let b = pareto_sweep(&inst, unc, &real, &[1, 2], &budgets)
+            .unwrap()
+            .points;
         assert_eq!(a, b);
         assert!(!a.is_empty());
         assert!(a.iter().any(|p| p.on_frontier), "empty frontier: {a:?}");
@@ -320,8 +352,12 @@ mod tests {
             speeds: Some(MachineSpeeds::new(vec![0.5, 1.0, 1.0, 1.0]).unwrap()),
             topology: Some(NetworkTopology::uniform(4, 0.5).unwrap()),
         };
-        let hot = pareto_sweep_hetero(&inst, unc, &real, &[1], &budgets, &profile).unwrap();
-        let cold = pareto_sweep(&inst, unc, &real, &[1], &budgets).unwrap();
+        let hot = pareto_sweep_hetero(&inst, unc, &real, &[1], &budgets, &profile)
+            .unwrap()
+            .points;
+        let cold = pareto_sweep(&inst, unc, &real, &[1], &budgets)
+            .unwrap()
+            .points;
         assert!(hot.iter().any(|p| p.label.starts_with("SpeedRobust-Bags")));
         assert!(!cold.iter().any(|p| p.label.starts_with("SpeedRobust-Bags")));
         // A slow machine and transfer charges can only hurt the best
@@ -330,7 +366,9 @@ mod tests {
             |pts: &[ParetoPoint]| pts.iter().map(|p| p.makespan).fold(f64::INFINITY, f64::min);
         assert!(best(&hot) >= best(&cold) - 1e-9);
         // Determinism.
-        let again = pareto_sweep_hetero(&inst, unc, &real, &[1], &budgets, &profile).unwrap();
+        let again = pareto_sweep_hetero(&inst, unc, &real, &[1], &budgets, &profile)
+            .unwrap()
+            .points;
         assert_eq!(hot, again);
     }
 
@@ -368,7 +406,9 @@ mod tests {
         let unc = Uncertainty::of(1.4);
         let real = Realization::uniform_factor(&inst, unc, 1.1).unwrap();
         let budgets = budget_grid(&inst, 6);
-        let points = pareto_sweep(&inst, unc, &real, &[1], &budgets).unwrap();
+        let points = pareto_sweep(&inst, unc, &real, &[1], &budgets)
+            .unwrap()
+            .points;
         // The ILP family contributes at least one frontier point: at the
         // generous end it matches the unconstrained optimum on envelopes
         // while the greedy baselines carry no memory discipline.
