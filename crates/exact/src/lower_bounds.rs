@@ -22,9 +22,6 @@ pub fn longest_task(times: &[Time]) -> Time {
 /// non-increasing). Returns zero when `n ≤ m`.
 pub fn pair_bound(times: &[Time], m: usize) -> Time {
     assert!(m >= 1, "m must be >= 1");
-    if times.len() <= m {
-        return Time::ZERO;
-    }
     pair_of_sorted(&sorted_desc(times), m)
 }
 

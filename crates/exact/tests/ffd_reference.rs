@@ -280,9 +280,18 @@ proptest! {
     #[test]
     fn lower_bounds_match_two_sort_versions((times, m) in instance()) {
         let bits = |t: Time| t.get().to_bits();
-        prop_assert_eq!(bits(lower_bounds::pair_bound(&times, m)), bits(reference::pair_bound(&times, m)));
-        prop_assert_eq!(bits(lower_bounds::slice_bound(&times, m)), bits(reference::slice_bound(&times, m)));
-        prop_assert_eq!(bits(lower_bounds::combined(&times, m)), bits(reference::combined(&times, m)));
+        prop_assert_eq!(
+            bits(lower_bounds::pair_bound(&times, m)),
+            bits(reference::pair_bound(&times, m))
+        );
+        prop_assert_eq!(
+            bits(lower_bounds::slice_bound(&times, m)),
+            bits(reference::slice_bound(&times, m))
+        );
+        prop_assert_eq!(
+            bits(lower_bounds::combined(&times, m)),
+            bits(reference::combined(&times, m))
+        );
     }
 }
 
