@@ -32,16 +32,18 @@ fn bench_exact_solvers(c: &mut Criterion) {
 
 fn bench_heuristic_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("heuristic_solvers");
-    for &n in &[100usize, 1_000, 10_000] {
-        let m = 16;
+    // The last shape is `rds sweep`'s: with m = 256 bins each FFD pass's
+    // bin search, not the sort, dominates MULTIFIT.
+    for &(n, m) in &[(100usize, 16usize), (1_000, 16), (10_000, 16), (4_096, 256)] {
         let t = times(n, 5);
-        group.bench_with_input(BenchmarkId::new("multifit", n), &n, |b, _| {
+        let shape = format!("n={n},m={m}");
+        group.bench_with_input(BenchmarkId::new("multifit", &shape), &n, |b, _| {
             b.iter(|| bin_packing::multifit(&t, m, 40).0)
         });
-        group.bench_with_input(BenchmarkId::new("dual_bracket", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("dual_bracket", &shape), &n, |b, _| {
             b.iter(|| dual_approx::bracket(&t, m, 0.2).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("solver_facade", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("solver_facade", &shape), &n, |b, _| {
             let s = OptimalSolver::fast();
             b.iter(|| s.solve(&t, m))
         });
