@@ -32,8 +32,8 @@ pub fn first_fit_decreasing(times: &[Time], m: usize, cap: Time) -> FfdResult {
     let order = decreasing(times);
     let mut assignment = vec![MachineId::new(0); times.len()];
     match ffd_pass(&order, cap, &mut MinLoadTree::new(m), &mut assignment) {
-        None => FfdResult::Packed(assignment),
-        Some(bins_needed) => FfdResult::Overflow { bins_needed },
+        Ok(()) => FfdResult::Packed(assignment),
+        Err(bins_needed) => FfdResult::Overflow { bins_needed },
     }
 }
 
@@ -58,12 +58,12 @@ pub fn multifit(times: &[Time], m: usize, iterations: usize) -> (Time, Vec<Machi
     let mut best = vec![MachineId::new(0); times.len()];
     let mut attempt = best.clone();
     // Ensure hi is genuinely feasible before the search.
-    while ffd_pass(&order, hi, &mut bins, &mut best).is_some() {
+    while ffd_pass(&order, hi, &mut bins, &mut best).is_err() {
         hi = hi * 2.0;
     }
     for _ in 0..iterations {
         let mid = (lo + hi) / 2.0;
-        if ffd_pass(&order, mid, &mut bins, &mut attempt).is_none() {
+        if ffd_pass(&order, mid, &mut bins, &mut attempt).is_ok() {
             hi = mid;
             std::mem::swap(&mut best, &mut attempt);
         } else {
@@ -90,16 +90,16 @@ fn decreasing(times: &[Time]) -> Vec<(usize, f64)> {
     order.into_iter().map(|j| (j, times[j].get())).collect()
 }
 
-/// One FFD pass of `order` into `bins` at capacity `cap`. Returns `None`
-/// when every task packed, with each task's bin in `assignment`;
-/// otherwise the number of bins FFD needed (`usize::MAX` when a task
-/// alone exceeds the capacity), with `assignment` partly overwritten.
+/// One FFD pass of `order` into `bins` at capacity `cap`. `Ok` when
+/// every task packed, with each task's bin in `assignment`; otherwise
+/// the number of bins FFD needed (`usize::MAX` when a task alone
+/// exceeds the capacity), with `assignment` partly overwritten.
 fn ffd_pass(
     order: &[(usize, f64)],
     cap: Time,
     bins: &mut MinLoadTree,
     assignment: &mut [MachineId],
-) -> Option<usize> {
+) -> Result<(), usize> {
     let limit = cap.get() + 1e-12 * cap.get().max(1.0);
     bins.clear();
     let mut opened = 0usize;
@@ -114,11 +114,15 @@ fn ffd_pass(
             }
             // Not even an empty bin fits: the task alone exceeds the
             // capacity, so it is unpackable.
-            None if opened < bins.m => return Some(usize::MAX),
+            None if opened < bins.m => return Err(usize::MAX),
             None => overflow_bins += 1,
         }
     }
-    (overflow_bins > 0).then_some(bins.m + overflow_bins)
+    if overflow_bins == 0 {
+        Ok(())
+    } else {
+        Err(bins.m + overflow_bins)
+    }
 }
 
 /// Min-load tournament tree over `m` bins. `node[1]` is the root, node
