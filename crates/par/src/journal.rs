@@ -10,7 +10,8 @@
 //! uninterrupted run because every number round-trips exactly (integers
 //! verbatim, floats via Rust's shortest-round-trip formatting).
 //!
-//! Robustness contract:
+//! Robustness contract (the file handling is the shared record log in
+//! [`crate::wire`], the same one under the `rds-serve` journal):
 //! - a **torn final line** (the crash artifact) is tolerated and
 //!   truncated away on resume;
 //! - any **earlier** unparsable line is real corruption and surfaces as
@@ -19,23 +20,14 @@
 //!   instance digest, seed, or parameters) is rejected with
 //!   [`Error::InvalidInstance`] instead of silently mixing experiments.
 //!
-//! No serde: the format is flat, the parser below handles exactly the
-//! subset the writer emits (one-level objects of strings, numbers,
-//! booleans, and nulls).
+//! No serde: the format is flat, the parser in [`crate::wire`] handles
+//! exactly the subset the writer emits (one-level objects of strings,
+//! numbers, booleans, and nulls).
 
+use crate::wire::{push_f64, push_json_string, scan_log, Committed, LogNames, RecordLog, Value};
 use rds_core::{Error, Result};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> Error {
-    Error::Io {
-        op,
-        path: path.display().to_string(),
-        why: e.to_string(),
-    }
-}
 
 /// Identity of a campaign; journals can only be resumed by the campaign
 /// that wrote them.
@@ -138,8 +130,6 @@ impl TrialRecord {
 // Flat-JSON encoding (shared wire format lives in [`crate::wire`])
 // ---------------------------------------------------------------------
 
-use crate::wire::{parse_flat_object, push_f64, push_json_string, Value};
-
 fn meta_line(meta: &CampaignMeta) -> String {
     let mut s = String::from("{\"v\":1,\"kind\":\"meta\",\"campaign\":");
     push_json_string(&mut s, &meta.campaign);
@@ -237,116 +227,26 @@ fn trial_from_map(map: &BTreeMap<String, Value>) -> Option<TrialRecord> {
 // The journal itself
 // ---------------------------------------------------------------------
 
+static NAMES: LogNames = LogNames {
+    header: "meta",
+    record: "trial",
+    fsync: "journal.fsync",
+    appends: "journal.appends",
+};
+
 /// An open, append-only campaign journal.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    path: PathBuf,
+    log: RecordLog,
 }
 
-/// Result of reading a journal from disk.
-#[derive(Debug)]
-struct Scan {
-    meta: CampaignMeta,
-    records: Vec<TrialRecord>,
-    /// Byte offset just past the last *parsable* line.
-    good_bytes: u64,
-    /// `true` when a torn (unparsable) final line was dropped.
-    torn: bool,
-}
-
-fn scan(path: &Path) -> Result<Scan> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| io_err("read", path, &e))?;
-    // A SIGKILL can cut a multibyte character: invalid UTF-8 at the very
-    // end is a torn tail, invalid UTF-8 followed by more lines is real
-    // corruption.
-    let text = match std::str::from_utf8(&bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            let cut = e.valid_up_to();
-            if bytes[cut..].contains(&b'\n') {
-                return Err(Error::JournalCorrupt {
-                    line: bytes[..cut].iter().filter(|&&b| b == b'\n').count() + 1,
-                    why: "invalid utf-8 before the final line".to_string(),
-                });
-            }
-            std::str::from_utf8(&bytes[..cut]).expect("validated prefix")
-        }
-    };
-    let text = text.to_string();
-
-    let mut meta = None;
+fn scan(path: &Path) -> Result<(CampaignMeta, Vec<TrialRecord>, Committed)> {
     let mut records = Vec::new();
-    let mut good_bytes = 0u64;
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-
-    // Split manually so byte offsets stay exact (lines() drops \r too).
-    let mut rest = text.as_str();
-    while !rest.is_empty() {
-        line_no += 1;
-        let (line, consumed, terminated) = match rest.find('\n') {
-            Some(i) => (&rest[..i], i + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        let is_last = consumed == rest.len();
-        let parsed = parse_flat_object(line).and_then(|map| {
-            if line_no == 1 {
-                meta_from_map(&map).map(|m| {
-                    meta = Some(m);
-                })
-            } else {
-                trial_from_map(&map).map(|r| {
-                    records.push(r);
-                })
-            }
-        });
-        match parsed {
-            Some(()) if terminated => {
-                good_bytes = (offset + consumed) as u64;
-            }
-            Some(()) => {
-                // Parsable but missing its newline: the write was cut
-                // between the payload and the terminator. Treat as torn
-                // — the record is about to be re-run anyway.
-                if line_no == 1 {
-                    meta = None;
-                } else {
-                    records.pop();
-                }
-            }
-            None if is_last => {}
-            None => {
-                return Err(Error::JournalCorrupt {
-                    line: line_no,
-                    why: if line_no == 1 {
-                        "first line is not a valid meta record".to_string()
-                    } else {
-                        "unparsable trial record before the final line".to_string()
-                    },
-                });
-            }
-        }
-        offset += consumed;
-        rest = &text[offset..];
-    }
-
-    let meta = meta.ok_or(Error::JournalCorrupt {
-        line: 1,
-        why: "journal has no meta line".to_string(),
+    let (meta, committed) = scan_log(path, &NAMES, meta_from_map, |map| {
+        records.push(trial_from_map(map)?);
+        Some(())
     })?;
-    // Anything past the last committed line — a torn write, a cut
-    // multibyte char, stray bytes — gets truncated away on resume.
-    let torn = good_bytes < bytes.len() as u64;
-    Ok(Scan {
-        meta,
-        records,
-        good_bytes,
-        torn,
-    })
+    Ok((meta, records, committed))
 }
 
 impl Journal {
@@ -355,15 +255,8 @@ impl Journal {
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn create(path: impl Into<PathBuf>, meta: &CampaignMeta) -> Result<Journal> {
-        let path = path.into();
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| io_err("create-dir", &path, &e))?;
-        }
-        let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
-        file.write_all(meta_line(meta).as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| io_err("append", &path, &e))?;
-        Ok(Journal { file, path })
+        let log = RecordLog::create(path.into(), &meta_line(meta), &NAMES, 1)?;
+        Ok(Journal { log })
     }
 
     /// Opens an existing journal for resumption, returning the records
@@ -383,35 +276,25 @@ impl Journal {
         if !path.exists() {
             return Ok((Journal::create(path, meta)?, Vec::new()));
         }
-        let scanned = scan(&path)?;
-        if scanned.meta != *meta {
+        let (on_disk, records, committed) = scan(&path)?;
+        if on_disk != *meta {
             return Err(Error::InvalidInstance {
                 why: format!(
                     "journal {} was written by a different campaign \
                      (digest {:016x} seed {} params \"{}\"; expected \
                      digest {:016x} seed {} params \"{}\")",
                     path.display(),
-                    scanned.meta.digest,
-                    scanned.meta.seed,
-                    scanned.meta.params,
+                    on_disk.digest,
+                    on_disk.seed,
+                    on_disk.params,
                     meta.digest,
                     meta.seed,
                     meta.params,
                 ),
             });
         }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("open", &path, &e))?;
-        if scanned.torn {
-            file.set_len(scanned.good_bytes)
-                .map_err(|e| io_err("truncate", &path, &e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", &path, &e))?;
-        Ok((Journal { file, path }, scanned.records))
+        let log = RecordLog::reopen(path, committed, &NAMES, 1)?;
+        Ok((Journal { log }, records))
     }
 
     /// Appends one trial record, flushed and synced before returning.
@@ -419,27 +302,12 @@ impl Journal {
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn append(&mut self, rec: &TrialRecord) -> Result<()> {
-        let obs = rds_obs::enabled().then(|| {
-            let g = rds_obs::global();
-            (g.histogram("journal.fsync"), g.counter("journal.appends"))
-        });
-        let started = std::time::Instant::now();
-        let result = self
-            .file
-            .write_all(trial_line(rec).as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err("append", &self.path, &e));
-        if let Some((fsync, appends)) = &obs {
-            // Write + sync together: the durability cost per trial.
-            fsync.record(started.elapsed());
-            appends.inc();
-        }
-        result
+        self.log.append(&trial_line(rec))
     }
 
     /// The journal's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Reads a journal without opening it for writing.
@@ -447,8 +315,8 @@ impl Journal {
     /// # Errors
     /// Same corruption/io errors as [`Journal::resume`].
     pub fn read(path: impl AsRef<Path>) -> Result<(CampaignMeta, Vec<TrialRecord>)> {
-        let scanned = scan(path.as_ref())?;
-        Ok((scanned.meta, scanned.records))
+        let (meta, records, _) = scan(path.as_ref())?;
+        Ok((meta, records))
     }
 }
 
@@ -474,6 +342,8 @@ pub fn shard_segment_path(base: &Path, shard: usize, shards: usize) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     #[test]
     fn shard_segment_paths_are_distinct_and_stable() {

@@ -1,5 +1,6 @@
-//! Dependency-free flat-JSON wire encoding shared by the append-only
-//! journals (`rds-par` campaign journal, `rds-serve` task journal).
+//! The on-disk layer shared by both append-only journals (the `rds-par`
+//! campaign journal and the `rds-serve` task journal): a flat-JSON line
+//! codec and the crash-safe record log the lines are written to.
 //!
 //! The writers emit exactly one flat JSON object per line — no nesting,
 //! no arrays — so the reader can be a small hand-rolled parser instead
@@ -7,8 +8,24 @@
 //! `u64` and `f64` both round-trip exactly (`f64` via Rust's
 //! shortest-round-trip `Display`), which is what makes `--resume`
 //! byte-identical.
+//!
+//! The record log ([`scan_log`], [`RecordLog`]) is the one crash-safety
+//! implementation under both journals:
+//! - a line is **committed** once its newline is on disk. Anything after
+//!   the last committed line — a torn write, a cut multibyte character,
+//!   stray bytes, an unparsable final line — is crash debris, and
+//!   reopening the log truncates it away;
+//! - an unparsable line, or invalid UTF-8, *before* the last committed
+//!   line is real corruption and surfaces as [`Error::JournalCorrupt`];
+//! - writes are buffered and made durable with one write plus
+//!   `sync_data` every `sync_every` records, so a SIGKILL loses at most
+//!   the unsynced batch and never corrupts the committed prefix.
 
+use rds_core::{Error, Result};
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// Appends `s` as a JSON string literal (quotes + escapes).
 pub fn push_json_string(out: &mut String, s: &str) {
@@ -202,6 +219,254 @@ pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Value>> {
         return None; // trailing garbage on the line
     }
     Some(map)
+}
+
+/// The names one record log reports under: its line kinds in
+/// [`Error::JournalCorrupt`] messages and its two metrics.
+#[derive(Debug)]
+pub struct LogNames {
+    /// Kind of the header line (`"meta"`).
+    pub header: &'static str,
+    /// Noun for every line after the header (`"trial"`).
+    pub record: &'static str,
+    /// Histogram timing each write + `sync_data` (`"journal.fsync"`).
+    pub fsync: &'static str,
+    /// Counter of appended records (`"journal.appends"`).
+    pub appends: &'static str,
+}
+
+/// Where a scanned log's committed prefix ends: what [`scan_log`]
+/// found and [`RecordLog::reopen`] cuts the file back to.
+#[derive(Debug, Clone, Copy)]
+pub struct Committed {
+    /// Byte length up to and including the last committed newline.
+    len: u64,
+    /// `true` when crash debris follows the committed prefix.
+    torn: bool,
+}
+
+fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> Error {
+    Error::Io {
+        op,
+        path: path.display().to_string(),
+        why: e.to_string(),
+    }
+}
+
+/// Reads a record log. `header` decodes the first committed line and
+/// `record` every later one, each from the line's parsed flat object,
+/// returning `None` for a line they cannot decode. Returns the decoded
+/// header and where the committed prefix ends.
+///
+/// # Errors
+/// - [`Error::JournalCorrupt`] when a line that does not decode, or
+///   invalid UTF-8, comes before the last committed line, or when no
+///   header line was committed at all (`line: 1`);
+/// - [`Error::Io`] when the file cannot be read.
+pub fn scan_log<H>(
+    path: &Path,
+    names: &LogNames,
+    mut header: impl FnMut(&BTreeMap<String, Value>) -> Option<H>,
+    mut record: impl FnMut(&BTreeMap<String, Value>) -> Option<()>,
+) -> Result<(H, Committed)> {
+    let mut bytes = Vec::new();
+    File::open(path)
+        .and_then(|mut f| f.read_to_end(&mut bytes))
+        .map_err(|e| io_err("read", path, &e))?;
+    // A SIGKILL can cut a multibyte character: invalid UTF-8 at the very
+    // end is a torn tail, invalid UTF-8 followed by more lines is real
+    // corruption.
+    let text = match std::str::from_utf8(&bytes) {
+        Ok(s) => s,
+        Err(e) => {
+            let cut = e.valid_up_to();
+            if bytes[cut..].contains(&b'\n') {
+                return Err(Error::JournalCorrupt {
+                    line: bytes[..cut].iter().filter(|&&b| b == b'\n').count() + 1,
+                    why: "invalid utf-8 before the final line".to_string(),
+                });
+            }
+            std::str::from_utf8(&bytes[..cut]).expect("validated prefix")
+        }
+    };
+
+    let mut head = None;
+    let mut committed = 0usize;
+    // Only newline-terminated lines are offered to the decoders: an
+    // unterminated final line was never committed, whether or not it
+    // happens to parse.
+    for (index, line) in text.split_inclusive('\n').enumerate() {
+        let Some(line) = line.strip_suffix('\n') else {
+            break;
+        };
+        let decoded = parse_flat_object(line).and_then(|map| {
+            if index == 0 {
+                head = Some(header(&map)?);
+                Some(())
+            } else {
+                record(&map)
+            }
+        });
+        let end = committed + line.len() + 1;
+        match decoded {
+            Some(()) => committed = end,
+            None if end == text.len() => {}
+            None => {
+                return Err(Error::JournalCorrupt {
+                    line: index + 1,
+                    why: if index == 0 {
+                        format!("first line is not a valid {} record", names.header)
+                    } else {
+                        format!("unparsable {} record before the final line", names.record)
+                    },
+                });
+            }
+        }
+    }
+    let head = head.ok_or_else(|| Error::JournalCorrupt {
+        line: 1,
+        why: format!("journal has no {} line", names.header),
+    })?;
+    Ok((
+        head,
+        Committed {
+            len: committed as u64,
+            torn: committed < bytes.len(),
+        },
+    ))
+}
+
+/// An open append-only record log: one header line, then one line per
+/// record, buffered and made durable every `sync_every` records.
+#[derive(Debug)]
+pub struct RecordLog {
+    file: File,
+    path: PathBuf,
+    names: &'static LogNames,
+    buf: String,
+    buffered: usize,
+    sync_every: usize,
+}
+
+impl RecordLog {
+    /// Creates (truncating) a fresh log, its directory included, and
+    /// makes `header` durable with one write and one `sync_data`, so even
+    /// an instant crash leaves a valid file.
+    ///
+    /// # Errors
+    /// [`Error::Io`] on any filesystem failure.
+    pub fn create(
+        path: PathBuf,
+        header: &str,
+        names: &'static LogNames,
+        sync_every: usize,
+    ) -> Result<RecordLog> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| io_err("create-dir", &path, &e))?;
+        }
+        let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
+        file.write_all(header.as_bytes())
+            .and_then(|()| file.sync_data())
+            .map_err(|e| io_err("append", &path, &e))?;
+        Ok(RecordLog::open(file, path, names, sync_every))
+    }
+
+    /// Reopens a log [`scan_log`] read, cutting the crash debris after
+    /// its committed prefix, for appending after that prefix.
+    ///
+    /// # Errors
+    /// [`Error::Io`] on any filesystem failure.
+    pub fn reopen(
+        path: PathBuf,
+        committed: Committed,
+        names: &'static LogNames,
+        sync_every: usize,
+    ) -> Result<RecordLog> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .map_err(|e| io_err("open", &path, &e))?;
+        if committed.torn {
+            file.set_len(committed.len)
+                .map_err(|e| io_err("truncate", &path, &e))?;
+        }
+        file.seek(SeekFrom::End(0))
+            .map_err(|e| io_err("seek", &path, &e))?;
+        Ok(RecordLog::open(file, path, names, sync_every))
+    }
+
+    fn open(file: File, path: PathBuf, names: &'static LogNames, sync_every: usize) -> Self {
+        RecordLog {
+            file,
+            path,
+            names,
+            buf: String::new(),
+            buffered: 0,
+            sync_every: sync_every.max(1),
+        }
+    }
+
+    /// Appends one record `line` (newline included), syncing the batch
+    /// once it holds `sync_every` records.
+    ///
+    /// # Errors
+    /// [`Error::Io`] if the batch sync fails.
+    pub fn append(&mut self, line: &str) -> Result<()> {
+        if rds_obs::enabled() {
+            rds_obs::global().counter(self.names.appends).inc();
+        }
+        self.buf.push_str(line);
+        self.buffered += 1;
+        if self.buffered >= self.sync_every {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Appends a closing `line` that is not counted as a record, and
+    /// syncs everything buffered.
+    ///
+    /// # Errors
+    /// [`Error::Io`] on any filesystem failure.
+    pub fn seal(&mut self, line: &str) -> Result<()> {
+        self.buf.push_str(line);
+        self.sync()
+    }
+
+    /// Writes the buffered batch with one write + `sync_data`.
+    ///
+    /// # Errors
+    /// [`Error::Io`] on any filesystem failure.
+    pub fn sync(&mut self) -> Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let obs = rds_obs::enabled().then(|| rds_obs::global().histogram(self.names.fsync));
+        let started = std::time::Instant::now();
+        self.file
+            .write_all(self.buf.as_bytes())
+            .and_then(|()| self.file.sync_data())
+            .map_err(|e| io_err("append", &self.path, &e))?;
+        if let Some(h) = obs {
+            h.record(started.elapsed());
+        }
+        self.buf.clear();
+        self.buffered = 0;
+        Ok(())
+    }
+
+    /// Drops the unsynced batch, as a SIGKILL would: the synced prefix
+    /// survives, the in-memory records do not.
+    pub fn drop_unsynced(&mut self) {
+        self.buf.clear();
+        self.buffered = 0;
+    }
+
+    /// The log's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
 }
 
 #[cfg(test)]

@@ -14,24 +14,26 @@
 //!
 //! ## Durability and recovery model
 //!
-//! Appends are buffered in memory and written + fsync'd every
+//! The journal sits on the same crash-safe record log as the campaign
+//! journal ([`rds_par::wire::RecordLog`]). Appends are buffered in
+//! memory and written + fsync'd every
 //! [`fsync_every`](crate::ServeConfig::fsync_every) records (and at
 //! drain). A SIGKILL therefore loses at most the unsynced tail — never
-//! corrupts the prefix. Recovery does **deterministic replay with
-//! dedup**: the daemon is a pure function of its config, so a resumed
-//! run re-simulates the identical stream and simply skips appending any
-//! terminal record whose seq is already on disk. The journal ends up
-//! with exactly one terminal record per admitted task — none lost, none
-//! doubled — which is the invariant the property tests and the CI
-//! SIGKILL smoke assert.
+//! corrupts the prefix — and a resume truncates whatever follows the
+//! last committed line (a torn record, a cut UTF-8 sequence).
+//!
+//! Recovery does **deterministic replay with dedup**: the daemon is a
+//! pure function of its config, so a resumed run re-simulates the
+//! identical stream and simply skips appending any terminal record
+//! whose seq is already on disk. The journal ends up with exactly one
+//! terminal record per admitted task — none lost, none doubled — which
+//! is the invariant the property tests and the CI SIGKILL smoke assert.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use rds_core::{Error, Result};
-use rds_par::wire::{parse_flat_object, push_f64, push_json_string, Value};
+use rds_par::wire::{push_f64, push_json_string, scan_log, Committed, LogNames, RecordLog, Value};
 
 use crate::config::ServeConfig;
 
@@ -125,13 +127,12 @@ impl ServeLog {
     }
 }
 
-fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> Error {
-    Error::Io {
-        op,
-        path: path.display().to_string(),
-        why: e.to_string(),
-    }
-}
+static NAMES: LogNames = LogNames {
+    header: "serve-meta",
+    record: "serve",
+    fsync: "serve.journal.fsync",
+    appends: "serve.journal.appends",
+};
 
 fn meta_line(cfg: &ServeConfig) -> String {
     let mut s = String::from("{\"v\":1,\"kind\":\"serve-meta\",\"digest\":");
@@ -168,6 +169,13 @@ fn drain_line(rec: &DrainRecord) -> String {
     s
 }
 
+fn digest_from_map(map: &std::collections::BTreeMap<String, Value>) -> Option<String> {
+    if map.get("kind")?.as_str()? != "serve-meta" {
+        return None;
+    }
+    Some(map.get("digest")?.as_str()?.to_string())
+}
+
 fn terminal_from_map(map: &std::collections::BTreeMap<String, Value>) -> Option<TerminalRecord> {
     Some(TerminalRecord {
         seq: map.get("seq")?.as_u64()?,
@@ -196,97 +204,34 @@ struct Scan {
     digest: String,
     records: Vec<TerminalRecord>,
     drain: Option<DrainRecord>,
-    good_bytes: u64,
-    torn: bool,
+    committed: Committed,
 }
 
 /// Parses a journal file, tolerating a torn final line (crash artifact)
 /// but rejecting corruption anywhere else.
 fn scan(path: &Path) -> Result<Scan> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| io_err("read", path, &e))?;
-
-    let mut digest = None;
-    let mut records: Vec<TerminalRecord> = Vec::new();
+    let mut records = Vec::new();
     let mut drain = None;
-    let mut good_bytes = 0u64;
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut rest = &text[..];
-    while !rest.is_empty() {
-        line_no += 1;
-        let (line, consumed, terminated) = match rest.find('\n') {
-            Some(i) => (&rest[..i], i + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        let is_last = offset + consumed >= text.len();
-        let parsed = parse_flat_object(line).and_then(|map| {
-            if line_no == 1 {
-                if map.get("kind")?.as_str()? != "serve-meta" {
-                    return None;
-                }
-                digest = Some(map.get("digest")?.as_str()?.to_string());
-                Some(())
-            } else if map.get("kind")?.as_str() == Some("drain") {
-                drain = Some(drain_from_map(&map)?);
-                Some(())
-            } else {
-                records.push(terminal_from_map(&map)?);
-                Some(())
-            }
-        });
-        match parsed {
-            Some(()) if terminated => {
-                good_bytes = (offset + consumed) as u64;
-            }
-            Some(()) => {
-                // Parsable but the newline terminator was cut off: torn.
-                if line_no == 1 {
-                    digest = None;
-                } else if drain.take().is_none() {
-                    records.pop();
-                }
-            }
-            None if is_last => {}
-            None => {
-                return Err(Error::JournalCorrupt {
-                    line: line_no,
-                    why: if line_no == 1 {
-                        "first line is not a valid serve-meta record".to_string()
-                    } else {
-                        "unparsable serve record before the final line".to_string()
-                    },
-                });
-            }
+    let (digest, committed) = scan_log(path, &NAMES, digest_from_map, |map| {
+        if map.get("kind")?.as_str() == Some("drain") {
+            drain = Some(drain_from_map(map)?);
+        } else {
+            records.push(terminal_from_map(map)?);
         }
-        offset += consumed;
-        rest = &text[offset..];
-    }
-
-    let digest = digest.ok_or(Error::JournalCorrupt {
-        line: 1,
-        why: "journal has no serve-meta line".to_string(),
+        Some(())
     })?;
-    let torn = good_bytes < text.len() as u64;
     Ok(Scan {
         digest,
         records,
         drain,
-        good_bytes,
-        torn,
+        committed,
     })
 }
 
 /// Buffered, batch-fsync'd writer over the serve journal.
 #[derive(Debug)]
 pub struct ServeJournal {
-    file: File,
-    path: PathBuf,
-    buf: String,
-    buffered: usize,
-    fsync_every: usize,
+    log: RecordLog,
     /// Terminal kinds already on disk, keyed by seq — the dedup set
     /// replay consults before appending.
     already: HashMap<u64, TerminalKind>,
@@ -299,20 +244,9 @@ impl ServeJournal {
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn create(path: impl Into<PathBuf>, cfg: &ServeConfig) -> Result<ServeJournal> {
-        let path = path.into();
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| io_err("create-dir", &path, &e))?;
-        }
-        let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
-        file.write_all(meta_line(cfg).as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| io_err("append", &path, &e))?;
+        let log = RecordLog::create(path.into(), &meta_line(cfg), &NAMES, cfg.fsync_every)?;
         Ok(ServeJournal {
-            file,
-            path,
-            buf: String::new(),
-            buffered: 0,
-            fsync_every: cfg.fsync_every.max(1),
+            log,
             already: HashMap::new(),
         })
     }
@@ -343,29 +277,12 @@ impl ServeJournal {
                 ),
             });
         }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("open", &path, &e))?;
-        if scanned.torn {
-            file.set_len(scanned.good_bytes)
-                .map_err(|e| io_err("truncate", &path, &e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", &path, &e))?;
+        let log = RecordLog::reopen(path, scanned.committed, &NAMES, cfg.fsync_every)?;
         let mut already = HashMap::new();
         for r in &scanned.records {
             already.entry(r.seq).or_insert(r.kind);
         }
-        Ok(ServeJournal {
-            file,
-            path,
-            buf: String::new(),
-            buffered: 0,
-            fsync_every: cfg.fsync_every.max(1),
-            already,
-        })
+        Ok(ServeJournal { log, already })
     }
 
     /// The terminal kind already journaled for `seq`, if any.
@@ -389,14 +306,7 @@ impl ServeJournal {
             return Ok(false);
         }
         self.already.insert(rec.seq, rec.kind);
-        self.buf.push_str(&terminal_line(rec));
-        self.buffered += 1;
-        if rds_obs::enabled() {
-            rds_obs::global().counter("serve.journal.appends").inc();
-        }
-        if self.buffered >= self.fsync_every {
-            self.sync()?;
-        }
+        self.log.append(&terminal_line(rec))?;
         Ok(true)
     }
 
@@ -405,9 +315,7 @@ impl ServeJournal {
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn seal(&mut self, rec: &DrainRecord) -> Result<()> {
-        self.buf.push_str(&drain_line(rec));
-        self.buffered += 1;
-        self.sync()
+        self.log.seal(&drain_line(rec))
     }
 
     /// Flushes the buffered batch with one write + fsync.
@@ -415,34 +323,19 @@ impl ServeJournal {
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn sync(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let obs = rds_obs::enabled().then(|| rds_obs::global().histogram("serve.journal.fsync"));
-        let started = std::time::Instant::now();
-        self.file
-            .write_all(self.buf.as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err("append", &self.path, &e))?;
-        if let Some(h) = obs {
-            h.record(started.elapsed());
-        }
-        self.buf.clear();
-        self.buffered = 0;
-        Ok(())
+        self.log.sync()
     }
 
     /// Drops the unsynced buffer — the test hook that emulates SIGKILL
     /// (a killed process loses exactly its in-memory batch; the synced
     /// prefix survives).
     pub fn drop_unsynced(&mut self) {
-        self.buf.clear();
-        self.buffered = 0;
+        self.log.drop_unsynced();
     }
 
     /// The journal's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Reads a journal without opening it for writing, deduping by seq
@@ -470,6 +363,8 @@ impl ServeJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rds-serve-journal-{}", std::process::id()));
