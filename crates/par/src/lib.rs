@@ -1,22 +1,21 @@
-//! Minimal parallel-execution substrate for the experiment harness.
+//! Minimal execution substrate for the experiment harness.
 //!
 //! The paper's evaluation sweeps (m, k, α, Δ, seeds) are embarrassingly
-//! parallel; this crate provides just enough machinery to saturate a
-//! workstation without pulling in a full framework:
+//! parallel, and its campaigns must survive a SIGKILL; this crate
+//! provides just enough machinery for both without pulling in a
+//! framework:
 //!
-//! - [`pool::ThreadPool`]: a fixed-size crossbeam-channel worker pool
-//!   with per-job panic isolation;
 //! - [`sweep::parallel_map`]: order-preserving scoped parallel map with
-//!   dynamic work claiming ([`sweep::try_parallel_map`] for the
-//!   fallible, panic-isolating variant; [`sweep::parallel_map_with`]
-//!   adds per-worker scratch state — e.g. one reusable `SimArena` per
-//!   thread — so Monte-Carlo trial bodies stay allocation-free);
+//!   dynamic work claiming, sized by [`sweep::plan_workers`];
 //! - [`pool::supervise`]: the trial watchdog — per-trial wall-clock
 //!   budgets with cooperative cancellation, bounded retry with
 //!   exponential backoff and deterministic jitter, and quarantine of
 //!   repeatedly-failing trials;
 //! - [`journal::Journal`]: the append-only fsync'd campaign journal
-//!   (JSONL) that checkpoint/resume is built on.
+//!   (JSONL) that checkpoint/resume is built on;
+//! - [`wire`]: the flat-JSON codec and the crash-safe record log
+//!   ([`wire::RecordLog`], [`wire::scan_log`]) under both the campaign
+//!   journal and the `rds-serve` task journal.
 //!
 //! # Example
 //! ```
@@ -34,5 +33,5 @@ pub mod wire;
 
 pub use journal::shard_segment_path;
 pub use journal::{CampaignMeta, Journal, TrialRecord, TrialStatus};
-pub use pool::{supervise, CancelToken, Supervised, ThreadPool, WatchdogPolicy};
-pub use sweep::{parallel_map, parallel_map_with, parallel_reps, plan_workers, try_parallel_map};
+pub use pool::{supervise, CancelToken, Supervised, WatchdogPolicy};
+pub use sweep::{parallel_map, plan_workers};

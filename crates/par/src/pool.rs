@@ -1,96 +1,18 @@
-//! A small fixed-size thread pool on crossbeam channels, plus the trial
-//! watchdog the campaign runtime runs every trial under.
+//! The trial watchdog the campaign runtime runs every trial under.
 //!
-//! The benchmark harness fans parameter sweeps out over cores. The pool
-//! is deliberately minimal: FIFO job queue, graceful shutdown on drop,
-//! panic isolation per job (a panicking job poisons nothing — the worker
-//! reports and continues).
-//!
-//! The watchdog ([`supervise`]) enforces per-trial wall-clock budgets
-//! with cooperative cancellation, retries transient failures with
-//! exponential backoff plus deterministic jitter, and after the attempt
-//! budget is exhausted reports the trial as quarantined instead of
-//! aborting the campaign. Budgeted attempts run on a *dedicated* thread,
-//! never a pool worker: a hung attempt that gets abandoned must not
-//! permanently occupy a fixed pool slot and starve the retries.
+//! [`supervise`] enforces per-trial wall-clock budgets with cooperative
+//! cancellation, retries transient failures with exponential backoff
+//! plus deterministic jitter, and after the attempt budget is exhausted
+//! reports the trial as quarantined instead of aborting the campaign.
+//! Budgeted attempts run on a *dedicated* thread: a hung attempt that
+//! gets abandoned must not occupy a shared worker and starve the
+//! retries.
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use rds_core::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size worker pool.
-pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = unbounded::<Job>();
-        let workers = (0..threads)
-            .map(|i| {
-                let rx = receiver.clone();
-                std::thread::Builder::new()
-                    .name(format!("rds-par-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            // Isolate panics so one bad job doesn't kill
-                            // the worker.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        ThreadPool {
-            sender: Some(sender),
-            workers,
-        }
-    }
-
-    /// Pool sized to the available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(threads)
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits a job.
-    ///
-    /// # Panics
-    /// Panics if called after shutdown (impossible through the public
-    /// API — the sender lives as long as the pool).
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("pool is live")
-            .send(Box::new(job))
-            .expect("workers alive");
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        // Close the channel so workers drain and exit.
-        drop(self.sender.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
 
 /// Cooperative cancellation flag handed to supervised trial bodies.
 ///
@@ -200,16 +122,6 @@ pub enum Supervised<T> {
         /// The last attempt's error.
         error: Error,
     },
-}
-
-impl<T> Supervised<T> {
-    /// The value, if the trial succeeded.
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            Supervised::Done { value, .. } => Some(value),
-            Supervised::Quarantined { .. } => None,
-        }
-    }
 }
 
 /// Runs `job` under the watchdog policy: per-attempt wall-clock budget
@@ -333,37 +245,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn runs_all_jobs() {
-        let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let c = counter.clone();
-            pool.execute(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // join
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn survives_panicking_jobs() {
-        let pool = ThreadPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for i in 0..20 {
-            let c = counter.clone();
-            pool.execute(move || {
-                if i % 5 == 0 {
-                    panic!("boom");
-                }
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool);
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
 
     #[test]
     fn supervise_succeeds_first_try_without_budget() {
@@ -503,18 +384,5 @@ mod tests {
         assert_eq!(exact.backoff_delay(1, 9), Duration::from_millis(100));
         assert_eq!(exact.backoff_delay(2, 9), Duration::from_millis(200));
         assert_eq!(exact.backoff_delay(9, 9), Duration::from_millis(500));
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = counter.clone();
-        pool.execute(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        drop(pool);
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 }

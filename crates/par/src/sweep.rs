@@ -11,16 +11,15 @@
 //! 32-thread sweep can write a single journal.
 
 use parking_lot::Mutex;
-use rds_core::Error;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of worker threads actually spawned for `items` work items
 /// when `threads` were requested: `max(1, min(threads, items))`.
 ///
 /// Extracted so the capping rule is stated (and tested) once instead of
-/// being implied by four spawn loops: requesting more workers than
-/// items never spawns idle threads, and a zero request still makes
-/// progress on one.
+/// being implied by a spawn loop: requesting more workers than items
+/// never spawns idle threads, and a zero request still makes progress
+/// on one.
 pub fn plan_workers(threads: usize, items: usize) -> usize {
     threads.max(1).min(items.max(1))
 }
@@ -76,149 +75,6 @@ where
         .collect()
 }
 
-/// Fallible, panic-isolating variant of [`parallel_map`]: applies `f` to
-/// every item and returns all results in input order, or the
-/// first-by-index error.
-///
-/// Unlike [`parallel_map`], a worker panic does not propagate: it is
-/// caught per item and surfaces as an [`Error`], so one malformed item
-/// degrades that item's slot, never the process. Remaining items still
-/// run (work claiming continues); only the reduction short-circuits.
-///
-/// # Errors
-/// The error of the lowest-indexed failing item — either `f`'s own
-/// error or [`Error::InvalidParameter`] for a caught panic.
-pub fn try_parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Result<Vec<R>, Error>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> Result<R, Error> + Sync,
-{
-    let threads = threads.max(1);
-    let n = items.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let _span = rds_obs::span("sweep.parallel_map");
-    if rds_obs::enabled() {
-        rds_obs::global().counter("sweep.items").add(n as u64);
-    }
-    let run = |item: T| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).unwrap_or(Err(
-            Error::InvalidParameter {
-                what: "parallel worker panicked",
-            },
-        ))
-    };
-    if threads == 1 || n == 1 {
-        return items.into_iter().map(run).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<Result<R, Error>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let scoped = crossbeam::thread::scope(|scope| {
-        for _ in 0..plan_workers(threads, n) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let Some(item) = slots[i].lock().take() else {
-                    continue;
-                };
-                let r = run(item);
-                *results[i].lock() = Some(r);
-            });
-        }
-    });
-    if scoped.is_err() {
-        // Unreachable in practice: every panic is caught per item.
-        return Err(Error::InvalidParameter {
-            what: "parallel worker panicked",
-        });
-    }
-
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner().unwrap_or(Err(Error::InvalidParameter {
-                what: "parallel map slot never filled",
-            }))
-        })
-        .collect()
-}
-
-/// [`parallel_map`] with per-worker scratch state: each worker thread
-/// calls `init` exactly once and threads the resulting state through
-/// every item it claims, so expensive reusable resources (a
-/// `rds_sim::SimArena`, a dispatcher, an RNG) are built per *worker*,
-/// not per *item*. This is the hook Monte-Carlo campaigns use to keep
-/// trial bodies allocation-free.
-///
-/// Results come back in input order, work is claimed dynamically, and
-/// the single-threaded path builds one state and iterates in place.
-///
-/// # Panics
-/// Propagates the first panic raised inside `init` or `f`.
-pub fn parallel_map_with<T, R, S, I, F>(items: Vec<T>, threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let threads = threads.max(1);
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let _span = rds_obs::span("sweep.parallel_map");
-    if rds_obs::enabled() {
-        rds_obs::global().counter("sweep.items").add(n as u64);
-    }
-    if threads == 1 || n == 1 {
-        let mut state = init();
-        return items.into_iter().map(|t| f(&mut state, t)).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..plan_workers(threads, n) {
-            scope.spawn(|_| {
-                let mut state = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().take().expect("each slot claimed once");
-                    let r = f(&mut state, item);
-                    *results[i].lock() = Some(r);
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("all slots filled"))
-        .collect()
-}
-
-/// Runs `reps` seeded repetitions of `f` in parallel, preserving the
-/// repetition order: `f(rep_index)` for `rep_index ∈ 0..reps`.
-pub fn parallel_reps<R, F>(reps: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    parallel_map((0..reps).collect(), threads, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,12 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn reps_are_indexed() {
-        let out = parallel_reps(10, 3, |i| i * i);
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
-    }
-
-    #[test]
     #[should_panic]
     fn panics_propagate() {
         parallel_map(vec![1, 2, 3], 2, |x: i32| {
@@ -283,93 +133,5 @@ mod tests {
     fn single_thread_path() {
         let out = parallel_map(vec![1, 2, 3], 1, |x: i32| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn try_map_preserves_order_on_success() {
-        let out = try_parallel_map((0..100).collect(), 4, |x: i32| Ok(x * 3)).unwrap();
-        assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_map_returns_first_error_by_index() {
-        let err = try_parallel_map((0..50).collect(), 4, |x: i32| {
-            if x % 10 == 7 {
-                Err(Error::ResourceLimit { what: "x hit 7" })
-            } else {
-                Ok(x)
-            }
-        })
-        .unwrap_err();
-        // Items 7, 17, 27... fail; the lowest index wins deterministically.
-        assert_eq!(err, Error::ResourceLimit { what: "x hit 7" });
-    }
-
-    #[test]
-    fn try_map_catches_panics_as_errors() {
-        let err = try_parallel_map(vec![1, 2, 3], 2, |x: i32| {
-            if x == 2 {
-                panic!("inner");
-            }
-            Ok(x)
-        })
-        .unwrap_err();
-        assert!(matches!(err, Error::InvalidParameter { .. }));
-        // Single-threaded path catches too.
-        let err = try_parallel_map(vec![1], 1, |_x: i32| -> Result<i32, Error> {
-            panic!("inner");
-        })
-        .unwrap_err();
-        assert!(matches!(err, Error::InvalidParameter { .. }));
-    }
-
-    #[test]
-    fn map_with_builds_state_per_worker_not_per_item() {
-        // Count `init` calls: with 3 workers and 100 items there must be
-        // at most 3 (and at least 1), never 100.
-        let inits = AtomicUsize::new(0);
-        let out = parallel_map_with(
-            (0..100).collect(),
-            3,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize // per-worker tally of items seen
-            },
-            |seen, x: i32| {
-                *seen += 1;
-                (x * 2, *seen)
-            },
-        );
-        let init_count = inits.load(Ordering::Relaxed);
-        assert!((1..=3).contains(&init_count), "init ran {init_count} times");
-        // Order preserved, and every item was processed by some worker
-        // whose running tally is consistent (1-based, ≤ items so far).
-        for (i, (doubled, seen)) in out.iter().enumerate() {
-            assert_eq!(*doubled, (i as i32) * 2);
-            assert!((1..=100).contains(seen));
-        }
-        let total: usize = out.iter().map(|(_, _s)| 1).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn map_with_single_thread_reuses_one_state() {
-        let out = parallel_map_with(
-            vec![5, 6, 7],
-            1,
-            || 0usize,
-            |seen, x: i32| {
-                *seen += 1;
-                (x, *seen)
-            },
-        );
-        // One state threads through all items in order.
-        assert_eq!(out, vec![(5, 1), (6, 2), (7, 3)]);
-    }
-
-    #[test]
-    fn try_map_empty_is_ok() {
-        let out: Vec<i32> = try_parallel_map(Vec::<i32>::new(), 4, Ok).unwrap();
-        assert!(out.is_empty());
     }
 }

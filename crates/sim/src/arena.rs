@@ -19,8 +19,7 @@
 //! demand (reports, validation); the hot loop writes only the trace's
 //! struct-of-arrays columns instead of a second, redundant slot log.
 //!
-//! Typical use: one arena per worker thread, reused across trials
-//! (`rds_par::parallel_map_with` hands each worker a long-lived arena):
+//! Typical use: one arena per worker thread, reused across trials:
 //!
 //! ```
 //! use rds_core::prelude::*;
