@@ -1048,7 +1048,7 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// `rds resilience`; per-trial ratios are stored as
 /// makespan/baseline pairs, so aggregates survive a crash bit-for-bit.
 pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use rds_par::{supervise, CampaignMeta, Journal, Supervised, TrialRecord, TrialStatus};
+    use rds_par::{supervise, Supervised, TrialRecord, TrialStatus};
     use std::collections::HashSet;
 
     let m: usize = args.require("m")?;
@@ -1098,32 +1098,8 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let mut executed = 0usize;
     let mut skipped = 0usize;
     for shard in 0..config.shards {
-        let shard_params = if config.shards == 1 {
-            config.params.clone()
-        } else {
-            format!("{};shard={}/{}", config.params, shard, config.shards)
-        };
-        let meta = CampaignMeta {
-            campaign: config.campaign.clone(),
-            digest: inst.digest(),
-            seed,
-            params: shard_params,
-        };
-        let segment = config.journal.as_ref().map(|base| {
-            if config.shards == 1 {
-                base.clone()
-            } else {
-                rds_par::journal::shard_segment_path(base, shard, config.shards)
-            }
-        });
-        let (mut journal, shard_records) = match &segment {
-            None => (None, Vec::new()),
-            Some(path) if config.resume => {
-                let (j, recs) = Journal::resume(path, &meta)?;
-                (Some(j), recs)
-            }
-            Some(path) => (Some(Journal::create(path, &meta)?), Vec::new()),
-        };
+        let (mut journal, shard_records) =
+            rds_policies::open_shard_journal(&config, inst.digest(), shard)?;
         skipped += shard_records.len();
         let have: HashSet<(String, u64)> = shard_records.iter().map(TrialRecord::key).collect();
         records.extend(shard_records);

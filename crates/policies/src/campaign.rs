@@ -235,6 +235,51 @@ pub struct ShardReport {
     pub skipped: usize,
 }
 
+/// Opens shard `shard`'s journal segment for the campaign `config`
+/// describes over an instance with `digest`: `None` without a journal,
+/// otherwise the segment resumed (with the records already on it) or
+/// created fresh, as `config.resume` says.
+///
+/// This is the one place that fixes a sharded campaign's on-disk
+/// contract: the segment path ([`shard_segment_path`]; the base path
+/// itself when `config.shards == 1`) and the `shard=k/n` tag folded
+/// into the meta params, so a segment written under a different
+/// sharding is rejected on resume (its trial subset would not match)
+/// instead of being merged.
+///
+/// # Errors
+/// Journal I/O, corruption and meta-mismatch errors, as in
+/// [`Journal::resume`].
+pub fn open_shard_journal(
+    config: &CampaignConfig,
+    digest: u64,
+    shard: usize,
+) -> Result<(Option<Journal>, Vec<TrialRecord>)> {
+    let Some(base) = &config.journal else {
+        return Ok((None, Vec::new()));
+    };
+    let (path, params) = if config.shards == 1 {
+        (base.clone(), config.params.clone())
+    } else {
+        (
+            shard_segment_path(base, shard, config.shards),
+            format!("{};shard={}/{}", config.params, shard, config.shards),
+        )
+    };
+    let meta = CampaignMeta {
+        campaign: config.campaign.clone(),
+        digest,
+        seed: config.seed,
+        params,
+    };
+    if config.resume {
+        let (journal, records) = Journal::resume(path, &meta)?;
+        Ok((Some(journal), records))
+    } else {
+        Ok((Some(Journal::create(path, &meta)?), Vec::new()))
+    }
+}
+
 /// Runs one shard of the campaign: the trials with
 /// `trial % config.shards == shard`, checkpointed into that shard's own
 /// journal segment ([`shard_segment_path`]; the base path itself when
@@ -264,35 +309,7 @@ pub fn run_campaign_shard(
             what: "shard index must be < shard count",
         });
     }
-    // Fold the shard identity into the journal meta: a segment written
-    // under a different sharding must be rejected on resume, because
-    // its trial subset would not match.
-    let params = if config.shards == 1 {
-        config.params.clone()
-    } else {
-        format!("{};shard={}/{}", config.params, shard, config.shards)
-    };
-    let meta = CampaignMeta {
-        campaign: config.campaign.clone(),
-        digest: instance.digest(),
-        seed: config.seed,
-        params,
-    };
-    let segment = config.journal.as_ref().map(|base| {
-        if config.shards == 1 {
-            base.clone()
-        } else {
-            shard_segment_path(base, shard, config.shards)
-        }
-    });
-    let (mut journal, mut records) = match &segment {
-        None => (None, Vec::new()),
-        Some(path) if config.resume => {
-            let (j, recs) = Journal::resume(path, &meta)?;
-            (Some(j), recs)
-        }
-        Some(path) => (Some(Journal::create(path, &meta)?), Vec::new()),
-    };
+    let (mut journal, mut records) = open_shard_journal(config, instance.digest(), shard)?;
     let skipped = records.len();
     let have: HashSet<(String, u64)> = records.iter().map(TrialRecord::key).collect();
 
@@ -573,6 +590,28 @@ mod tests {
             std::fs::remove_file(&seg).ok();
         }
         assert!(!base.exists(), "sharded run must not write the base path");
+    }
+
+    #[test]
+    fn shard_journal_opener_tags_each_segment() {
+        let base = temp_path("opener");
+        let mut config = CampaignConfig::new("sweep", 7, "n=8 m=2");
+        assert!(open_shard_journal(&config, 0xabc, 0).unwrap().0.is_none());
+        config.journal = Some(base.clone());
+        config.shards = 2;
+        drop(open_shard_journal(&config, 0xabc, 1).unwrap());
+        let seg = rds_par::journal::shard_segment_path(&base, 1, 2);
+        let (meta, _) = rds_par::journal::Journal::read(&seg).unwrap();
+        assert_eq!(meta.params, "n=8 m=2;shard=1/2");
+        assert_eq!((meta.digest, meta.seed), (0xabc, 7));
+        // The same sharding resumes the segment; a campaign that
+        // reaches it under another sharding (no tag) is refused.
+        config.resume = true;
+        assert!(open_shard_journal(&config, 0xabc, 1).unwrap().1.is_empty());
+        config.shards = 1;
+        config.journal = Some(seg.clone());
+        assert!(open_shard_journal(&config, 0xabc, 0).is_err());
+        std::fs::remove_file(&seg).ok();
     }
 
     #[test]

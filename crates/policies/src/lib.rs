@@ -43,7 +43,8 @@ pub mod reliability;
 pub mod resilience;
 
 pub use campaign::{
-    run_campaign_resumable, CampaignConfig, CampaignReport, QuarantinedTrial, StallInjection, Trial,
+    open_shard_journal, run_campaign_resumable, CampaignConfig, CampaignReport, QuarantinedTrial,
+    StallInjection, Trial,
 };
 pub use chained::ChainedReplication;
 pub use critical::CriticalTaskReplication;
