@@ -1,8 +1,8 @@
 //! Reproducible counterexample artifacts.
 //!
-//! A counterexample is written as one flat JSON object (the same
-//! hand-rolled idiom as the `rds-par` journal — no serde in this
-//! workspace). Number arrays are encoded as comma-joined strings so the
+//! A counterexample is written as one flat JSON object, its strings
+//! escaped by the journals' encoder ([`rds_par::wire::push_json_string`];
+//! no serde in this workspace). Number arrays are encoded as comma-joined strings so the
 //! object stays flat and greppable. `rds conformance --replay <file>`
 //! parses the artifact back and re-runs the exact case.
 
@@ -10,6 +10,7 @@ use crate::case::CaseSpec;
 use crate::checks::CheckKind;
 use crate::registry::{Mutation, StrategyId};
 use rds_core::{Error, Result};
+use rds_par::wire::push_json_string;
 use std::path::Path;
 
 /// Current artifact format version.
@@ -38,22 +39,6 @@ pub struct Counterexample {
     pub shrink_steps: u64,
     /// The minimized case.
     pub spec: CaseSpec,
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn join_floats(v: &[f64]) -> String {
@@ -201,7 +186,9 @@ impl Counterexample {
 
 /// Parses a single-level JSON object of string/number values into
 /// `(key, raw value)` pairs (strings are unescaped, numbers kept as
-/// text). Mirrors the journal's flat-object idiom.
+/// text). Not the journals' [`rds_par::wire::parse_flat_object`]: that
+/// one rejects the `NaN` number tokens artifacts write for violations
+/// without a measured quantity.
 fn parse_flat_object(s: &str) -> Option<Vec<(String, String)>> {
     let inner = s.strip_prefix('{')?.strip_suffix('}')?;
     let mut out = Vec::new();
