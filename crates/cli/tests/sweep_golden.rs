@@ -1,0 +1,144 @@
+//! Golden `rds sweep` runs: the printed table and the journal bytes of a
+//! fixed set of seeded sweeps, one or more per route the exact solver
+//! takes for the ratio denominator:
+//!
+//! - n = 12, m = 8: the subset DP proves the optimum;
+//! - n = 30, m = 8: branch-and-bound, whose node budget runs out, so an
+//!   unproven incumbent caps the dual-approximation lower bound;
+//! - n = 41 and up: the MULTIFIT / dual-approximation bracket, under two
+//!   realization models and with the reps split over two journal shards.
+//!
+//! Every journal record stores the makespan and its baseline by value,
+//! so a digest mismatch means some ratio denominator (or makespan) moved
+//! by even one bit. The constants are the command's reference output;
+//! they must not be re-recorded to absorb a change that was meant to be
+//! behavior-preserving.
+
+use std::path::{Path, PathBuf};
+
+/// FNV-1a over bytes.
+fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The journal files a sweep with `shards` shards writes at `journal`,
+/// in shard order.
+fn journal_files(journal: &Path, shards: usize) -> Vec<PathBuf> {
+    if shards == 1 {
+        return vec![journal.to_path_buf()];
+    }
+    (0..shards)
+        .map(|i| PathBuf::from(format!("{}.shard-{i}-of-{shards}", journal.display())))
+        .collect()
+}
+
+/// Runs `rds sweep <args> --journal <tmp>` in process and returns the
+/// table lines and the FNV-1a digest of the journal bytes (all segments,
+/// in shard order).
+fn sweep(tag: &str, args: &str) -> (Vec<String>, u64) {
+    let dir = std::env::temp_dir().join(format!("rds-sweep-golden-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("sweep.journal");
+    let mut argv: Vec<String> = std::iter::once("sweep")
+        .chain(args.split_whitespace())
+        .map(str::to_string)
+        .collect();
+    argv.extend(["--journal".to_string(), journal.display().to_string()]);
+    let mut out = Vec::new();
+    rds_cli::run(&argv, &mut out).unwrap_or_else(|e| panic!("rds {args}: {e}"));
+    let table = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .map(str::to_string)
+        .collect();
+    let shards = args
+        .split_whitespace()
+        .skip_while(|w| *w != "--shards")
+        .nth(1)
+        .map_or(1, |v| v.parse().unwrap());
+    let digest = journal_files(&journal, shards)
+        .iter()
+        .fold(FNV_OFFSET, |h, f| fnv1a(&std::fs::read(f).unwrap(), h));
+    std::fs::remove_dir_all(&dir).unwrap();
+    (table, digest)
+}
+
+/// `(arguments, table lines, journal digest)`.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &[&str], u64)] = &[
+    ("--m 8 --n 12 --reps 6 --seed 5", &[
+        "| policy             | replicas | runs | mean ratio | worst ratio |",
+        "| ------------------ | --------:| ----:| ----------:| -----------:|",
+        "| LPT-No Choice      |        1 |    6 |     1.0000 |      1.0000 |",
+        "| Chained(k=2)       |        2 |    6 |     1.0000 |      1.0000 |",
+        "| Chained(k=3)       |        3 |    6 |     1.0000 |      1.0000 |",
+        "| LS-Group(k=2)      |        4 |    6 |     1.0193 |      1.0619 |",
+        "| LPT-No Restriction |        8 |    6 |     1.0000 |      1.0000 |",
+    ], 0x1d35f1bfd4cf33b9),
+    ("--m 8 --n 30 --reps 2 --seed 5", &[
+        "| policy             | replicas | runs | mean ratio | worst ratio |",
+        "| ------------------ | --------:| ----:| ----------:| -----------:|",
+        "| LPT-No Choice      |        1 |    2 |     1.1987 |      1.2480 |",
+        "| Chained(k=2)       |        2 |    2 |     1.1404 |      1.1804 |",
+        "| Chained(k=3)       |        3 |    2 |     1.1315 |      1.1331 |",
+        "| LS-Group(k=2)      |        4 |    2 |     1.0709 |      1.0879 |",
+        "| LPT-No Restriction |        8 |    2 |     1.0373 |      1.0432 |",
+    ], 0x33987e731aa813f5),
+    ("--m 8 --n 41 --reps 6 --seed 5", &[
+        "| policy             | replicas | runs | mean ratio | worst ratio |",
+        "| ------------------ | --------:| ----:| ----------:| -----------:|",
+        "| LPT-No Choice      |        1 |    6 |     1.1655 |      1.2649 |",
+        "| Chained(k=2)       |        2 |    6 |     1.0741 |      1.1239 |",
+        "| Chained(k=3)       |        3 |    6 |     1.0485 |      1.0922 |",
+        "| LS-Group(k=2)      |        4 |    6 |     1.0489 |      1.0653 |",
+        "| LPT-No Restriction |        8 |    6 |     1.0247 |      1.0308 |",
+    ], 0x6c8c44c6c24e64e3),
+    ("--m 64 --n 1000 --reps 4 --seed 3 --model two-point", &[
+        "| policy             | replicas | runs | mean ratio | worst ratio |",
+        "| ------------------ | --------:| ----:| ----------:| -----------:|",
+        "| LPT-No Choice      |        1 |    4 |     1.2802 |      1.3169 |",
+        "| Chained(k=2)       |        2 |    4 |     1.0713 |      1.0831 |",
+        "| Chained(k=3)       |        3 |    4 |     1.0464 |      1.0658 |",
+        "| LS-Group(k=21)     |        4 |    4 |     1.1748 |      1.2239 |",
+        "| LPT-No Restriction |       64 |    4 |     1.0117 |      1.0124 |",
+    ], 0xc5ed5ec9d1174ef5),
+    ("--m 64 --n 50 --reps 4 --seed 3", &[
+        "| policy             | replicas | runs | mean ratio | worst ratio |",
+        "| ------------------ | --------:| ----:| ----------:| -----------:|",
+        "| LPT-No Choice      |        1 |    4 |     1.0000 |      1.0000 |",
+        "| Chained(k=2)       |        2 |    4 |     1.0000 |      1.0000 |",
+        "| Chained(k=3)       |        3 |    4 |     1.0000 |      1.0000 |",
+        "| LS-Group(k=21)     |        4 |    4 |     1.0000 |      1.0000 |",
+        "| LPT-No Restriction |       64 |    4 |     1.0000 |      1.0000 |",
+    ], 0xa398486335cf9a71),
+    ("--m 64 --n 1000 --reps 5 --seed 7 --shards 2", &[
+        "| policy             | replicas | runs | mean ratio | worst ratio |",
+        "| ------------------ | --------:| ----:| ----------:| -----------:|",
+        "| LPT-No Choice      |        1 |    5 |     1.1499 |      1.1664 |",
+        "| Chained(k=2)       |        2 |    5 |     1.0439 |      1.0509 |",
+        "| Chained(k=3)       |        3 |    5 |     1.0257 |      1.0320 |",
+        "| LS-Group(k=21)     |        4 |    5 |     1.0831 |      1.1180 |",
+        "| LPT-No Restriction |       64 |    5 |     1.0086 |      1.0100 |",
+    ], 0xfa21cbe3f0757924),
+];
+
+#[test]
+fn sweep_tables_and_journals_are_byte_identical_to_golden() {
+    let mut mismatches = Vec::new();
+    for (i, &(args, table, digest)) in GOLDEN.iter().enumerate() {
+        let (got_table, got_digest) = sweep(&i.to_string(), args);
+        if got_table != table || got_digest != digest {
+            mismatches.push(format!(
+                "{args:?}: want {table:#?} {digest:#018x}, got {got_table:#?} {got_digest:#018x}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
