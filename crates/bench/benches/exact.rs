@@ -47,6 +47,11 @@ fn bench_heuristic_solvers(c: &mut Criterion) {
             let s = OptimalSolver::fast();
             b.iter(|| s.solve(&t, m))
         });
+        // The lower side alone, as `rds sweep` reads it: no MULTIFIT.
+        group.bench_with_input(BenchmarkId::new("lower_bound", &shape), &n, |b, _| {
+            let s = OptimalSolver::fast();
+            b.iter(|| s.lower_bound(&t, m))
+        });
     }
     group.finish();
 }

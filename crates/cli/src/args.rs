@@ -28,6 +28,15 @@ pub enum ArgError {
         /// The unparsable text.
         value: String,
     },
+    /// A spec string (`--model`, `--speeds`, `--topology`) that breaks
+    /// its grammar or names a parameter outside its domain.
+    BadSpec {
+        /// The option name.
+        key: String,
+        /// The message shown to the user: it names the grammar or the
+        /// violated domain.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -38,6 +47,7 @@ impl std::fmt::Display for ArgError {
             ArgError::BadValue { key, value } => {
                 write!(f, "cannot parse --{key} value {value:?}")
             }
+            ArgError::BadSpec { reason, .. } => f.write_str(reason),
         }
     }
 }

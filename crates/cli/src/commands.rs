@@ -3,7 +3,7 @@
 //! Each command takes parsed [`Args`] and writes its report to the given
 //! writer, so the binary stays a thin shell and everything is testable.
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, Realization, Result as CoreResult, Schedule, Uncertainty};
@@ -59,7 +59,7 @@ COMMANDS:
             [--ks <k,k,...>] [--budget-steps <usize>]
             heterogeneity: [--speeds <spec>] [--topology <spec>]
   sweep     empirical competitive-ratio sweep: the standard suite over
-            sampled realizations versus the exact-solver bracket
+            sampled realizations versus the certified lower bound on C*
             --m <usize> [--n <usize>] [--alpha <f64>] [--reps <usize>]
             [--seed <u64>] [--model <exact|uniform|two-point|inflate>]
             heterogeneity: [--speeds <spec>] [--topology <spec>]
@@ -249,17 +249,36 @@ fn build_realization(
     inst: &Instance,
     unc: Uncertainty,
 ) -> Result<Realization, CmdError> {
-    let model: String = args.get_or("model", "uniform".to_string())?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let mut r = rng::rng(seed);
-    let model = match model.as_str() {
+    let (_, model) = realization_model(args)?;
+    Ok(model.realize(inst, unc, &mut r)?)
+}
+
+/// A spec-string usage error for `--key`.
+fn bad_spec(key: &str, reason: String) -> ArgError {
+    ArgError::BadSpec {
+        key: key.to_string(),
+        reason,
+    }
+}
+
+/// Parses `--model` (default `uniform`) into its name and model.
+fn realization_model(args: &Args) -> Result<(String, RealizationModel), ArgError> {
+    let name: String = args.get_or("model", "uniform".to_string())?;
+    let model = match name.as_str() {
         "exact" => RealizationModel::Exact,
         "uniform" => RealizationModel::UniformFactor,
         "two-point" => RealizationModel::TwoPoint { p_inflate: 0.3 },
         "inflate" => RealizationModel::AllInflate,
-        other => return Err(format!("unknown realization model {other:?}").into()),
+        other => {
+            return Err(bad_spec(
+                "model",
+                format!("unknown realization model {other:?}"),
+            ))
+        }
     };
-    Ok(model.realize(inst, unc, &mut r)?)
+    Ok((name, model))
 }
 
 /// `rds bounds`: the guarantee table for given `α`, `m` (and optional `k`).
@@ -824,10 +843,9 @@ pub fn cmd_reliability(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
     Ok(())
 }
 
-/// Parses a `--speeds` spec: `unit`, `uniform:<lo>,<hi>`, or
-/// `two-class:<slow>,<fast>,<p-fast>`.
-fn parse_speed_spec(raw: &str) -> Result<rds_workloads::SpeedDistribution, CmdError> {
-    use rds_workloads::SpeedDistribution as S;
+/// Splits a `--key` spec `<head>[:<x>,<y>,...]` into its head and its
+/// numbers (empty components are skipped).
+fn spec_parts<'a>(key: &str, raw: &'a str) -> Result<(&'a str, Vec<f64>), ArgError> {
     let (head, tail) = raw.split_once(':').unwrap_or((raw, ""));
     let nums = tail
         .split(',')
@@ -835,9 +853,17 @@ fn parse_speed_spec(raw: &str) -> Result<rds_workloads::SpeedDistribution, CmdEr
         .map(|p| {
             p.trim()
                 .parse::<f64>()
-                .map_err(|_| format!("cannot parse --speeds component {p:?}"))
+                .map_err(|_| bad_spec(key, format!("cannot parse --{key} component {p:?}")))
         })
         .collect::<Result<Vec<f64>, _>>()?;
+    Ok((head, nums))
+}
+
+/// Parses a `--speeds` spec: `unit`, `uniform:<lo>,<hi>`, or
+/// `two-class:<slow>,<fast>,<p-fast>`.
+fn parse_speed_spec(raw: &str) -> Result<rds_workloads::SpeedDistribution, ArgError> {
+    use rds_workloads::SpeedDistribution as S;
+    let (head, nums) = spec_parts("speeds", raw)?;
     let dist = match (head, nums.as_slice()) {
         ("unit", []) => S::Unit,
         ("uniform", [lo, hi]) => S::Uniform { lo: *lo, hi: *hi },
@@ -847,31 +873,25 @@ fn parse_speed_spec(raw: &str) -> Result<rds_workloads::SpeedDistribution, CmdEr
             p_fast: *p_fast,
         },
         _ => {
-            return Err(format!(
-                "bad --speeds spec {raw:?}; try unit | uniform:<lo>,<hi> | \
-                 two-class:<slow>,<fast>,<p-fast>"
-            )
-            .into())
+            return Err(bad_spec(
+                "speeds",
+                format!(
+                    "bad --speeds spec {raw:?}; try unit | uniform:<lo>,<hi> | \
+                     two-class:<slow>,<fast>,<p-fast>"
+                ),
+            ))
         }
     };
-    dist.validate()?;
+    dist.validate()
+        .map_err(|e| bad_spec("speeds", e.to_string()))?;
     Ok(dist)
 }
 
 /// Parses a `--topology` spec: `zero`, `uniform:<latency>`,
 /// `clustered:<zones>,<local>,<remote>`, or `random:<lo>,<hi>`.
-fn parse_topology_spec(raw: &str) -> Result<rds_workloads::TopologyModel, CmdError> {
+fn parse_topology_spec(raw: &str) -> Result<rds_workloads::TopologyModel, ArgError> {
     use rds_workloads::TopologyModel as T;
-    let (head, tail) = raw.split_once(':').unwrap_or((raw, ""));
-    let nums = tail
-        .split(',')
-        .filter(|p| !p.is_empty())
-        .map(|p| {
-            p.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("cannot parse --topology component {p:?}"))
-        })
-        .collect::<Result<Vec<f64>, _>>()?;
+    let (head, nums) = spec_parts("topology", raw)?;
     let model = match (head, nums.as_slice()) {
         ("zero", []) => T::Zero,
         ("uniform", [latency]) => T::UniformRemote { latency: *latency },
@@ -884,15 +904,45 @@ fn parse_topology_spec(raw: &str) -> Result<rds_workloads::TopologyModel, CmdErr
         }
         ("random", [lo, hi]) => T::RandomPairs { lo: *lo, hi: *hi },
         _ => {
-            return Err(format!(
-                "bad --topology spec {raw:?}; try zero | uniform:<latency> | \
-                 clustered:<zones>,<local>,<remote> | random:<lo>,<hi>"
-            )
-            .into())
+            return Err(bad_spec(
+                "topology",
+                format!(
+                    "bad --topology spec {raw:?}; try zero | uniform:<latency> | \
+                     clustered:<zones>,<local>,<remote> | random:<lo>,<hi>"
+                ),
+            ))
         }
     };
-    model.validate()?;
+    model
+        .validate()
+        .map_err(|e| bad_spec("topology", e.to_string()))?;
     Ok(model)
+}
+
+/// Realizes the `--speeds` spec `raw` (parsed as `dist`) for `m`
+/// machines. Speeds so slow that `real`'s work overflows even on the
+/// fastest machine would make every time derived from them infinite, so
+/// they are a malformed spec too.
+fn realize_speeds(
+    raw: &str,
+    dist: &rds_workloads::SpeedDistribution,
+    m: usize,
+    real: &Realization,
+    r: &mut rand::rngs::StdRng,
+) -> Result<rds_core::MachineSpeeds, CmdError> {
+    let speeds = dist.realize(m, r)?;
+    let work: f64 = real.times().iter().map(|t| t.get()).sum();
+    if !(work / speeds.max()).is_finite() {
+        return Err(bad_spec(
+            "speeds",
+            format!(
+                "--speeds {raw:?} is too slow: the realized work overflows even on the \
+                 fastest machine"
+            ),
+        )
+        .into());
+    }
+    Ok(speeds)
 }
 
 /// Realizes the optional `--speeds`/`--topology` specs into a
@@ -900,10 +950,11 @@ fn parse_topology_spec(raw: &str) -> Result<rds_workloads::TopologyModel, CmdErr
 fn hetero_profile(
     args: &Args,
     m: usize,
+    real: &Realization,
     r: &mut rand::rngs::StdRng,
 ) -> Result<rds_policies::HeteroProfile, CmdError> {
     let speeds = match args.get::<String>("speeds")? {
-        Some(raw) => Some(parse_speed_spec(&raw)?.realize(m, r)?),
+        Some(raw) => Some(realize_speeds(&raw, &parse_speed_spec(&raw)?, m, real, r)?),
         None => None,
     };
     let topology = match args.get::<String>("topology")? {
@@ -957,7 +1008,7 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let budgets = budget_grid(&inst, steps);
     // Hetero draws come after the realization draw, so homogeneous runs
     // (no flags) keep their historical stream bit-for-bit.
-    let profile = hetero_profile(args, m, &mut r)?;
+    let profile = hetero_profile(args, m, &real, &mut r)?;
 
     let sweep = pareto_sweep_hetero(&inst, unc, &real, &ks, &budgets, &profile)?;
     let points = &sweep.points;
@@ -1057,14 +1108,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let n: usize = args.get_or("n", 8 * m)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let reps: usize = args.get_or("reps", 20)?;
-    let model_name: String = args.get_or("model", "uniform".to_string())?;
-    let model = match model_name.as_str() {
-        "exact" => RealizationModel::Exact,
-        "uniform" => RealizationModel::UniformFactor,
-        "two-point" => RealizationModel::TwoPoint { p_inflate: 0.3 },
-        "inflate" => RealizationModel::AllInflate,
-        other => return Err(format!("unknown realization model {other:?}").into()),
-    };
+    let (model_name, model) = realization_model(args)?;
 
     let speeds_raw = args.get::<String>("speeds")?;
     let topology_raw = args.get::<String>("topology")?;
@@ -1121,25 +1165,25 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             let real = model.realize(&inst, unc, &mut tr)?;
             // Hetero draws come after the realization draw so runs
             // without the flags keep their historical stream.
-            let speeds = match &speed_dist {
-                Some(d) => Some(d.realize(m, &mut tr)?),
+            let speeds = match speeds_raw.as_deref().zip(speed_dist.as_ref()) {
+                Some((raw, d)) => Some(realize_speeds(raw, d, m, &real, &mut tr)?),
                 None => None,
             };
             let topo = match &topo_model {
                 Some(t) => Some(t.build(m, &mut tr)?),
                 None => None,
             };
-            // The exact solver brackets the offline optimum on this
-            // realization; its lower bound is the ratio denominator.
-            // Under heterogeneous speeds the homogeneous solver bound
-            // no longer applies, so switch to the speed-aware bound
+            // The exact solver's certified lower bound on the offline
+            // optimum of this realization is the ratio denominator; the
+            // bracket's upper side is never needed here. Under
+            // heterogeneous speeds the homogeneous solver bound no
+            // longer applies, so switch to the speed-aware bound
             // (transfer charges only add time, so it stays sound when
             // a topology is also present).
             let opt_lo = match &speeds {
                 Some(s) => rds_algs::speed_lower_bound(real.times(), s).get(),
                 None => OptimalSolver::default()
-                    .solve_realization(&real, inst.m())
-                    .lo
+                    .lower_bound(real.times(), inst.m())
                     .get(),
             };
             for policy in pending {
@@ -2129,6 +2173,92 @@ mod tests {
                 matches!(arg_err, crate::args::ArgError::BadValue { key, .. } if key == "beta"),
                 "--beta {beta}: {arg_err}"
             );
+        }
+    }
+
+    /// Runs `argv` and returns the usage error it must fail with.
+    fn usage_error(argv: &[&str]) -> ArgError {
+        let err = run_to_string(argv).unwrap_err();
+        // An `ArgError` is what `main` maps to exit code 2.
+        err.downcast_ref::<ArgError>()
+            .unwrap_or_else(|| panic!("{argv:?}: not a usage error: {err}"))
+            .clone()
+    }
+
+    #[test]
+    fn unknown_realization_model_is_a_usage_error() {
+        for argv in [
+            &[
+                "sweep", "--m", "4", "--n", "8", "--reps", "1", "--model", "bogus",
+            ][..],
+            &["simulate", "--m", "4", "--alpha", "1.5", "--model", "bogus"][..],
+        ] {
+            let err = usage_error(argv);
+            assert!(
+                matches!(&err, ArgError::BadSpec { key, .. } if key == "model"),
+                "{argv:?}: {err:?}"
+            );
+            assert_eq!(err.to_string(), "unknown realization model \"bogus\"");
+        }
+    }
+
+    #[test]
+    fn malformed_hetero_specs_are_usage_errors_with_their_messages() {
+        let cases = [
+            (
+                "speeds",
+                "junk",
+                "bad --speeds spec \"junk\"; try unit | uniform:<lo>,<hi> | \
+                 two-class:<slow>,<fast>,<p-fast>",
+            ),
+            (
+                "speeds",
+                "uniform:2,1",
+                "invalid parameter: speed Uniform requires finite 0 < lo <= hi",
+            ),
+            (
+                "speeds",
+                "two-class:0.5,1.5,2",
+                "invalid parameter: TwoClass.p_fast must be in [0, 1]",
+            ),
+            (
+                "speeds",
+                "uniform:x,1",
+                "cannot parse --speeds component \"x\"",
+            ),
+            (
+                "speeds",
+                "uniform:1e-320,1e-320",
+                "--speeds \"uniform:1e-320,1e-320\" is too slow: the realized work \
+                 overflows even on the fastest machine",
+            ),
+            (
+                "topology",
+                "clustered:0,1,2",
+                "bad --topology spec \"clustered:0,1,2\"; try zero | uniform:<latency> | \
+                 clustered:<zones>,<local>,<remote> | random:<lo>,<hi>",
+            ),
+            (
+                "topology",
+                "uniform:-1",
+                "invalid parameter: UniformRemote.latency must be finite and >= 0",
+            ),
+        ];
+        for (flag, spec, message) in cases {
+            let flag_arg = format!("--{flag}");
+            for argv in [
+                &[
+                    "sweep", "--m", "4", "--n", "8", "--reps", "1", &flag_arg, spec,
+                ][..],
+                &["frontier", "--m", "4", "--n", "8", &flag_arg, spec][..],
+            ] {
+                let err = usage_error(argv);
+                assert!(
+                    matches!(&err, ArgError::BadSpec { key, .. } if key == flag),
+                    "{argv:?}: {err:?}"
+                );
+                assert_eq!(err.to_string(), message, "{argv:?}");
+            }
         }
     }
 

@@ -16,6 +16,7 @@
 //! caller keeps the bracket certified so far (the combinatorial lower
 //! bound and the Graham `2·LB` upper bound are always valid).
 
+use crate::lower_bounds;
 use rds_core::{Error, Result, Time};
 use std::collections::HashMap;
 
@@ -52,15 +53,19 @@ impl Budget {
 /// Decides whether the tasks pack into `m` bins of capacity `(1+ε)·c`
 /// (`Some(true)`), provably cannot fit in capacity `c` (`Some(false)`),
 /// or the search exceeded its budget (`None`).
-fn feasible(times_desc: &[f64], m: usize, c: f64, eps: f64) -> Option<bool> {
+fn feasible(times_desc: &[Time], m: usize, c: f64, eps: f64) -> Option<bool> {
     debug_assert!(c > 0.0);
     let small_cut = eps * c;
     let big: Vec<f64> = times_desc
         .iter()
-        .copied()
+        .map(|t| t.get())
         .filter(|&p| p > small_cut)
         .collect();
-    let small_sum: f64 = times_desc.iter().copied().filter(|&p| p <= small_cut).sum();
+    let small_sum: f64 = times_desc
+        .iter()
+        .map(|t| t.get())
+        .filter(|&p| p <= small_cut)
+        .sum();
     if big.iter().any(|&p| p > c) {
         return Some(false);
     }
@@ -211,20 +216,30 @@ fn min_bins(
 /// Panics if `m == 0`.
 pub fn bracket(times: &[Time], m: usize, eps: f64) -> Result<Bracket> {
     assert!(m >= 1, "m must be >= 1");
+    let desc = lower_bounds::sorted_desc(times);
+    bracket_sorted(
+        &desc,
+        m,
+        eps,
+        lower_bounds::combined_sorted(times, &desc, m),
+    )
+}
+
+/// [`bracket`] on `desc`, the times sorted non-increasing, from `lb`,
+/// their [`lower_bounds::combined`] bound: the caller sorts once for
+/// both.
+pub(crate) fn bracket_sorted(desc: &[Time], m: usize, eps: f64, lb: Time) -> Result<Bracket> {
     if !(eps > 0.0 && eps <= 0.5) {
         return Err(Error::InvalidParameter {
             what: "dual approximation epsilon must be in (0, 0.5]",
         });
     }
-    let lb = crate::lower_bounds::combined(times, m);
     if lb.is_zero() {
         return Ok(Bracket {
             lo: Time::ZERO,
             hi: Time::ZERO,
         });
     }
-    let mut desc: Vec<f64> = times.iter().map(|t| t.get()).collect();
-    desc.sort_by(|a, b| b.total_cmp(a));
 
     // Always-valid initial bracket: C* ∈ [lb, 2·lb].
     let mut lo = lb.get();
@@ -235,7 +250,7 @@ pub fn bracket(times: &[Time], m: usize, eps: f64) -> Result<Bracket> {
     let mut hi_pack = 2.0 * lb.get();
     while hi_pack - lo > eps * lo {
         let mid = 0.5 * (lo + hi_pack);
-        match feasible(&desc, m, mid, eps) {
+        match feasible(desc, m, mid, eps) {
             Some(true) => {
                 hi_pack = mid;
                 hi_sched = hi_sched.min(mid * (1.0 + eps));

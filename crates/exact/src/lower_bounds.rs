@@ -38,17 +38,22 @@ pub fn slice_bound(times: &[Time], m: usize) -> Time {
 
 /// The combined bound: the maximum of all of the above.
 pub fn combined(times: &[Time], m: usize) -> Time {
-    // One sorted copy serves both order-statistic bounds. The average
-    // keeps summing in input order: a sorted sum can differ in the last
-    // bit.
-    let sorted = sorted_desc(times);
-    average_load(times, m)
-        .max(longest_task(times))
-        .max(pair_of_sorted(&sorted, m))
-        .max(slice_of_sorted(&sorted, m))
+    combined_sorted(times, &sorted_desc(times), m)
 }
 
-fn sorted_desc(times: &[Time]) -> Vec<Time> {
+/// [`combined`], given `sorted`: `times` sorted non-increasing. One
+/// sorted copy serves both order-statistic bounds (and, through the
+/// solver, the dual-approximation search). The average keeps summing
+/// `times` in input order: a sorted sum can differ in the last bit.
+pub(crate) fn combined_sorted(times: &[Time], sorted: &[Time], m: usize) -> Time {
+    average_load(times, m)
+        .max(longest_task(times))
+        .max(pair_of_sorted(sorted, m))
+        .max(slice_of_sorted(sorted, m))
+}
+
+/// A copy of `times` sorted non-increasing.
+pub(crate) fn sorted_desc(times: &[Time]) -> Vec<Time> {
     let mut sorted = times.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     sorted

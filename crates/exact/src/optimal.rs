@@ -85,39 +85,12 @@ impl OptimalSolver {
     /// Panics if `m == 0`.
     pub fn solve(&self, times: &[Time], m: usize) -> OptMakespan {
         assert!(m >= 1, "m must be >= 1");
-        let lb = lower_bounds::combined(times, m);
-        // Exact via DP.
-        if times.len() <= self.dp_limit {
-            if let Ok((mk, _)) = dp::optimal(times, m) {
-                return OptMakespan {
-                    lo: mk,
-                    hi: mk,
-                    certainty: Certainty::Exact,
-                };
-            }
-        }
-        // Exact (or incumbent) via branch-and-bound.
-        if times.len() <= self.bnb_limit {
-            let r = branch_bound::solve(times, m, self.bnb_nodes);
-            if r.proved {
-                return OptMakespan {
-                    lo: r.makespan,
-                    hi: r.makespan,
-                    certainty: Certainty::Exact,
-                };
-            }
-            // Unproven incumbent still certifies the upper side.
-            let hi = r.makespan;
-            let lo = self.dual_lower(times, m, lb, hi);
-            return OptMakespan {
-                lo,
-                hi,
-                certainty: Certainty::Bracketed,
-            };
+        if let Some(opt) = self.solve_small(times, m) {
+            return opt;
         }
         // Bracket: MULTIFIT upper bound, dual-approximation lower bound.
         let (mf, _) = bin_packing::multifit(times, m, 40);
-        let lo = self.dual_lower(times, m, lb, mf);
+        let lo = self.dual_lower(times, m).min(mf);
         OptMakespan {
             lo,
             hi: mf,
@@ -129,13 +102,72 @@ impl OptimalSolver {
         }
     }
 
-    /// Best certified lower bound available: the combinatorial bound,
-    /// possibly improved by the dual-approximation search (capped at the
-    /// known upper bound).
-    fn dual_lower(&self, times: &[Time], m: usize, lb: Time, ub: Time) -> Time {
-        match dual_approx::bracket(times, m, self.eps) {
-            Ok(b) => lb.max(b.lo).min(ub),
-            Err(_) => lb.min(ub),
+    /// The certified lower bound on `C*` that [`solve`](Self::solve)
+    /// reports as `lo`, without the upper side.
+    ///
+    /// Up to the exact solvers' size limits this is `solve().lo`, the DP
+    /// or branch-and-bound value. Above them it is the combinatorial
+    /// bound raised by the dual-approximation search, and MULTIFIT, most
+    /// of a large `solve()`, never runs.
+    ///
+    /// When `solve()` reports [`Certainty::Bracketed`] the two agree bit
+    /// for bit. When the MULTIFIT bracket closes ([`Certainty::Exact`]),
+    /// `solve()` clamps `lo` to MULTIFIT's makespan and this bound does
+    /// not, so it can exceed `solve().hi` by the rounding of two float
+    /// sums (around 1e-14 relative).
+    ///
+    /// # Panics
+    /// Panics if `m == 0`.
+    pub fn lower_bound(&self, times: &[Time], m: usize) -> Time {
+        assert!(m >= 1, "m must be >= 1");
+        match self.solve_small(times, m) {
+            Some(opt) => opt.lo,
+            None => self.dual_lower(times, m),
+        }
+    }
+
+    /// The exact routes: the subset DP, then branch-and-bound, whose
+    /// unproven incumbent still certifies the upper side. `None` above
+    /// both size limits.
+    fn solve_small(&self, times: &[Time], m: usize) -> Option<OptMakespan> {
+        if times.len() <= self.dp_limit {
+            if let Ok((mk, _)) = dp::optimal(times, m) {
+                return Some(OptMakespan {
+                    lo: mk,
+                    hi: mk,
+                    certainty: Certainty::Exact,
+                });
+            }
+        }
+        if times.len() > self.bnb_limit {
+            return None;
+        }
+        let r = branch_bound::solve(times, m, self.bnb_nodes);
+        Some(if r.proved {
+            OptMakespan {
+                lo: r.makespan,
+                hi: r.makespan,
+                certainty: Certainty::Exact,
+            }
+        } else {
+            OptMakespan {
+                lo: self.dual_lower(times, m).min(r.makespan),
+                hi: r.makespan,
+                certainty: Certainty::Bracketed,
+            }
+        })
+    }
+
+    /// Best certified lower bound short of an exact solve: the
+    /// combinatorial bound, possibly improved by the dual-approximation
+    /// search. Both read one sorted copy of the times. Callers holding
+    /// an upper bound clamp to it.
+    fn dual_lower(&self, times: &[Time], m: usize) -> Time {
+        let desc = lower_bounds::sorted_desc(times);
+        let lb = lower_bounds::combined_sorted(times, &desc, m);
+        match dual_approx::bracket_sorted(&desc, m, self.eps, lb) {
+            Ok(b) => lb.max(b.lo),
+            Err(_) => lb,
         }
     }
 

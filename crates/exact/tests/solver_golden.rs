@@ -8,6 +8,9 @@
 //! - n = 15…40 branch-and-bound instances under a small node budget, so
 //!   both proved optima and unproven MULTIFIT/B&B incumbents appear.
 //!
+//! `OptimalSolver::lower_bound` must return the same `lo` bits: every
+//! bracket here stays open, and the exact routes are shared.
+//!
 //! A mismatch means some certified bound moved by even one bit, and with
 //! it every competitive ratio that divides by it. The constants are the
 //! solver's reference behavior; they must not be re-recorded to absorb a
@@ -216,5 +219,20 @@ fn optimal_solver_results_are_bit_identical_to_golden() {
             mismatches.push(format!("{label}: want {:?}, got {got:?}", (lo, hi, exact)));
         }
     }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn lower_bound_returns_the_golden_lo_bits() {
+    let cases = cases();
+    assert_eq!(cases.len(), GOLDEN.len(), "case list changed");
+    let mismatches: Vec<String> = cases
+        .iter()
+        .zip(GOLDEN)
+        .filter_map(|((label, solver, times, m), &(_, lo, _, _))| {
+            let got = solver.lower_bound(times, *m).get().to_bits();
+            (got != lo).then(|| format!("{label}: want {lo:#018x}, got {got:#018x}"))
+        })
+        .collect();
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

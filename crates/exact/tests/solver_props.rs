@@ -3,10 +3,34 @@
 
 use proptest::prelude::*;
 use rds_core::Time;
-use rds_exact::{bin_packing, branch_bound, dp, dual_approx, lower_bounds, OptimalSolver};
+use rds_exact::{
+    bin_packing, branch_bound, dp, dual_approx, lower_bounds, Certainty, OptimalSolver,
+};
 
 fn times(max_n: usize) -> impl Strategy<Value = Vec<Time>> {
     prop::collection::vec((0.1f64..50.0).prop_map(Time::of), 1..=max_n)
+}
+
+/// 41..700 task times, above every profile's `bnb_limit`, so the solver
+/// brackets: uniform reals, integers, sizes on a 0.3 grid (inexact in
+/// binary, so sums round), three 0.3-grid sizes, or all-equal sizes. The
+/// last three often close the bracket.
+fn bracket_times() -> impl Strategy<Value = Vec<Time>> {
+    (41usize..700, 0usize..5).prop_flat_map(|(n, shape)| {
+        prop::collection::vec(0.0f64..1.0, n).prop_map(move |u| {
+            u.iter()
+                .map(|&x| {
+                    Time::of(match shape {
+                        0 => 0.1 + 49.9 * x,
+                        1 => 1.0 + (20.0 * x).floor(),
+                        2 => 0.3 * (1.0 + (40.0 * x).floor()),
+                        3 => 0.3 * (1.0 + (3.0 * x).floor()),
+                        _ => 0.1 + 49.9 * u[0],
+                    })
+                })
+                .collect()
+        })
+    })
 }
 
 proptest! {
@@ -48,6 +72,26 @@ proptest! {
             prop_assert!(r.lo.get() <= truth.get() * (1.0 + 1e-9));
             prop_assert!(r.hi.get() >= truth.get() * (1.0 - 1e-9));
             prop_assert!(r.lo <= r.hi);
+        }
+    }
+
+    #[test]
+    fn lower_bound_is_solve_lo_without_the_multifit_clamp(
+        t in bracket_times(),
+        m in 1usize..80,
+    ) {
+        let (mf, _) = bin_packing::multifit(&t, m, 40);
+        for solver in [OptimalSolver::default(), OptimalSolver::fast()] {
+            let r = solver.solve(&t, m);
+            let lb = solver.lower_bound(&t, m);
+            prop_assert!(lb >= r.lo, "lower_bound {lb} < solve().lo {}", r.lo);
+            if r.certainty == Certainty::Bracketed {
+                prop_assert_eq!(lb.get().to_bits(), r.lo.get().to_bits());
+            }
+            // `lower_bound` has no upper side to clamp to: only rounding
+            // may lift it above MULTIFIT's achievable makespan.
+            prop_assert!(lb.get() <= mf.get() * (1.0 + 1e-12),
+                "lower_bound {lb} > MULTIFIT {mf} on n = {}, m = {m}", t.len());
         }
     }
 
