@@ -6,11 +6,9 @@
 //! replications can improve the guarantee significantly" — should show
 //! up as a steep improvement at small fractions, then diminishing
 //! returns.
-//!
-//! Run: `cargo run --release -p rds-bench --bin ablation_critical_fraction [--quick]`
 
+use super::{threads, Artifact};
 use rds_algs::Strategy;
-use rds_bench::{header, quick_mode, sweep_threads};
 use rds_core::{Instance, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
@@ -18,12 +16,11 @@ use rds_policies::CriticalTaskReplication;
 use rds_report::{table::fmt, Align, Chart, Series, Summary, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
-fn main() {
-    header("A3 — critical-task replication sweep (m = 8, α = 2)");
-    let quick = quick_mode();
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("A3 — critical-task replication sweep (m = 8, α = 2)");
     let (m, alpha) = (8usize, 2.0f64);
-    let n = if quick { 24 } else { 48 };
-    let reps = if quick { 8 } else { 40 };
+    let (n, reps) = (48, 40);
     let unc = Uncertainty::of(alpha);
     let solver = OptimalSolver::fast();
 
@@ -41,7 +38,7 @@ fn main() {
         let strategy = CriticalTaskReplication::new(f).expect("static fraction list");
         let results = parallel_map(
             (0..reps).collect::<Vec<_>>(),
-            sweep_threads(),
+            threads(),
             |rep| -> (f64, usize) {
                 let mut r = rng::rng(rng::child_seed(0xC817 + (f * 100.0) as u64, rep as u64));
                 let est = EstimateDistribution::HeavyTail {
@@ -76,16 +73,15 @@ fn main() {
         ]);
         curve.push((replicas.mean(), ratios.mean()));
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     let chart = Chart::new(
         "mean ratio vs total replicas (critical-fraction sweep)",
         72,
         14,
-    )
-    .expect("static chart shape")
+    )?
     .series(Series::new("critical-fraction policy", '*', curve.clone()));
-    println!("{}", chart.render());
+    outln!(art, "{}", chart.render());
 
     // Endpoints must be ordered: full replication beats none.
     let at = |f: f64| -> f64 {
@@ -94,14 +90,18 @@ fn main() {
     };
     let early_gain = at(0.0) - at(0.3);
     let late_gain = at(0.3) - at(1.0);
-    println!("gain 0→30%: {early_gain:.3}   gain 30→100%: {late_gain:.3}");
+    outln!(
+        art,
+        "gain 0→30%: {early_gain:.3}   gain 30→100%: {late_gain:.3}"
+    );
     assert!(
         at(1.0) < at(0.0),
         "full replication must beat none: {} vs {}",
         at(1.0),
         at(0.0)
     );
-    println!(
+    outln!(
+        art,
         "Finding: unlike the *guarantee*-space story (where a few replicas \
          shift the bound a lot), under broad two-point noise the measured \
          benefit tracks the fraction of replicated WORK roughly linearly — \
@@ -109,4 +109,5 @@ fn main() {
          enough. Critical-task replication is the right tool when \
          stragglers are rare and heavy, not when noise is ubiquitous."
     );
+    Ok(art)
 }

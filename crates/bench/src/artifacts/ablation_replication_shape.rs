@@ -5,11 +5,9 @@
 //! (disjoint sets, the paper's strategy 3) against chained declustering
 //! (overlapping rings) and uniformly random `k`-subsets — the "more
 //! general replication policies" of the paper's future work.
-//!
-//! Run: `cargo run --release -p rds-bench --bin ablation_replication_shape [--quick]`
 
+use super::{threads, Artifact};
 use rds_algs::{LsGroup, Strategy};
-use rds_bench::{header, quick_mode, sweep_threads};
 use rds_core::{Instance, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
@@ -27,7 +25,7 @@ fn mean_ratio<S: Strategy + Sync>(
 ) -> (f64, f64) {
     let unc = Uncertainty::of(alpha);
     let solver = OptimalSolver::fast();
-    let ratios = parallel_map((0..reps).collect::<Vec<_>>(), sweep_threads(), |rep| {
+    let ratios = parallel_map((0..reps).collect::<Vec<_>>(), threads(), |rep| {
         let mut r = rng::rng(rng::child_seed(seed, rep as u64));
         let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
         let inst = Instance::from_estimates(&est, m).expect("instance");
@@ -46,12 +44,10 @@ fn mean_ratio<S: Strategy + Sync>(
     (s.mean(), s.max())
 }
 
-fn main() {
-    header("A2 — replica-set shape at matched budget k (m = 12, α = 2)");
-    let quick = quick_mode();
-    let (m, alpha) = (12usize, 2.0f64);
-    let n = if quick { 24 } else { 60 };
-    let reps = if quick { 8 } else { 40 };
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("A2 — replica-set shape at matched budget k (m = 12, α = 2)");
+    let (m, alpha, n, reps) = (12usize, 2.0f64, 60, 40);
 
     let mut t = Table::new(vec![
         "k (replicas)",
@@ -89,11 +85,13 @@ fn main() {
             format!("{} / {}", fmt(r_mean, 3), fmt(r_max, 3)),
         ]);
     }
-    println!("{}", t.to_markdown());
-    println!(
+    outln!(art, "{}", t.to_markdown());
+    outln!(
+        art,
         "Reading: at equal budget the overlapping shapes (chains, random \
          subsets) typically match or beat disjoint groups — load can spill \
          beyond a group boundary — supporting the paper's conjecture that \
          more general policies can lead to better guarantees."
     );
+    Ok(art)
 }

@@ -5,11 +5,9 @@
 //! This experiment sweeps α across the crossover, printing both
 //! guarantee curves, and measures where the *empirical* worst ratios of
 //! online-LPT and online-LS actually sit.
-//!
-//! Run: `cargo run --release -p rds-bench --bin crossover [--quick]`
 
+use super::{threads, Artifact};
 use rds_algs::list_scheduling::{online_list_schedule, online_lpt_by_estimate};
-use rds_bench::{header, quick_mode, sweep_threads};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, TaskId, Uncertainty};
 use rds_exact::OptimalSolver;
@@ -17,12 +15,11 @@ use rds_par::parallel_map;
 use rds_report::{table::fmt, Align, Chart, Csv, Series, Summary, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
-fn main() {
-    header("E2 — LPT-No Restriction vs Graham LS around α² = 2 (§5.2)");
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("E2 — LPT-No Restriction vs Graham LS around α² = 2 (§5.2)");
     let m = 10usize;
-    let quick = quick_mode();
-    let reps = if quick { 8 } else { 60 };
-    let n = if quick { 20 } else { 50 };
+    let (reps, n) = (60, 50);
 
     let alphas: Vec<f64> = (0..=12)
         .map(|i| 1.05f64 + 0.05 * i as f64) // 1.05 .. 1.65, crossing √2 ≈ 1.414
@@ -55,7 +52,7 @@ fn main() {
         let unc = Uncertainty::of(alpha);
 
         let worst: Vec<(f64, f64)> =
-            parallel_map((0..reps).collect::<Vec<_>>(), sweep_threads(), |rep| {
+            parallel_map((0..reps).collect::<Vec<_>>(), threads(), |rep| {
                 let seed =
                     rds_workloads::rng::child_seed(0xCAFE ^ ((alpha * 1000.0) as u64), rep as u64);
                 let mut r = rng::rng(seed);
@@ -97,23 +94,26 @@ fn main() {
         assert!(lpt_worst.max() <= th3.min(graham) + 1e-6);
         assert!(ls_worst.max() <= graham + 1e-6);
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     let chart = Chart::new(
         format!("guarantees vs α² (m = {m}): crossover at α² = 2"),
         72,
         16,
-    )
-    .expect("static chart shape")
+    )?
     .series(Series::new("Th.3: 1 + (m−1)α²/(2m)", '*', th3_pts.clone()))
     .series(Series::new("Graham: 2 − 1/m", '-', graham_pts));
-    println!("{}", chart.render());
+    outln!(art, "{}", chart.render());
 
     // Verify the analytic crossover point.
     let below = rb::lpt_no_restriction((2.0f64).sqrt() - 0.01, m);
     let above = rb::lpt_no_restriction((2.0f64).sqrt() + 0.01, m);
     let g = rb::graham_list_scheduling(m);
     assert!(below < g && above > g);
-    println!("analytic crossover confirmed: Th.3 < Graham iff α² < 2 ✓");
-    println!("\nCSV:\n{}", csv.finish());
+    outln!(
+        art,
+        "analytic crossover confirmed: Th.3 < Graham iff α² < 2 ✓"
+    );
+    outln!(art, "\nCSV:\n{}", csv.finish());
+    Ok(art)
 }

@@ -5,12 +5,11 @@
 //! and verifies that the measured competitive ratios (against the exact
 //! solver's optimum bracket) never exceed the proven bounds — and shows
 //! how much slack typical instances leave.
-//!
-//! Run: `cargo run --release -p rds-bench --bin empirical_ratios [--quick]`
 
+use super::{threads, Artifact};
+use crate::measure_ratio;
 use rds_adversary::worst_case;
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
-use rds_bench::{header, measure_ratio, quick_mode, sweep_threads};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, Realization, Uncertainty};
 use rds_exact::OptimalSolver;
@@ -44,7 +43,7 @@ fn run_strategy_case<S: Strategy + Sync>(
     // Random two-point and uniform realizations.
     let results = parallel_map(
         (0..reps).collect::<Vec<_>>(),
-        sweep_threads(),
+        threads(),
         |rep| -> (f64, f64) {
             let child = rds_workloads::rng::child_seed(seed, rep as u64);
             let mut r = rng::rng(child);
@@ -99,12 +98,11 @@ fn run_strategy_case<S: Strategy + Sync>(
     }
 }
 
-fn main() {
-    header("E1 — measured competitive ratios vs proven guarantees");
-    let quick = quick_mode();
-    let reps = if quick { 6 } else { 40 };
-    let n = if quick { 24 } else { 60 };
-    let ms: &[usize] = if quick { &[6] } else { &[6, 12] };
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("E1 — measured competitive ratios vs proven guarantees");
+    let (reps, n) = (40, 60);
+    let ms: &[usize] = &[6, 12];
     let alphas: &[f64] = &[1.1, 1.5, 2.0];
 
     let mut cases: Vec<Case> = Vec::new();
@@ -201,14 +199,15 @@ fn main() {
             format!("{:.6}", c.adversarial_ratio),
         ]);
     }
-    println!("{}", t.to_markdown());
-    println!(
+    outln!(art, "{}", t.to_markdown());
+    outln!(
+        art,
         "guarantee violations: {violations} (expected 0 — every measured ratio \
          must respect its theorem)"
     );
     assert_eq!(violations, 0, "a proven bound was violated empirically");
 
-    header("Replication helps: same adversary, decreasing replication budget");
+    art.header("Replication helps: same adversary, decreasing replication budget");
     // On a fixed m, compare adversarial ratios across the spectrum.
     let m = ms[0];
     let alpha = 2.0;
@@ -217,9 +216,12 @@ fn main() {
         .filter(|c| c.m == m && (c.alpha - alpha).abs() < 1e-9)
         .collect();
     for c in &rows {
-        println!(
+        outln!(
+            art,
             "{:<24} adversarial ratio {:.3}  (guarantee {:.3})",
-            c.strategy_name, c.adversarial_ratio, c.guarantee
+            c.strategy_name,
+            c.adversarial_ratio,
+            c.guarantee
         );
     }
     // The no-choice strategy must be strictly more vulnerable than the
@@ -236,5 +238,6 @@ fn main() {
         nr.adversarial_ratio <= nc.adversarial_ratio + 1e-9,
         "replication should blunt the adversary"
     );
-    println!("\nCSV:\n{}", csv.finish());
+    outln!(art, "\nCSV:\n{}", csv.finish());
+    Ok(art)
 }

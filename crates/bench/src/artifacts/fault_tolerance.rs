@@ -7,14 +7,10 @@
 //! per replication policy: the task survival rate (runs no longer abort
 //! when a task strands — they report a partial outcome), restarts,
 //! wasted work, and makespan degradation among fully-completed runs.
-//!
-//! Run: `cargo run --release -p rds-bench --bin fault_tolerance [--quick]`
-//!
-//! Crash safety: `--journal <path>` checkpoints every finished trial to
-//! an fsync'd JSONL journal; `--resume` skips journaled trials and
-//! reproduces the aggregate table bit-for-bit.
+//! `rds resilience --journal` is the crash-safe way to run such a
+//! campaign; this one runs without a journal.
 
-use rds_bench::{arg_flag, arg_value, header, quick_mode};
+use super::Artifact;
 use rds_core::{Instance, MachineId, Time, Uncertainty};
 use rds_policies::{run_campaign_resumable, standard_suite, CampaignConfig, Trial};
 use rds_report::{table::fmt, Align, Table};
@@ -40,11 +36,10 @@ fn draw_failures(m: usize, count: usize, horizon: f64, seed: u64) -> FaultScript
     )
 }
 
-fn main() -> rds_core::Result<()> {
-    header("E4 — surviving machine failures (m = 12, α = 1.5, 2 crashes/run)");
-    let quick = quick_mode();
-    let (n, m) = (60usize, 12usize);
-    let reps = if quick { 10 } else { 60 };
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("E4 — surviving machine failures (m = 12, α = 1.5, 2 crashes/run)");
+    let (n, m, reps) = (60usize, 12usize, 60);
     let failures_per_run = 2;
     let unc = Uncertainty::of(1.5);
     let mut r = rng::rng(404);
@@ -75,29 +70,24 @@ fn main() -> rds_core::Result<()> {
         .collect::<rds_core::Result<_>>()?;
 
     let suite = standard_suite(&inst, unc)?;
-    let mut config = CampaignConfig::new(
+    let config = CampaignConfig::new(
         "fault_tolerance",
         404,
         format!("n={n} m={m} reps={reps} failures={failures_per_run}"),
     );
-    config.journal = arg_value("journal").map(std::path::PathBuf::from);
-    config.resume = arg_flag("resume");
     let report = run_campaign_resumable(&inst, &suite, &trials, &config)?;
     let rows = &report.rows;
-    if let Some(path) = &config.journal {
-        println!(
-            "journal: {} ({} trial(s) executed, {} resumed)",
-            path.display(),
-            report.executed,
-            report.skipped
-        );
-    }
     if !report.quarantined.is_empty() {
-        println!("quarantined trials (excluded from aggregates):");
+        outln!(art, "quarantined trials (excluded from aggregates):");
         for q in &report.quarantined {
-            println!(
+            outln!(
+                art,
                 "  {} trial {} (seed {}): {} after {} attempt(s)",
-                q.policy, q.trial, q.seed, q.error, q.attempts
+                q.policy,
+                q.trial,
+                q.seed,
+                q.error,
+                q.attempts
             );
         }
     }
@@ -135,7 +125,7 @@ fn main() -> rds_core::Result<()> {
             fmt(row.mean_wasted, 2),
         ]);
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     // Structural claims: pinned placements strand tasks whenever a loaded
     // machine dies (the run now completes partially instead of erroring);
@@ -169,12 +159,15 @@ fn main() -> rds_core::Result<()> {
         chain3.completed_runs, chain3.runs,
         "3 replicas survive 2 failures"
     );
-    println!(
+    outln!(
+        art,
         "pinned fully completed {}/{} runs (task survival {:.3} — partial \
          outcomes, not aborts); every ≥3-replica policy completed all — \
          replication is simultaneously the fault-tolerance and the \
          uncertainty mechanism, as the paper's Hadoop motivation suggests.",
-        pinned.completed_runs, pinned.runs, pinned.mean_survival
+        pinned.completed_runs,
+        pinned.runs,
+        pinned.mean_survival
     );
-    Ok(())
+    Ok(art)
 }

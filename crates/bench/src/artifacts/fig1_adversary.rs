@@ -5,18 +5,17 @@
 //! offline optimal that redistributes the long tasks) and then *measures*
 //! the adversary's ratio witness as λ grows, showing convergence to the
 //! Theorem-1 bound `α²m/(α² + m − 1)`.
-//!
-//! Run: `cargo run --release -p rds-bench --bin fig1_adversary`
 
+use super::Artifact;
 use rds_adversary::theorem1;
 use rds_algs::{LptNoChoice, Strategy};
-use rds_bench::{header, quick_mode};
 use rds_core::{Realization, Schedule, Uncertainty};
 use rds_report::{table::fmt, Align, Chart, Csv, Series, Table};
 
-fn main() -> rds_core::Result<()> {
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
     let (lambda, m, alpha) = (3usize, 6usize, 2.0f64);
-    header(&format!(
+    art.header(&format!(
         "Figure 1 — adversary instance (λ = {lambda}, m = {m}, α = {alpha})"
     ));
 
@@ -26,11 +25,17 @@ fn main() -> rds_core::Result<()> {
     let assignment = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
     let attack = theorem1::attack(&inst, unc, &assignment)?;
 
-    println!("online solution (adversary inflated the most-loaded machine by α):");
+    outln!(
+        art,
+        "online solution (adversary inflated the most-loaded machine by α):"
+    );
     let online = Schedule::sequence(&assignment.tasks_per_machine(), &attack.realization);
-    println!("{}", rds_report::gantt::render(&online, 60));
+    outln!(art, "{}", rds_report::gantt::render(&online, 60));
 
-    println!("offline optimal arrangement (long tasks spread across machines):");
+    outln!(
+        art,
+        "offline optimal arrangement (long tasks spread across machines):"
+    );
     let solver = rds_exact::OptimalSolver::default();
     let opt = solver.solve_realization(&attack.realization, m);
     let bb = rds_exact::branch_bound::solve(attack.realization.times(), m, 2_000_000);
@@ -41,8 +46,9 @@ fn main() -> rds_core::Result<()> {
         }
         Schedule::sequence(&per, &attack.realization)
     };
-    println!("{}", rds_report::gantt::render(&offline, 60));
-    println!(
+    outln!(art, "{}", rds_report::gantt::render(&offline, 60));
+    outln!(
+        art,
         "online C_max = {}   offline C* ∈ [{}, {}]   witness ratio ≥ {:.4}\n",
         attack.online_makespan,
         opt.lo,
@@ -50,12 +56,8 @@ fn main() -> rds_core::Result<()> {
         attack.ratio_witness()
     );
 
-    header("Convergence of the adversary witness to the Theorem-1 bound");
-    let lambdas: Vec<usize> = if quick_mode() {
-        vec![1, 2, 4, 8]
-    } else {
-        vec![1, 2, 3, 5, 8, 12, 20, 40, 80, 160, 320, 640]
-    };
+    art.header("Convergence of the adversary witness to the Theorem-1 bound");
+    let lambdas = [1usize, 2, 3, 5, 8, 12, 20, 40, 80, 160, 320, 640];
     let bound = theorem1::theorem1_bound(alpha, m);
     let mut t = Table::new(vec![
         "lambda",
@@ -89,7 +91,7 @@ fn main() -> rds_core::Result<()> {
             "witness must stay below the proven bound"
         );
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     let chart = Chart::new(
         format!("adversary witness → α²m/(α²+m−1) = {bound:.4} (log λ)"),
@@ -99,8 +101,8 @@ fn main() -> rds_core::Result<()> {
     .log_x()
     .series(Series::new("measured witness", '*', pts_witness))
     .series(Series::new("finite-λ formula", '.', pts_formula));
-    println!("{}", chart.render());
+    outln!(art, "{}", chart.render());
 
-    println!("CSV:\n{}", csv.finish());
-    Ok(())
+    outln!(art, "CSV:\n{}", csv.finish());
+    Ok(art)
 }

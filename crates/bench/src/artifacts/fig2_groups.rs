@@ -3,18 +3,17 @@
 //! Reproduces the paper's illustration: phase 1 assigns each task's data
 //! to one of the two groups; phase 2 schedules each task onto a machine
 //! within its group, reacting to the actual times.
-//!
-//! Run: `cargo run -p rds-bench --bin fig2_groups`
 
+use super::Artifact;
 use rds_algs::{LsGroup, Strategy};
-use rds_bench::header;
 use rds_core::{GroupPartition, Schedule, TaskId, Uncertainty};
 use rds_report::Table;
 use rds_workloads::{realize::RealizationModel, rng};
 
-fn main() -> rds_core::Result<()> {
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
     let (m, k) = (6usize, 2usize);
-    header(&format!(
+    art.header(&format!(
         "Figure 2 — replication in groups (m = {m}, k = {k})"
     ));
 
@@ -26,7 +25,10 @@ fn main() -> rds_core::Result<()> {
     let placement = strat.place(&inst, unc)?;
     let partition = GroupPartition::new_exact(m, k)?;
 
-    println!("phase 1 — data placement (each task replicated on its whole group):");
+    outln!(
+        art,
+        "phase 1 — data placement (each task replicated on its whole group):"
+    );
     let mut t = Table::new(vec!["task", "estimate", "group", "machines"]);
     for j in 0..inst.n() {
         let task = TaskId::new(j);
@@ -39,31 +41,29 @@ fn main() -> rds_core::Result<()> {
             format!("{}", placement.set(task)),
         ]);
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     // Phase 2 under a perturbed realization.
     let mut r = rng::rng(2024);
     let real = RealizationModel::TwoPoint { p_inflate: 0.3 }.realize(&inst, unc, &mut r)?;
     let out = strat.run(&inst, unc, &real)?;
-    println!(
+    outln!(
+        art,
         "phase 2 — online execution within groups (C_max = {}):",
         out.makespan
     );
     let schedule = Schedule::sequence(&out.assignment.tasks_per_machine(), &real);
-    println!("{}", rds_report::gantt::render(&schedule, 60));
-    std::fs::create_dir_all("results").ok();
-    match rds_report::write_atomic_str(
-        "results/fig2_gantt.svg",
-        &rds_report::gantt_svg(&schedule, 720.0),
-    ) {
-        Ok(()) => println!("wrote results/fig2_gantt.svg"),
-        Err(e) => eprintln!("skipping results/fig2_gantt.svg: {e}"),
-    }
+    outln!(art, "{}", rds_report::gantt::render(&schedule, 60));
+    art.files.push((
+        "fig2_gantt.svg".into(),
+        rds_report::gantt_svg(&schedule, 720.0),
+    ));
 
     // Cross-check with the event-driven engine.
     let sim = rds_sim::executors::simulate_grouped(&inst, &placement, &real)?;
     assert_eq!(sim.makespan, out.makespan, "engine and closed form agree");
-    println!(
+    outln!(
+        art,
         "event-engine cross-check: identical makespan {} over {} dispatches ✓",
         sim.makespan,
         sim.trace.starts()
@@ -73,15 +73,19 @@ fn main() -> rds_core::Result<()> {
     // realization to show the tradeoff in action.
     let pinned = rds_algs::LptNoChoice.run(&inst, unc, &real)?;
     let every = rds_algs::LptNoRestriction.run(&inst, unc, &real)?;
-    println!(
+    outln!(
+        art,
         "\nmakespans on this realization:  LPT-No Choice = {}   \
          LS-Group(k=2) = {}   LPT-No Restriction = {}",
-        pinned.makespan, out.makespan, every.makespan
+        pinned.makespan,
+        out.makespan,
+        every.makespan
     );
-    println!(
+    outln!(
+        art,
         "replicas per task:              1                 {}                 {}",
         placement.max_replicas(),
         m
     );
-    Ok(())
+    Ok(art)
 }

@@ -8,11 +8,9 @@
 //! against certified optimum brackets. The shape claim to verify: the
 //! measured curves fall with replication exactly as the guarantees do —
 //! just much lower in absolute terms.
-//!
-//! Run: `cargo run --release -p rds-bench --bin fig3_empirical [--quick]`
 
+use super::{threads, Artifact};
 use rds_algs::{LsGroup, Strategy};
-use rds_bench::{header, quick_mode, sweep_threads};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, Realization, TaskId, Uncertainty};
 use rds_exact::OptimalSolver;
@@ -21,6 +19,10 @@ use rds_report::{table::fmt, Align, Chart, Csv, Series, Summary, Table};
 use rds_workloads::{realize::RealizationModel, rng};
 
 const M: usize = 210;
+/// Random realizations per cell.
+const REPS: usize = 20;
+/// Adversary target machines per cell.
+const ADV_SAMPLES: usize = 15;
 
 /// Measured statistics for one (α, k) cell.
 struct Cell {
@@ -32,7 +34,7 @@ struct Cell {
     worst_adversarial: f64,
 }
 
-fn measure_cell(alpha: f64, k: usize, reps: usize, adv_samples: usize) -> Cell {
+fn measure_cell(alpha: f64, k: usize) -> Cell {
     let unc = Uncertainty::of(alpha);
     let n = 6 * M;
     let inst = Instance::from_estimates(&vec![1.0; n], M).expect("instance");
@@ -41,7 +43,7 @@ fn measure_cell(alpha: f64, k: usize, reps: usize, adv_samples: usize) -> Cell {
     let placement = strategy.place(&inst, unc).expect("placement");
 
     // Random two-point realizations.
-    let random: Vec<f64> = parallel_map((0..reps).collect::<Vec<_>>(), sweep_threads(), |rep| {
+    let random: Vec<f64> = parallel_map((0..REPS).collect::<Vec<_>>(), threads(), |rep| {
         let mut r = rng::rng(rng::child_seed(0xF3E + k as u64, rep as u64));
         let real = RealizationModel::TwoPoint { p_inflate: 0.3 }
             .realize(&inst, unc, &mut r)
@@ -51,14 +53,14 @@ fn measure_cell(alpha: f64, k: usize, reps: usize, adv_samples: usize) -> Cell {
         a.makespan(&real).ratio(opt.lo).unwrap_or(1.0)
     });
 
-    // Sampled adversary: inflate the tasks of `adv_samples` target
+    // Sampled adversary: inflate the tasks of `ADV_SAMPLES` target
     // machines (spread across groups) in turn.
     let base = strategy
         .execute(&inst, &placement, &Realization::exact(&inst))
         .expect("base");
-    let stride = (M / adv_samples).max(1);
-    let targets: Vec<usize> = (0..M).step_by(stride).take(adv_samples).collect();
-    let adversarial: Vec<f64> = parallel_map(targets, sweep_threads(), |target| {
+    let stride = (M / ADV_SAMPLES).max(1);
+    let targets: Vec<usize> = (0..M).step_by(stride).take(ADV_SAMPLES).collect();
+    let adversarial: Vec<f64> = parallel_map(targets, threads(), |target| {
         let factors: Vec<f64> = (0..n)
             .map(|j| {
                 if base.machine_of(TaskId::new(j)).index() == target {
@@ -88,16 +90,10 @@ fn measure_cell(alpha: f64, k: usize, reps: usize, adv_samples: usize) -> Cell {
     }
 }
 
-fn main() {
-    let quick = quick_mode();
-    let reps = if quick { 4 } else { 20 };
-    let adv_samples = if quick { 4 } else { 15 };
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
     // A representative subset of 210's divisors spanning the x axis.
-    let ks: &[usize] = if quick {
-        &[210, 42, 6, 1]
-    } else {
-        &[210, 105, 70, 42, 30, 21, 14, 10, 7, 6, 5, 3, 2, 1]
-    };
+    let ks = [210usize, 105, 70, 42, 30, 21, 14, 10, 7, 6, 5, 3, 2, 1];
     let mut csv = Csv::new(&[
         "alpha",
         "k",
@@ -109,13 +105,10 @@ fn main() {
     ]);
 
     for &alpha in &[1.1f64, 1.5, 2.0] {
-        header(&format!(
-            "Figure 3 empirical overlay — m = {M}, alpha = {alpha} ({reps} reps/cell)"
+        art.header(&format!(
+            "Figure 3 empirical overlay — m = {M}, alpha = {alpha} ({REPS} reps/cell)"
         ));
-        let cells: Vec<Cell> = ks
-            .iter()
-            .map(|&k| measure_cell(alpha, k, reps, adv_samples))
-            .collect();
+        let cells: Vec<Cell> = ks.iter().map(|&k| measure_cell(alpha, k)).collect();
         let mut t = Table::new(vec![
             "k",
             "replicas",
@@ -157,17 +150,16 @@ fn main() {
                 c.k
             );
         }
-        println!("{}", t.to_markdown());
+        outln!(art, "{}", t.to_markdown());
         let chart = Chart::new(
             format!("guarantee vs measured adversarial (log replicas), α={alpha}"),
             72,
             16,
-        )
-        .expect("static chart shape")
+        )?
         .log_x()
         .series(Series::new("Th.4 guarantee", '#', guarantee_pts))
         .series(Series::new("measured adversarial", '*', adversarial_pts));
-        println!("{}", chart.render());
+        outln!(art, "{}", chart.render());
 
         // Shape claim: both curves decrease from 1 replica to m replicas.
         let first = &cells[0]; // k = 210 → 1 replica
@@ -177,10 +169,13 @@ fn main() {
             last.worst_adversarial <= first.worst_adversarial + 1e-9,
             "measured adversarial should fall with replication"
         );
-        println!(
+        outln!(
+            art,
             "measured adversarial falls {:.3} → {:.3} as replicas go 1 → {M} ✓\n",
-            first.worst_adversarial, last.worst_adversarial
+            first.worst_adversarial,
+            last.worst_adversarial
         );
     }
-    println!("CSV:\n{}", csv.finish());
+    outln!(art, "CSV:\n{}", csv.finish());
+    Ok(art)
 }

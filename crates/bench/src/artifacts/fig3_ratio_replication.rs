@@ -5,15 +5,14 @@
 //! one replica, the LS-Group guarantee at every divisor `k | m`
 //! (`|M_j| = m/k` replicas), and the Theorem-3/Graham guarantees at full
 //! replication — the exact series behind the paper's three subfigures.
-//!
-//! Run: `cargo run -p rds-bench --bin fig3_ratio_replication`
 
-use rds_bench::header;
+use super::Artifact;
 use rds_bounds::series::{figure3_panels, RatioReplicationPanel};
 use rds_report::{table::fmt, Align, Chart, Csv, Series, Table};
 
-fn print_panel(p: &RatioReplicationPanel) {
-    header(&format!(
+/// Prints one panel's table and chart, and draws its SVG.
+fn panel(art: &mut Artifact, p: &RatioReplicationPanel) -> rds_core::Result<()> {
+    art.header(&format!(
         "Figure 3 panel — m = {}, alpha = {}",
         p.m, p.alpha
     ));
@@ -55,7 +54,7 @@ fn print_panel(p: &RatioReplicationPanel) {
         p.m.to_string(),
         fmt(p.graham.ratio, 4),
     ]);
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     let ls_pts: Vec<(f64, f64)> = p
         .ls_group
@@ -66,10 +65,9 @@ fn print_panel(p: &RatioReplicationPanel) {
         format!("ratio vs replicas (log x), m={}, α={}", p.m, p.alpha),
         72,
         18,
-    )
-    .expect("static chart shape")
+    )?
     .log_x()
-    .series(Series::new("LS-Group(k)", '*', ls_pts))
+    .series(Series::new("LS-Group(k)", '*', ls_pts.clone()))
     .series(Series::new(
         "Th.1 LB @1",
         'L',
@@ -90,74 +88,60 @@ fn print_panel(p: &RatioReplicationPanel) {
         'G',
         vec![(p.m as f64, p.graham.ratio)],
     ));
-    println!("{}", chart.render());
+    outln!(art, "{}", chart.render());
+
+    // Publication-style SVG alongside the terminal rendering.
+    let svg = rds_report::SvgChart::new(
+        format!("Figure 3: ratio vs replication (m={}, α={})", p.m, p.alpha),
+        720.0,
+        440.0,
+    )
+    .log_x()
+    .labels(
+        "replicas per task |M_j| (log)",
+        "guaranteed competitive ratio",
+    )
+    .series(Series::new("LS-Group (Th.4)", '*', ls_pts))
+    .series(Series::new(
+        "Th.1 lower bound",
+        'L',
+        vec![(1.0, p.lower_bound.ratio)],
+    ))
+    .series(Series::new(
+        "LPT-No Choice (Th.2)",
+        'C',
+        vec![(1.0, p.lpt_no_choice.ratio)],
+    ))
+    .series(Series::new(
+        "LPT-No Restriction (Th.3)",
+        'R',
+        vec![(p.m as f64, p.lpt_no_restriction.ratio)],
+    ))
+    .series(Series::new(
+        "Graham LS",
+        'G',
+        vec![(p.m as f64, p.graham.ratio)],
+    ))
+    .render();
+    art.files.push((format!("fig3_alpha{}.svg", p.alpha), svg));
+    Ok(())
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("fig3_ratio_replication: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> rds_core::Result<()> {
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
     let panels = figure3_panels()?;
     let mut csv = Csv::new(&["alpha", "k", "replicas", "ls_group_ratio"]);
-    std::fs::create_dir_all("results").ok();
     for p in &panels {
-        print_panel(p);
+        panel(&mut art, p)?;
         for pt in &p.ls_group {
             csv.row_f64(
                 &[p.alpha, pt.k.unwrap() as f64, pt.replicas as f64, pt.ratio],
                 6,
             );
         }
-        // Publication-style SVG alongside the terminal rendering.
-        let ls_pts: Vec<(f64, f64)> = p
-            .ls_group
-            .iter()
-            .map(|pt| (pt.replicas as f64, pt.ratio))
-            .collect();
-        let svg = rds_report::SvgChart::new(
-            format!("Figure 3: ratio vs replication (m={}, α={})", p.m, p.alpha),
-            720.0,
-            440.0,
-        )
-        .log_x()
-        .labels(
-            "replicas per task |M_j| (log)",
-            "guaranteed competitive ratio",
-        )
-        .series(Series::new("LS-Group (Th.4)", '*', ls_pts))
-        .series(Series::new(
-            "Th.1 lower bound",
-            'L',
-            vec![(1.0, p.lower_bound.ratio)],
-        ))
-        .series(Series::new(
-            "LPT-No Choice (Th.2)",
-            'C',
-            vec![(1.0, p.lpt_no_choice.ratio)],
-        ))
-        .series(Series::new(
-            "LPT-No Restriction (Th.3)",
-            'R',
-            vec![(p.m as f64, p.lpt_no_restriction.ratio)],
-        ))
-        .series(Series::new(
-            "Graham LS",
-            'G',
-            vec![(p.m as f64, p.graham.ratio)],
-        ))
-        .render();
-        let path = format!("results/fig3_alpha{}.svg", p.alpha);
-        match rds_report::write_atomic_str(&path, &svg) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("skipping {path}: {e}"),
-        }
     }
 
-    header("Paper's qualitative observations, checked");
+    art.header("Paper's qualitative observations, checked");
     // α = 1.1: little improvement from grouping over no-choice…
     let a11 = &panels[0];
     let best_group = a11
@@ -165,19 +149,24 @@ fn run() -> rds_core::Result<()> {
         .iter()
         .map(|p| p.ratio)
         .fold(f64::MAX, f64::min);
-    println!(
+    outln!(
+        art,
         "α=1.1: LPT-No Choice {:.3} vs best LS-Group {:.3} (small gap), \
          LPT-No Restriction {:.3} (clear winner)",
-        a11.lpt_no_choice.ratio, best_group, a11.lpt_no_restriction.ratio
+        a11.lpt_no_choice.ratio,
+        best_group,
+        a11.lpt_no_restriction.ratio
     );
     assert!(a11.lpt_no_restriction.ratio < best_group);
 
     // α = 1.5: LS-Group(k=1) ≈ LPT-No Restriction.
     let a15 = &panels[1];
     let k1 = a15.ls_group.iter().find(|p| p.k == Some(1)).unwrap();
-    println!(
+    outln!(
+        art,
         "α=1.5: LS-Group(k=1) {:.3} ≈ LPT-No Restriction {:.3}",
-        k1.ratio, a15.lpt_no_restriction.ratio
+        k1.ratio,
+        a15.lpt_no_restriction.ratio
     );
     assert!((k1.ratio - a15.lpt_no_restriction.ratio).abs() < 0.15);
 
@@ -191,13 +180,15 @@ fn run() -> rds_core::Result<()> {
         .iter()
         .find(|p| p.ratio < a2.lower_bound.ratio)
         .unwrap();
-    println!(
+    outln!(
+        art,
         "α=2: 1 replica → {at1:.2}, 3 replicas → {at3:.2}; beats the \
          no-replication LB ({:.2}) with only {} replicas",
-        a2.lower_bound.ratio, winning.replicas
+        a2.lower_bound.ratio,
+        winning.replicas
     );
     assert!(at1 > 7.5 && at3 < 6.0 && winning.replicas < 50);
 
-    println!("\nCSV:\n{}", csv.finish());
-    Ok(())
+    outln!(art, "\nCSV:\n{}", csv.finish());
+    Ok(art)
 }

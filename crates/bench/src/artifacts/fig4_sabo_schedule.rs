@@ -4,21 +4,17 @@
 //! threshold, memory-intensive tasks following the memory schedule `π₂`,
 //! time-intensive tasks following the makespan schedule `π₁`, everything
 //! pinned (no replication).
-//!
-//! Run: `cargo run -p rds-bench --bin fig4_sabo_schedule`
 
+use super::Artifact;
 use rds_algs::memory::pi::PiSchedules;
 use rds_algs::memory::sbo::{classify, TaskClass};
 use rds_algs::memory::{sabo::Sabo, MemoryStrategy};
-use rds_bench::header;
 use rds_core::{Instance, Realization, Schedule, TaskId, Uncertainty};
 use rds_report::Table;
 
-fn main() -> rds_core::Result<()> {
-    header("Figure 4 — SABO_Δ schedule (uncolored = π₂/memory, colored = π₁/time)");
-
-    // A mixed instance: half compute-bound, half data-bound.
-    let inst = Instance::from_estimates_and_sizes(
+/// The Figure 4 and 5 instance: half compute-bound, half data-bound.
+pub(super) fn mixed_instance() -> rds_core::Result<Instance> {
+    Instance::from_estimates_and_sizes(
         &[
             (9.0, 1.0),
             (7.0, 2.0),
@@ -30,7 +26,14 @@ fn main() -> rds_core::Result<()> {
             (2.5, 4.0),
         ],
         3,
-    )?;
+    )
+}
+
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("Figure 4 — SABO_Δ schedule (uncolored = π₂/memory, colored = π₁/time)");
+
+    let inst = mixed_instance()?;
     let unc = Uncertainty::of(1.5);
     let delta = 1.0;
     let pis = PiSchedules::lpt_defaults(&inst)?;
@@ -52,14 +55,15 @@ fn main() -> rds_core::Result<()> {
             format!("{}", assignment.machine_of(task)),
         ]);
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     let real = Realization::exact(&inst);
     let out = sabo.run(&inst, unc, &real)?;
-    println!("executed schedule (Δ = {delta}):");
+    outln!(art, "executed schedule (Δ = {delta}):");
     let schedule = Schedule::sequence(&out.assignment.tasks_per_machine(), &real);
-    println!("{}", rds_report::gantt::render(&schedule, 60));
-    println!(
+    outln!(art, "{}", rds_report::gantt::render(&schedule, 60));
+    outln!(
+        art,
         "C_max = {}   Mem_max = {}   (placement uses {} replicas total: no replication)",
         out.makespan,
         out.mem_max,
@@ -67,7 +71,7 @@ fn main() -> rds_core::Result<()> {
     );
     assert_eq!(placement.total_replicas(), inst.n());
 
-    header("Effect of Δ on the split");
+    art.header("Effect of Δ on the split");
     let mut t = Table::new(vec!["delta", "|S1|", "|S2|", "C_max", "Mem_max"]);
     for &d in &[0.1, 0.5, 1.0, 2.0, 10.0] {
         let classes = classify(&inst, &pis, d);
@@ -84,6 +88,6 @@ fn main() -> rds_core::Result<()> {
             format!("{}", out.mem_max),
         ]);
     }
-    println!("{}", t.to_markdown());
-    Ok(())
+    outln!(art, "{}", t.to_markdown());
+    Ok(art)
 }

@@ -3,33 +3,20 @@
 //! Reproduces the paper's illustration: memory-intensive tasks pinned by
 //! `π₂` (uncolored), time-intensive tasks replicated on every machine and
 //! list-scheduled online on top (colored).
-//!
-//! Run: `cargo run -p rds-bench --bin fig5_abo_schedule`
 
+use super::{fig4_sabo_schedule::mixed_instance, Artifact};
 use rds_algs::memory::pi::PiSchedules;
 use rds_algs::memory::sbo::TaskClass;
 use rds_algs::memory::{abo::Abo, sabo::Sabo, MemoryStrategy};
-use rds_bench::header;
-use rds_core::{Instance, Schedule, TaskId, Uncertainty};
+use rds_core::{Schedule, TaskId, Uncertainty};
 use rds_report::Table;
 use rds_workloads::{realize::RealizationModel, rng};
 
-fn main() -> rds_core::Result<()> {
-    header("Figure 5 — ABO_Δ schedule (S2 pinned by π₂, S1 replicated + online LS)");
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("Figure 5 — ABO_Δ schedule (S2 pinned by π₂, S1 replicated + online LS)");
 
-    let inst = Instance::from_estimates_and_sizes(
-        &[
-            (9.0, 1.0),
-            (7.0, 2.0),
-            (6.0, 1.0),
-            (2.0, 8.0),
-            (1.5, 7.0),
-            (1.0, 6.0),
-            (3.0, 3.0),
-            (2.5, 4.0),
-        ],
-        3,
-    )?;
+    let inst = mixed_instance()?;
     let unc = Uncertainty::of(1.5);
     let delta = 1.0;
     let abo = Abo::new(delta);
@@ -50,18 +37,18 @@ fn main() -> rds_core::Result<()> {
             placement.replicas(task).to_string(),
         ]);
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
     // Execute under a perturbed realization: the online LS phase reacts.
     let mut r = rng::rng(7);
     let real = RealizationModel::TwoPoint { p_inflate: 0.4 }.realize(&inst, unc, &mut r)?;
     let out = abo.run(&inst, unc, &real)?;
-    println!("executed schedule (Δ = {delta}):");
+    outln!(art, "executed schedule (Δ = {delta}):");
     let schedule = Schedule::sequence(&out.assignment.tasks_per_machine(), &real);
-    println!("{}", rds_report::gantt::render(&schedule, 60));
-    println!("C_max = {}   Mem_max = {}", out.makespan, out.mem_max);
+    outln!(art, "{}", rds_report::gantt::render(&schedule, 60));
+    outln!(art, "C_max = {}   Mem_max = {}", out.makespan, out.mem_max);
 
-    header("ABO vs SABO on the same perturbed realization");
+    art.header("ABO vs SABO on the same perturbed realization");
     let sabo_out = Sabo::new(delta).run(&inst, unc, &real)?;
     let mut cmp = Table::new(vec!["algorithm", "C_max", "Mem_max", "total replicas"]);
     cmp.row(vec![
@@ -76,10 +63,14 @@ fn main() -> rds_core::Result<()> {
         format!("{}", out.mem_max),
         out.placement.total_replicas().to_string(),
     ]);
-    println!("{}", cmp.to_markdown());
-    println!(
+    outln!(art, "{}", cmp.to_markdown());
+    outln!(
+        art,
         "ABO trades memory ({} vs {}) for online makespan flexibility ({} vs {}).",
-        out.mem_max, sabo_out.mem_max, out.makespan, sabo_out.makespan
+        out.mem_max,
+        sabo_out.mem_max,
+        out.makespan,
+        sabo_out.makespan
     );
-    Ok(())
+    Ok(art)
 }

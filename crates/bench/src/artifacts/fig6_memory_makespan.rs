@@ -4,22 +4,14 @@
 //! `(m=5, α²=3, ρ=4/3)`. Each shows the `SABO_Δ` and `ABO_Δ` guarantee
 //! curves swept over Δ, with the reconstructed zenith impossibility
 //! frontier (bold in the paper).
-//!
-//! Run: `cargo run -p rds-bench --bin fig6_memory_makespan`
 
-use rds_bench::header;
+use super::Artifact;
 use rds_bounds::memory::impossibility_memory_for_makespan;
 use rds_bounds::series::{delta_sweep, figure6_panels};
 use rds_report::{table::fmt, Align, Chart, Csv, Series, Table};
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("fig6_memory_makespan: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> rds_core::Result<()> {
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
     let deltas = delta_sweep(0.05, 20.0, 33)?;
     let panels = figure6_panels(&deltas)?;
     let mut csv = Csv::new(&[
@@ -33,7 +25,7 @@ fn run() -> rds_core::Result<()> {
     ]);
 
     for p in &panels {
-        header(&format!(
+        art.header(&format!(
             "Figure 6 panel — m = {}, α² = {}, ρ₁ = ρ₂ = {:.3}",
             p.m, p.alpha_sq, p.rho
         ));
@@ -54,16 +46,31 @@ fn run() -> rds_core::Result<()> {
                 fmt(impossibility_memory_for_makespan(s.makespan), 2),
             ]);
         }
-        println!("{}", t.to_markdown());
+        outln!(art, "{}", t.to_markdown());
 
-        let sabo_pts: Vec<(f64, f64)> = p.sabo.iter().map(|q| (q.makespan, q.memory)).collect();
-        let abo_pts: Vec<(f64, f64)> = p.abo.iter().map(|q| (q.makespan, q.memory)).collect();
         // Clip extreme memory values so the plot stays readable.
-        let clip = |pts: Vec<(f64, f64)>| -> Vec<(f64, f64)> {
-            pts.into_iter()
+        let clipped = |label: &str, glyph: char, pts: Vec<(f64, f64)>| {
+            let pts = pts
+                .into_iter()
                 .filter(|&(x, y)| x <= 25.0 && y <= 25.0)
-                .collect()
+                .collect();
+            Series::new(label, glyph, pts)
         };
+        let sabo = clipped(
+            "SABO_Δ",
+            's',
+            p.sabo.iter().map(|q| (q.makespan, q.memory)).collect(),
+        );
+        let abo = clipped(
+            "ABO_Δ",
+            'a',
+            p.abo.iter().map(|q| (q.makespan, q.memory)).collect(),
+        );
+        let frontier = clipped(
+            "impossibility (reconstructed)",
+            '#',
+            p.impossibility.clone(),
+        );
         let chart = Chart::new(
             format!(
                 "memory (y) vs makespan (x) guarantees, α²={}, ρ={:.2}",
@@ -71,16 +78,11 @@ fn run() -> rds_core::Result<()> {
             ),
             72,
             18,
-        )
-        .expect("static chart shape")
-        .series(Series::new("SABO_Δ", 's', clip(sabo_pts)))
-        .series(Series::new("ABO_Δ", 'a', clip(abo_pts)))
-        .series(Series::new(
-            "impossibility (reconstructed)",
-            '#',
-            clip(p.impossibility.clone()),
-        ));
-        println!("{}", chart.render());
+        )?
+        .series(sabo.clone())
+        .series(abo.clone())
+        .series(frontier.clone());
+        outln!(art, "{}", chart.render());
 
         for (i, &d) in deltas.iter().enumerate() {
             csv.row_f64(
@@ -96,12 +98,6 @@ fn run() -> rds_core::Result<()> {
                 6,
             );
         }
-        std::fs::create_dir_all("results").ok();
-        let clip = |pts: Vec<(f64, f64)>| -> Vec<(f64, f64)> {
-            pts.into_iter()
-                .filter(|&(x, y)| x <= 25.0 && y <= 25.0)
-                .collect()
-        };
         let svg = rds_report::SvgChart::new(
             format!(
                 "Figure 6: memory vs makespan guarantees (m={}, α²={}, ρ={:.2})",
@@ -111,30 +107,17 @@ fn run() -> rds_core::Result<()> {
             440.0,
         )
         .labels("makespan guarantee", "memory guarantee")
-        .series(Series::new(
-            "SABO_Δ",
-            's',
-            clip(p.sabo.iter().map(|q| (q.makespan, q.memory)).collect()),
-        ))
-        .series(Series::new(
-            "ABO_Δ",
-            'a',
-            clip(p.abo.iter().map(|q| (q.makespan, q.memory)).collect()),
-        ))
-        .series(Series::new(
-            "impossibility (reconstructed)",
-            '#',
-            clip(p.impossibility.clone()),
-        ))
+        .series(sabo)
+        .series(abo)
+        .series(frontier)
         .render();
-        let path = format!("results/fig6_alphasq{}_rho{:.2}.svg", p.alpha_sq, p.rho);
-        match rds_report::write_atomic_str(&path, &svg) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("skipping {path}: {e}"),
-        }
+        art.files.push((
+            format!("fig6_alphasq{}_rho{:.2}.svg", p.alpha_sq, p.rho),
+            svg,
+        ));
     }
 
-    header("Paper's reading of the figure, checked");
+    art.header("Paper's reading of the figure, checked");
     // For α·ρ₁ ≥ 2 (panels 2 and 3 ⇒ α²ρ₁ = 3, 4): ABO always better on
     // makespan at matched Δ; SABO always better on memory.
     for p in &panels[1..] {
@@ -143,17 +126,22 @@ fn run() -> rds_core::Result<()> {
             assert!(p.sabo[i].memory < p.abo[i].memory);
         }
     }
-    println!("α²ρ₁ ≥ 2 panels: ABO dominates makespan, SABO dominates memory ✓");
+    outln!(
+        art,
+        "α²ρ₁ ≥ 2 panels: ABO dominates makespan, SABO dominates memory ✓"
+    );
     // A makespan guarantee below 3 in panel 2 is only reachable via ABO.
     let p2 = &panels[1];
     let sabo_best_mk = p2.sabo.iter().map(|q| q.makespan).fold(f64::MAX, f64::min);
     let abo_best_mk = p2.abo.iter().map(|q| q.makespan).fold(f64::MAX, f64::min);
-    println!(
+    outln!(
+        art,
         "panel (α²=3, ρ=1): best reachable makespan guarantee — SABO {:.2}, ABO {:.2}",
-        sabo_best_mk, abo_best_mk
+        sabo_best_mk,
+        abo_best_mk
     );
     assert!(abo_best_mk < 3.0 && sabo_best_mk > 3.0);
 
-    println!("\nCSV:\n{}", csv.finish());
-    Ok(())
+    outln!(art, "\nCSV:\n{}", csv.finish());
+    Ok(art)
 }

@@ -5,20 +5,17 @@
 //! view: the analytic makespan envelope of the static schedule, which
 //! machines/tasks are critical, and how the average benefit of
 //! replication (EVA) scales with the uncertainty factor.
-//!
-//! Run: `cargo run --release -p rds-bench --bin robustness [--quick]`
 
+use super::Artifact;
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
-use rds_bench::{header, quick_mode};
 use rds_core::{Instance, Realization, Uncertainty};
 use rds_report::{table::fmt, Align, Chart, Series, Table};
 use rds_robust::{envelope, expected_value_of_adaptivity, machine_criticality};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
-fn main() -> rds_core::Result<()> {
-    let quick = quick_mode();
-    let (n, m) = (40usize, 8usize);
-    let reps = if quick { 10 } else { 80 };
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    let (n, m, reps) = (40usize, 8usize, 80);
     let mut r = rng::rng(2718);
     let est = EstimateDistribution::HeavyTail {
         lo: 1.0,
@@ -28,12 +25,13 @@ fn main() -> rds_core::Result<()> {
     .sample_n(n, &mut r);
     let inst = Instance::from_estimates(&est, m)?;
 
-    header("E3a — static-schedule envelope and criticality (LPT-No Choice)");
+    art.header("E3a — static-schedule envelope and criticality (LPT-No Choice)");
     let unc = Uncertainty::of(2.0);
     let placement = LptNoChoice.place(&inst, unc)?;
     let assignment = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
     let env = envelope::envelope(&inst, &assignment, unc);
-    println!(
+    outln!(
+        art,
         "planned C̃_max = {}   envelope = [{}, {}]   relative width = {:.3}",
         env.planned,
         env.best,
@@ -45,9 +43,9 @@ fn main() -> rds_core::Result<()> {
     for (i, c) in crit.iter().enumerate() {
         t.row(vec![format!("p{i}"), fmt(*c, 3)]);
     }
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
-    header("E3b — expected value of adaptivity vs α");
+    art.header("E3b — expected value of adaptivity vs α");
     let mut table = Table::new(vec![
         "alpha",
         "EVA full replication",
@@ -86,12 +84,12 @@ fn main() -> rds_core::Result<()> {
         pts_full.push((alpha, full.mean() * 100.0));
         pts_group.push((alpha, grouped.mean() * 100.0));
     }
-    println!("{}", table.to_markdown());
+    outln!(art, "{}", table.to_markdown());
 
     let chart = Chart::new("expected value of adaptivity (%) vs α", 72, 14)?
         .series(Series::new("full replication", '*', pts_full.clone()))
         .series(Series::new("grouped k=2", 'o', pts_group));
-    println!("{}", chart.render());
+    outln!(art, "{}", chart.render());
 
     // The paper's thesis, distributionally: adaptivity value grows with α.
     let first = pts_full.first().unwrap().1;
@@ -100,6 +98,9 @@ fn main() -> rds_core::Result<()> {
         last > first,
         "EVA should grow with α: {first:.2}% → {last:.2}%"
     );
-    println!("EVA grows with α ✓ ({first:.2}% at α=1 → {last:.2}% at α=3)");
-    Ok(())
+    outln!(
+        art,
+        "EVA grows with α ✓ ({first:.2}% at α=1 → {last:.2}% at α=3)"
+    );
+    Ok(art)
 }

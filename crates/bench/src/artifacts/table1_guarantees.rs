@@ -4,14 +4,13 @@
 //! evaluates each formula at the figure parameters `m = 210`,
 //! `α ∈ {1.1, 1.5, 2}` so the abstract formulas become concrete numbers.
 //!
-//! Run: `cargo run -p rds-bench --bin table1_guarantees`
-
-use rds_bench::header;
+use super::Artifact;
 use rds_bounds::replication as rb;
 use rds_report::{table::fmt, Align, Table};
 
-fn main() {
-    header("Table 1 — Summary of the replication-bound model (paper, §7)");
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("Table 1 — Summary of the replication-bound model (paper, §7)");
 
     let mut t = Table::new(vec!["Replication", "Result", "Formula"]);
     t.row(vec![
@@ -35,9 +34,9 @@ fn main() {
         "LS-Group ratio (Th. 4)",
         "(kα²/(α²+k−1))(1 + (k−1)/m) + (m−k)/m",
     ]);
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
-    header("Table 1 evaluated at m = 210 (Figure 3 parameters)");
+    art.header("Table 1 evaluated at m = 210 (Figure 3 parameters)");
     let m = 210;
     let mut v = Table::new(vec![
         "alpha",
@@ -62,16 +61,18 @@ fn main() {
             fmt(rb::ls_group(alpha, m, m), 4),
         ]);
     }
-    println!("{}", v.to_markdown());
+    outln!(art, "{}", v.to_markdown());
 
-    header("Sanity relations asserted");
+    art.header("Sanity relations asserted");
     for &alpha in &[1.1, 1.5, 2.0] {
         assert!(rb::lower_bound_no_replication(alpha, m) <= rb::lpt_no_choice(alpha, m));
         assert!(rb::ls_group(alpha, m, 1) <= rb::ls_group(alpha, m, m));
-        println!(
+        outln!(
+            art,
             "alpha = {alpha}: LB ≤ Th.2 ✓   LS-Group monotone in k ✓   \
              gap(Th.2 − Th.1) = {:.4}",
             rb::lpt_no_choice(alpha, m) - rb::lower_bound_no_replication(alpha, m)
         );
     }
+    Ok(art)
 }

@@ -3,15 +3,14 @@
 //! Regenerates the paper's Table 2 (`SABO_Δ` and `ABO_Δ` approximation
 //! pairs, Theorems 5–8) and evaluates the formulas on the Figure 6
 //! parameter grid.
-//!
-//! Run: `cargo run -p rds-bench --bin table2_memory`
 
-use rds_bench::header;
+use super::Artifact;
 use rds_bounds::memory as mb;
 use rds_report::{table::fmt, Align, Table};
 
-fn main() {
-    header("Table 2 — Summary of the memory-aware model (paper, §7.3)");
+pub fn render() -> rds_core::Result<Artifact> {
+    let mut art = Artifact::default();
+    art.header("Table 2 — Summary of the memory-aware model (paper, §7.3)");
     let mut t = Table::new(vec![
         "Algorithm",
         "Approx. on makespan",
@@ -27,14 +26,14 @@ fn main() {
         "2 − 1/m + Δ·α²·ρ₁ (Th. 7)",
         "(1 + m/Δ)·ρ₂ (Th. 8)",
     ]);
-    println!("{}", t.to_markdown());
+    outln!(art, "{}", t.to_markdown());
 
-    header("Evaluated on the Figure 6 parameter grid (m = 5)");
+    art.header("Evaluated on the Figure 6 parameter grid (m = 5)");
     let m = 5usize;
     let grid: &[(f64, f64)] = &[(2.0, 4.0 / 3.0), (3.0, 1.0), (3.0, 4.0 / 3.0)];
     for &(alpha_sq, rho) in grid {
         let alpha = alpha_sq.sqrt();
-        println!("α² = {alpha_sq}, ρ₁ = ρ₂ = {rho:.3}:");
+        outln!(art, "α² = {alpha_sq}, ρ₁ = ρ₂ = {rho:.3}:");
         let mut v = Table::new(vec![
             "delta",
             "SABO makespan",
@@ -52,14 +51,15 @@ fn main() {
                 fmt(mb::abo_memory(delta, rho, m), 3),
             ]);
         }
-        println!("{}", v.to_markdown());
-        println!(
+        outln!(art, "{}", v.to_markdown());
+        outln!(
+            art,
             "ABO beats SABO on makespan for every Δ: {} (condition α²ρ₁ > 2 − 1/m)\n",
             mb::abo_beats_sabo_on_makespan(alpha, rho, m)
         );
     }
 
-    header("Structural checks");
+    art.header("Structural checks");
     // SABO always better on memory; condition governs makespan dominance.
     for &(alpha_sq, rho) in grid {
         let alpha = alpha_sq.sqrt();
@@ -72,6 +72,7 @@ fn main() {
             }
         }
     }
-    println!("SABO dominates on memory for all Δ ✓");
-    println!("ABO dominates on makespan whenever α²ρ₁ > 2 − 1/m ✓");
+    outln!(art, "SABO dominates on memory for all Δ ✓");
+    outln!(art, "ABO dominates on makespan whenever α²ρ₁ > 2 − 1/m ✓");
+    Ok(art)
 }

@@ -1,12 +1,15 @@
-//! Shared plumbing for the benchmark/figure binaries.
+//! The paper's tables and figures, and the scaling benches.
 //!
-//! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/`; this library holds the pieces they share: ratio
-//! measurement against the exact solver, sweep configuration, and a
-//! `--quick` switch for CI-sized runs.
+//! [`artifacts`] renders every table and figure of the paper, plus the
+//! measured extensions and ablations, from one registry; the
+//! `artifacts` binary writes them under `results/`. The other binaries
+//! in `src/bin/` are scaling and overhead benches, which share the
+//! small flag helpers below.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod artifacts;
 
 use rds_algs::Strategy;
 use rds_core::{Instance, Realization, Result, Uncertainty};
@@ -71,21 +74,6 @@ pub fn arg_value(name: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// `true` when the bare flag `--<name>` was passed.
-pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
-
-/// Worker-thread count for sweeps: all cores unless `--quick`.
-pub fn sweep_threads() -> usize {
-    if quick_mode() {
-        2
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    }
 }
 
 /// Standard section header for the binaries' stdout reports.
