@@ -28,8 +28,9 @@ pub enum ArgError {
         /// The unparsable text.
         value: String,
     },
-    /// A spec string (`--model`, `--speeds`, `--topology`) that breaks
-    /// its grammar or names a parameter outside its domain.
+    /// A spec (`--model`, `--speeds`, `--topology`, or `rds serve`'s
+    /// arrival process and `--trace-file`) that breaks its grammar or
+    /// names a parameter outside its domain.
     BadSpec {
         /// The option name.
         key: String,

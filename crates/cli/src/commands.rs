@@ -1525,25 +1525,41 @@ fn serve_config(args: &Args) -> Result<rds_serve::ServeConfig, CmdError> {
         }
         Some("trace") => {
             let path: String = args.require("trace-file")?;
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read --trace-file {path}: {e}"))?;
+            // A file that cannot be read is a runtime failure; one that
+            // is not UTF-8 text is a malformed trace.
+            let text = std::fs::read_to_string(&path).map_err(|e| -> CmdError {
+                let reason = format!("cannot read --trace-file {path}: {e}");
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    bad_spec("trace-file", reason).into()
+                } else {
+                    reason.into()
+                }
+            })?;
             let times = text
                 .split(|c: char| c == ',' || c.is_whitespace())
                 .filter(|s| !s.is_empty())
                 .map(|s| {
-                    s.parse::<f64>()
-                        .map_err(|_| format!("bad arrival time {s:?} in {path}"))
+                    s.parse::<f64>().map_err(|_| {
+                        bad_spec("trace-file", format!("bad arrival time {s:?} in {path}"))
+                    })
                 })
                 .collect::<Result<Vec<f64>, _>>()?;
             cfg.count = times.len() as u64;
             cfg.process = ArrivalProcess::Trace { times };
         }
         Some(other) => {
-            return Err(
-                format!("unknown --arrivals {other:?} (expected poisson|bursty|trace)").into(),
+            return Err(bad_spec(
+                "arrivals",
+                format!("unknown --arrivals {other:?} (expected poisson|bursty|trace)"),
             )
+            .into())
         }
     }
+    // Rates, burst shape and trace times all come from flags, so an
+    // arrival process outside its domain is a usage error.
+    cfg.process
+        .validate()
+        .map_err(|e| bad_spec("arrivals", e.to_string()))?;
 
     if let (Some(lo), Some(hi)) = (args.get("est-lo")?, args.get("est-hi")?) {
         cfg.estimates = EstimateDistribution::Uniform { lo, hi };
@@ -2260,6 +2276,82 @@ mod tests {
                 assert_eq!(err.to_string(), message, "{argv:?}");
             }
         }
+    }
+
+    #[test]
+    fn malformed_serve_arrivals_are_usage_errors_with_their_messages() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let not_a_number = dir.join(format!("rds-cli-trace-nan-{pid}"));
+        let not_utf8 = dir.join(format!("rds-cli-trace-utf8-{pid}"));
+        std::fs::write(&not_a_number, "0.5, 1.0\nsoon 2.0").unwrap();
+        std::fs::write(&not_utf8, b"0.5 \xff 1.0").unwrap();
+        let (nan_path, utf8_path) = (
+            not_a_number.to_string_lossy().into_owned(),
+            not_utf8.to_string_lossy().into_owned(),
+        );
+        let cases: [(&[&str], &str, String); 6] = [
+            (
+                &["--arrivals", "bogus"],
+                "arrivals",
+                "unknown --arrivals \"bogus\" (expected poisson|bursty|trace)".into(),
+            ),
+            (
+                &["--rate", "-1"],
+                "arrivals",
+                "invalid parameter: Poisson.rate must be finite and > 0".into(),
+            ),
+            (
+                &["--arrivals", "bursty", "--period", "0"],
+                "arrivals",
+                "invalid parameter: Bursty.period must be finite and > 0".into(),
+            ),
+            (
+                &["--arrivals", "bursty", "--burst-fraction", "2"],
+                "arrivals",
+                "invalid parameter: Bursty.burst_fraction must be in [0, 1]".into(),
+            ),
+            (
+                &["--arrivals", "trace", "--trace-file", &nan_path],
+                "trace-file",
+                format!("bad arrival time \"soon\" in {nan_path}"),
+            ),
+            (
+                &["--arrivals", "trace", "--trace-file", &utf8_path],
+                "trace-file",
+                format!("cannot read --trace-file {utf8_path}: stream did not contain valid UTF-8"),
+            ),
+        ];
+        for (extra, flag, message) in cases {
+            let mut argv = vec!["serve", "--m", "2"];
+            argv.extend_from_slice(extra);
+            let err = usage_error(&argv);
+            assert!(
+                matches!(&err, ArgError::BadSpec { key, .. } if key == flag),
+                "{argv:?}: {err:?}"
+            );
+            assert_eq!(err.to_string(), message, "{argv:?}");
+        }
+        std::fs::remove_file(&not_a_number).ok();
+        std::fs::remove_file(&not_utf8).ok();
+
+        // A trace file that cannot be read stays a runtime failure.
+        let missing = dir.join(format!("rds-cli-trace-missing-{pid}"));
+        let missing = missing.to_string_lossy();
+        let err = run_to_string(&[
+            "serve",
+            "--m",
+            "2",
+            "--arrivals",
+            "trace",
+            "--trace-file",
+            &missing,
+        ])
+        .unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_none(), "{err}");
+        assert!(err
+            .to_string()
+            .starts_with(&format!("cannot read --trace-file {missing}: ")));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Property tests on the `--speeds` and `--topology` spec parsers: any
-//! string given to `rds sweep` either runs or is rejected with a typed
-//! usage error (`ArgError`, exit code 2). It never panics and never
-//! fails as a runtime error.
+//! Property tests on the `--speeds` and `--topology` spec parsers and on
+//! `rds serve`'s `--trace-file`: any spec string given to `rds sweep`, and
+//! any bytes in a trace file, either run or are rejected with a typed
+//! usage error (`ArgError`, exit code 2). They never panic and never fail
+//! as a runtime error.
 
 use proptest::prelude::*;
 use rds_cli::ArgError;
@@ -84,20 +85,52 @@ fn spec(forms: &'static [(&'static str, usize)]) -> impl Strategy<Value = String
         })
 }
 
-/// Runs `rds sweep --m 4 --n 8 --reps 1` plus `extra`; panics with the
-/// arguments unless the run succeeds or fails with an [`ArgError`].
-fn sweep_runs_or_is_a_usage_error(extra: &[(&str, &str)]) {
-    let mut argv: Vec<String> = ["sweep", "--m", "4", "--n", "8", "--reps", "1"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    for (key, value) in extra {
-        argv.push(format!("--{key}"));
-        argv.push(value.to_string());
-    }
+/// Trace-file tokens: arrival times inside and outside the trace domain,
+/// and text that is no number.
+const TRACE_TOKENS: &[&str] = &[
+    "0", "0.5", "1", "2.5", "10", "1e3", "-1", "-0", "nan", "inf", "1e308", "x", "é",
+];
+
+/// Separators between trace tokens, empty runs included.
+const TRACE_SEPARATORS: &[&str] = &[",", " ", "\n", "\t", ", ", "\r\n", ",,"];
+
+/// Trace-file bytes: arbitrary bytes, tokens in any order, tokens with
+/// arbitrary bytes spliced in, or a non-decreasing trace that runs.
+fn trace_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (0u8..4, any::<usize>()),
+        prop::collection::vec((0..TRACE_TOKENS.len(), 0..TRACE_SEPARATORS.len()), 0..12),
+        prop::collection::vec(0u8..=255, 0..24),
+    )
+        .prop_map(|((kind, at), tokens, raw)| {
+            if kind == 0 {
+                return raw;
+            }
+            let mut bytes = Vec::new();
+            let mut time = 0.0;
+            for (token, sep) in tokens {
+                if kind == 3 {
+                    time += token as f64 * 0.5;
+                    bytes.extend(time.to_string().bytes());
+                } else {
+                    bytes.extend(TRACE_TOKENS[token].bytes());
+                }
+                bytes.extend(TRACE_SEPARATORS[sep].bytes());
+            }
+            if kind == 2 {
+                let at = at % (bytes.len() + 1);
+                bytes.splice(at..at, raw);
+            }
+            bytes
+        })
+}
+
+/// Runs `rds <argv>`; panics with the arguments unless the run succeeds
+/// or fails with an [`ArgError`].
+fn runs_or_is_a_usage_error(argv: &[String]) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut out = Vec::new();
-        rds_cli::run(&argv, &mut out)
+        rds_cli::run(argv, &mut out)
     }));
     match outcome {
         Err(_) => panic!("rds {argv:?} panicked"),
@@ -107,6 +140,19 @@ fn sweep_runs_or_is_a_usage_error(extra: &[(&str, &str)]) {
             "rds {argv:?} failed with a runtime error, not a usage error: {e}"
         ),
     }
+}
+
+/// Runs `rds sweep --m 4 --n 8 --reps 1` plus `extra`.
+fn sweep_runs_or_is_a_usage_error(extra: &[(&str, &str)]) {
+    let mut argv: Vec<String> = ["sweep", "--m", "4", "--n", "8", "--reps", "1"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    for (key, value) in extra {
+        argv.push(format!("--{key}"));
+        argv.push(value.to_string());
+    }
+    runs_or_is_a_usage_error(&argv);
 }
 
 proptest! {
@@ -120,5 +166,22 @@ proptest! {
         sweep_runs_or_is_a_usage_error(&[("speeds", &speeds)]);
         sweep_runs_or_is_a_usage_error(&[("topology", &topology)]);
         sweep_runs_or_is_a_usage_error(&[("speeds", &speeds), ("topology", &topology)]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_trace_files_run_or_are_usage_errors(bytes in trace_bytes()) {
+        let path = std::env::temp_dir().join(format!("rds-cli-trace-prop-{}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let argv: Vec<String> = ["serve", "--m", "2", "--arrivals", "trace", "--trace-file"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain([path.to_string_lossy().into_owned()])
+            .collect();
+        runs_or_is_a_usage_error(&argv);
+        std::fs::remove_file(&path).ok();
     }
 }
