@@ -103,11 +103,12 @@ pub fn render() -> rds_core::Result<Artifact> {
     outln!(
         art,
         "Finding: unlike the *guarantee*-space story (where a few replicas \
-         shift the bound a lot), under broad two-point noise the measured \
-         benefit tracks the fraction of replicated WORK roughly linearly — \
-         medium tasks inflate too, so protecting only the giants is not \
-         enough. Critical-task replication is the right tool when \
-         stragglers are rare and heavy, not when noise is ubiquitous."
+         shift the bound a lot), under broad two-point noise replicating \
+         only the largest tasks buys little: medium tasks inflate too, so \
+         protecting only the giants is not enough, and the mean ratio \
+         falls only once most of the work is replicated. Critical-task \
+         replication is the right tool when stragglers are rare and \
+         heavy, not when noise is ubiquitous."
     );
     Ok(art)
 }

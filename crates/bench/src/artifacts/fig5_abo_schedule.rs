@@ -66,7 +66,8 @@ pub fn render() -> rds_core::Result<Artifact> {
     outln!(art, "{}", cmp.to_markdown());
     outln!(
         art,
-        "ABO trades memory ({} vs {}) for online makespan flexibility ({} vs {}).",
+        "ABO spends memory {} vs SABO's {} for online flexibility; \
+         makespan on this realization: {} vs {}.",
         out.mem_max,
         sabo_out.mem_max,
         out.makespan,
