@@ -7,13 +7,13 @@
 //! up as a steep improvement at small fractions, then diminishing
 //! returns.
 
-use super::{threads, Artifact};
+use super::{summary, threads, Artifact};
 use rds_algs::Strategy;
 use rds_core::{Instance, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
 use rds_policies::CriticalTaskReplication;
-use rds_report::{table::fmt, Align, Chart, Series, Summary, Table};
+use rds_report::{table::fmt, Align, Chart, Series, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
 pub fn render() -> rds_core::Result<Artifact> {
@@ -59,12 +59,8 @@ pub fn render() -> rds_core::Result<Artifact> {
                 (ratio, out.placement.total_replicas())
             },
         );
-        let mut ratios = Summary::new();
-        let mut replicas = Summary::new();
-        for (ratio, reps_count) in &results {
-            ratios.push(*ratio);
-            replicas.push(*reps_count as f64);
-        }
+        let ratios = summary(results.iter().map(|r| r.0));
+        let replicas = summary(results.iter().map(|r| r.1 as f64));
         t.row(vec![
             format!("{:.0}%", f * 100.0),
             fmt(replicas.mean(), 0),
@@ -73,7 +69,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         ]);
         curve.push((replicas.mean(), ratios.mean()));
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     let chart = Chart::new(
         "mean ratio vs total replicas (critical-fraction sweep)",
@@ -81,7 +77,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         14,
     )?
     .series(Series::new("critical-fraction policy", '*', curve.clone()));
-    outln!(art, "{}", chart.render());
+    writeln!(art, "{}", chart.render());
 
     // Endpoints must be ordered: full replication beats none.
     let at = |f: f64| -> f64 {
@@ -90,7 +86,7 @@ pub fn render() -> rds_core::Result<Artifact> {
     };
     let early_gain = at(0.0) - at(0.3);
     let late_gain = at(0.3) - at(1.0);
-    outln!(
+    writeln!(
         art,
         "gain 0→30%: {early_gain:.3}   gain 30→100%: {late_gain:.3}"
     );
@@ -100,7 +96,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         at(1.0),
         at(0.0)
     );
-    outln!(
+    writeln!(
         art,
         "Finding: unlike the *guarantee*-space story (where a few replicas \
          shift the bound a lot), under broad two-point noise replicating \

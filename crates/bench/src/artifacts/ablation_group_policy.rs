@@ -6,7 +6,7 @@
 //! empirical difference between `LS-Group` and `LPT-Group` across α and
 //! k: does LPT ordering inside the groups buy anything in practice?
 
-use super::{threads, Artifact};
+use super::{summary, threads, Artifact};
 use rds_algs::{group_lpt::LptGroup, LsGroup, Strategy};
 use rds_core::{Instance, Uncertainty};
 use rds_exact::OptimalSolver;
@@ -57,12 +57,8 @@ pub fn render() -> rds_core::Result<Artifact> {
                     )
                 },
             );
-            let mut ls = Summary::new();
-            let mut lpt = Summary::new();
-            for (a, b) in &pairs {
-                ls.push(*a);
-                lpt.push(*b);
-            }
+            let ls = summary(pairs.iter().map(|p| p.0));
+            let lpt = summary(pairs.iter().map(|p| p.1));
             let win = (ls.mean() - lpt.mean()) / ls.mean() * 100.0;
             wins.push(win);
             t.row(vec![
@@ -74,8 +70,8 @@ pub fn render() -> rds_core::Result<Artifact> {
             ]);
         }
     }
-    outln!(art, "{}", t.to_markdown());
-    outln!(
+    writeln!(art, "{}", t.to_markdown());
+    writeln!(
         art,
         "Reading: LPT ordering improves the *measured* mean ratios by \
          {:.1}-{:.1}% — real but bounded gains, consistent with the \

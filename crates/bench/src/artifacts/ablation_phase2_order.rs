@@ -7,12 +7,12 @@
 //! Theory predicts LPT order matters most when α is small (the estimates
 //! are informative) and washes out as α grows.
 
-use super::{threads, Artifact};
+use super::{summary, threads, Artifact};
 use rds_algs::list_scheduling::online_list_schedule;
 use rds_core::{Instance, TaskId, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
-use rds_report::{table::fmt, Align, Summary, Table};
+use rds_report::{table::fmt, Align, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
 pub fn render() -> rds_core::Result<Artifact> {
@@ -61,14 +61,9 @@ pub fn render() -> rds_core::Result<Artifact> {
                 (ratio(&lpt_order), ratio(&fifo_order), ratio(&spt_order))
             },
         );
-        let mut lpt = Summary::new();
-        let mut fifo = Summary::new();
-        let mut spt = Summary::new();
-        for (a, b, c) in &triples {
-            lpt.push(*a);
-            fifo.push(*b);
-            spt.push(*c);
-        }
+        let lpt = summary(triples.iter().map(|t| t.0));
+        let fifo = summary(triples.iter().map(|t| t.1));
+        let spt = summary(triples.iter().map(|t| t.2));
         t.row(vec![
             fmt(alpha, 1),
             fmt(lpt.mean(), 4),
@@ -87,8 +82,8 @@ pub fn render() -> rds_core::Result<Artifact> {
             spt.mean()
         );
     }
-    outln!(art, "{}", t.to_markdown());
-    outln!(
+    writeln!(art, "{}", t.to_markdown());
+    writeln!(
         art,
         "Reading: LPT order beats FIFO and SPT at every α, in mean and \
          worst ratio, and its lead *widens* with α — a long task \

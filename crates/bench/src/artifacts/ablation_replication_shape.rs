@@ -6,13 +6,13 @@
 //! (overlapping rings) and uniformly random `k`-subsets — the "more
 //! general replication policies" of the paper's future work.
 
-use super::{threads, Artifact};
+use super::{summary, threads, Artifact};
 use rds_algs::{LsGroup, Strategy};
 use rds_core::{Instance, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
 use rds_policies::{ChainedReplication, RandomKReplication};
-use rds_report::{table::fmt, Align, Summary, Table};
+use rds_report::{table::fmt, Align, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
 fn mean_ratio<S: Strategy + Sync>(
@@ -37,10 +37,7 @@ fn mean_ratio<S: Strategy + Sync>(
             .ratio(solver.solve_realization(&real, m).lo)
             .unwrap_or(1.0)
     });
-    let mut s = Summary::new();
-    for x in ratios {
-        s.push(x);
-    }
+    let s = summary(ratios);
     (s.mean(), s.max())
 }
 
@@ -85,8 +82,8 @@ pub fn render() -> rds_core::Result<Artifact> {
             format!("{} / {}", fmt(r_mean, 3), fmt(r_max, 3)),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
-    outln!(
+    writeln!(art, "{}", t.to_markdown());
+    writeln!(
         art,
         "Reading: at equal budget the overlapping shapes (chains, random \
          subsets) typically match or beat disjoint groups — load can spill \

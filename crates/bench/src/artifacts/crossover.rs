@@ -6,13 +6,13 @@
 //! guarantee curves, and measures where the *empirical* worst ratios of
 //! online-LPT and online-LS actually sit.
 
-use super::{threads, Artifact};
+use super::{summary, threads, Artifact};
 use rds_algs::list_scheduling::{online_list_schedule, online_lpt_by_estimate};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, TaskId, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
-use rds_report::{table::fmt, Align, Chart, Csv, Series, Summary, Table};
+use rds_report::{table::fmt, Align, Chart, Csv, Series, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
 pub fn render() -> rds_core::Result<Artifact> {
@@ -70,12 +70,8 @@ pub fn render() -> rds_core::Result<Artifact> {
                     ls.makespan(&real).ratio(opt.lo).unwrap_or(1.0),
                 )
             });
-        let mut lpt_worst = Summary::new();
-        let mut ls_worst = Summary::new();
-        for (a, b) in &worst {
-            lpt_worst.push(*a);
-            ls_worst.push(*b);
-        }
+        let lpt_worst = summary(worst.iter().map(|w| w.0));
+        let ls_worst = summary(worst.iter().map(|w| w.1));
 
         t.row(vec![
             fmt(alpha, 3),
@@ -94,7 +90,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         assert!(lpt_worst.max() <= th3.min(graham) + 1e-6);
         assert!(ls_worst.max() <= graham + 1e-6);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     let chart = Chart::new(
         format!("guarantees vs α² (m = {m}): crossover at α² = 2"),
@@ -103,17 +99,17 @@ pub fn render() -> rds_core::Result<Artifact> {
     )?
     .series(Series::new("Th.3: 1 + (m−1)α²/(2m)", '*', th3_pts.clone()))
     .series(Series::new("Graham: 2 − 1/m", '-', graham_pts));
-    outln!(art, "{}", chart.render());
+    writeln!(art, "{}", chart.render());
 
     // Verify the analytic crossover point.
     let below = rb::lpt_no_restriction((2.0f64).sqrt() - 0.01, m);
     let above = rb::lpt_no_restriction((2.0f64).sqrt() + 0.01, m);
     let g = rb::graham_list_scheduling(m);
     assert!(below < g && above > g);
-    outln!(
+    writeln!(
         art,
         "analytic crossover confirmed: Th.3 < Graham iff α² < 2 ✓"
     );
-    outln!(art, "\nCSV:\n{}", csv.finish());
+    writeln!(art, "\nCSV:\n{}", csv.finish());
     Ok(art)
 }

@@ -6,16 +6,19 @@
 //! solver's optimum bracket) never exceed the proven bounds — and shows
 //! how much slack typical instances leave.
 
-use super::{threads, Artifact};
-use crate::measure_ratio;
+use super::{label_then_numbers, summary, threads, Artifact};
 use rds_adversary::worst_case;
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, Realization, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
-use rds_report::{table::fmt, Align, Csv, Summary, Table};
+use rds_report::{table::fmt, Csv, Table};
 use rds_workloads::{realize::RealizationModel, rng};
+
+/// Random realizations per case, and tasks per instance.
+const REPS: usize = 40;
+const N: usize = 60;
 
 struct Case {
     strategy_name: String,
@@ -25,7 +28,6 @@ struct Case {
     mean_ratio: f64,
     max_ratio_hi: f64,
     adversarial_ratio: f64,
-    reps: usize,
 }
 
 fn run_strategy_case<S: Strategy + Sync>(
@@ -33,8 +35,6 @@ fn run_strategy_case<S: Strategy + Sync>(
     guarantee: f64,
     m: usize,
     alpha: f64,
-    n: usize,
-    reps: usize,
     seed: u64,
 ) -> Case {
     let unc = Uncertainty::of(alpha);
@@ -42,13 +42,13 @@ fn run_strategy_case<S: Strategy + Sync>(
 
     // Random two-point and uniform realizations.
     let results = parallel_map(
-        (0..reps).collect::<Vec<_>>(),
+        (0..REPS).collect::<Vec<_>>(),
         threads(),
         |rep| -> (f64, f64) {
             let child = rds_workloads::rng::child_seed(seed, rep as u64);
             let mut r = rng::rng(child);
             let est = rds_workloads::EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }
-                .sample_n(n, &mut r);
+                .sample_n(N, &mut r);
             let inst = Instance::from_estimates(&est, m).expect("valid instance");
             let model = if rep % 2 == 0 {
                 RealizationModel::TwoPoint { p_inflate: 0.3 }
@@ -58,16 +58,20 @@ fn run_strategy_case<S: Strategy + Sync>(
             let real = model
                 .realize(&inst, unc, &mut r)
                 .expect("valid realization");
-            let mr = measure_ratio(strategy, &inst, unc, &real, &solver).expect("strategy runs");
-            (mr.lo, mr.hi)
+            let makespan = strategy
+                .run(&inst, unc, &real)
+                .expect("strategy runs")
+                .makespan;
+            // Certified sides: against the bracket's upper and lower end.
+            let opt = solver.solve_realization(&real, m);
+            (
+                makespan.ratio(opt.hi).unwrap_or(1.0),
+                makespan.ratio(opt.lo).unwrap_or(1.0),
+            )
         },
     );
-    let mut mean = Summary::new();
-    let mut max_hi = 0.0f64;
-    for (lo, hi) in &results {
-        mean.push(0.5 * (lo + hi));
-        max_hi = max_hi.max(*hi);
-    }
+    let mean = summary(results.iter().map(|(lo, hi)| 0.5 * (lo + hi)));
+    let max_hi = results.iter().map(|r| r.1).fold(0.0, f64::max);
 
     // Adversarial: inflate each machine's task set in turn against the
     // strategy's own balanced assignment on a uniform instance.
@@ -94,14 +98,12 @@ fn run_strategy_case<S: Strategy + Sync>(
         mean_ratio: mean.mean(),
         max_ratio_hi: max_hi,
         adversarial_ratio: adversarial,
-        reps,
     }
 }
 
 pub fn render() -> rds_core::Result<Artifact> {
     let mut art = Artifact::default();
     art.header("E1 — measured competitive ratios vs proven guarantees");
-    let (reps, n) = (40, 60);
     let ms: &[usize] = &[6, 12];
     let alphas: &[f64] = &[1.1, 1.5, 2.0];
 
@@ -113,8 +115,6 @@ pub fn render() -> rds_core::Result<Artifact> {
                 rb::lpt_no_choice(alpha, m),
                 m,
                 alpha,
-                n,
-                reps,
                 0xC0FFEE,
             ));
             for k in rb::group_counts(m) {
@@ -126,8 +126,6 @@ pub fn render() -> rds_core::Result<Artifact> {
                     rb::ls_group(alpha, m, k),
                     m,
                     alpha,
-                    n,
-                    reps,
                     0xBEEF + k as u64,
                 ));
             }
@@ -136,8 +134,6 @@ pub fn render() -> rds_core::Result<Artifact> {
                 rb::lpt_no_restriction_best(alpha, m),
                 m,
                 alpha,
-                n,
-                reps,
                 0xF00D,
             ));
         }
@@ -153,16 +149,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         "adversarial",
         "reps",
     ])
-    .align(vec![
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
+    .align(label_then_numbers(7));
     let mut csv = Csv::new(&[
         "strategy",
         "m",
@@ -187,7 +174,7 @@ pub fn render() -> rds_core::Result<Artifact> {
             fmt(c.mean_ratio, 3),
             fmt(c.max_ratio_hi, 3),
             fmt(c.adversarial_ratio, 3),
-            c.reps.to_string(),
+            REPS.to_string(),
         ]);
         csv.row(&[
             c.strategy_name.clone(),
@@ -199,8 +186,8 @@ pub fn render() -> rds_core::Result<Artifact> {
             format!("{:.6}", c.adversarial_ratio),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
-    outln!(
+    writeln!(art, "{}", t.to_markdown());
+    writeln!(
         art,
         "guarantee violations: {violations} (expected 0 — every measured ratio \
          must respect its theorem)"
@@ -216,12 +203,10 @@ pub fn render() -> rds_core::Result<Artifact> {
         .filter(|c| c.m == m && (c.alpha - alpha).abs() < 1e-9)
         .collect();
     for c in &rows {
-        outln!(
+        writeln!(
             art,
             "{:<24} adversarial ratio {:.3}  (guarantee {:.3})",
-            c.strategy_name,
-            c.adversarial_ratio,
-            c.guarantee
+            c.strategy_name, c.adversarial_ratio, c.guarantee
         );
     }
     // The no-choice strategy must be strictly more vulnerable than the
@@ -238,6 +223,6 @@ pub fn render() -> rds_core::Result<Artifact> {
         nr.adversarial_ratio <= nc.adversarial_ratio + 1e-9,
         "replication should blunt the adversary"
     );
-    outln!(art, "\nCSV:\n{}", csv.finish());
+    writeln!(art, "\nCSV:\n{}", csv.finish());
     Ok(art)
 }

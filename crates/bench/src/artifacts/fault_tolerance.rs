@@ -10,10 +10,10 @@
 //! `rds resilience --journal` is the crash-safe way to run such a
 //! campaign; this one runs without a journal.
 
-use super::Artifact;
+use super::{label_then_numbers, Artifact};
 use rds_core::{Instance, MachineId, Time, Uncertainty};
 use rds_policies::{run_campaign_resumable, standard_suite, CampaignConfig, Trial};
-use rds_report::{table::fmt, Align, Table};
+use rds_report::{table::fmt, Table};
 use rds_sim::faults::{FaultEvent, FaultScript};
 use rds_workloads::{realize::RealizationModel, rng};
 
@@ -78,16 +78,12 @@ pub fn render() -> rds_core::Result<Artifact> {
     let report = run_campaign_resumable(&inst, &suite, &trials, &config)?;
     let rows = &report.rows;
     if !report.quarantined.is_empty() {
-        outln!(art, "quarantined trials (excluded from aggregates):");
+        writeln!(art, "quarantined trials (excluded from aggregates):");
         for q in &report.quarantined {
-            outln!(
+            writeln!(
                 art,
                 "  {} trial {} (seed {}): {} after {} attempt(s)",
-                q.policy,
-                q.trial,
-                q.seed,
-                q.error,
-                q.attempts
+                q.policy, q.trial, q.seed, q.error, q.attempts
             );
         }
     }
@@ -102,16 +98,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         "mean restarts",
         "mean wasted work",
     ])
-    .align(vec![
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
+    .align(label_then_numbers(7));
     for row in rows {
         let degr = |v: f64| if v.is_nan() { "-".into() } else { fmt(v, 3) };
         t.row(vec![
@@ -125,7 +112,7 @@ pub fn render() -> rds_core::Result<Artifact> {
             fmt(row.mean_wasted, 2),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     // Structural claims: pinned placements strand tasks whenever a loaded
     // machine dies (the run now completes partially instead of erroring);
@@ -159,15 +146,13 @@ pub fn render() -> rds_core::Result<Artifact> {
         chain3.completed_runs, chain3.runs,
         "3 replicas survive 2 failures"
     );
-    outln!(
+    writeln!(
         art,
         "pinned fully completed {}/{} runs (task survival {:.3} — partial \
          outcomes, not aborts); every ≥3-replica policy completed all — \
          replication is simultaneously the fault-tolerance and the \
          uncertainty mechanism, as the paper's Hadoop motivation suggests.",
-        pinned.completed_runs,
-        pinned.runs,
-        pinned.mean_survival
+        pinned.completed_runs, pinned.runs, pinned.mean_survival
     );
     Ok(art)
 }

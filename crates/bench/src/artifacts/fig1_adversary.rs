@@ -25,29 +25,24 @@ pub fn render() -> rds_core::Result<Artifact> {
     let assignment = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
     let attack = theorem1::attack(&inst, unc, &assignment)?;
 
-    outln!(
+    writeln!(
         art,
         "online solution (adversary inflated the most-loaded machine by α):"
     );
     let online = Schedule::sequence(&assignment.tasks_per_machine(), &attack.realization);
-    outln!(art, "{}", rds_report::gantt::render(&online, 60));
+    writeln!(art, "{}", rds_report::gantt::render(&online, 60));
 
-    outln!(
+    writeln!(
         art,
         "offline optimal arrangement (long tasks spread across machines):"
     );
     let solver = rds_exact::OptimalSolver::default();
     let opt = solver.solve_realization(&attack.realization, m);
     let bb = rds_exact::branch_bound::solve(attack.realization.times(), m, 2_000_000);
-    let offline = {
-        let mut per: Vec<Vec<rds_core::TaskId>> = vec![Vec::new(); m];
-        for (j, id) in bb.assignment.iter().enumerate() {
-            per[id.index()].push(rds_core::TaskId::new(j));
-        }
-        Schedule::sequence(&per, &attack.realization)
-    };
-    outln!(art, "{}", rds_report::gantt::render(&offline, 60));
-    outln!(
+    let offline = rds_core::Assignment::new(&inst, bb.assignment)?.tasks_per_machine();
+    let offline = Schedule::sequence(&offline, &attack.realization);
+    writeln!(art, "{}", rds_report::gantt::render(&offline, 60));
+    writeln!(
         art,
         "online C_max = {}   offline C* ∈ [{}, {}]   witness ratio ≥ {:.4}\n",
         attack.online_makespan,
@@ -91,7 +86,7 @@ pub fn render() -> rds_core::Result<Artifact> {
             "witness must stay below the proven bound"
         );
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     let chart = Chart::new(
         format!("adversary witness → α²m/(α²+m−1) = {bound:.4} (log λ)"),
@@ -101,8 +96,8 @@ pub fn render() -> rds_core::Result<Artifact> {
     .log_x()
     .series(Series::new("measured witness", '*', pts_witness))
     .series(Series::new("finite-λ formula", '.', pts_formula));
-    outln!(art, "{}", chart.render());
+    writeln!(art, "{}", chart.render());
 
-    outln!(art, "CSV:\n{}", csv.finish());
+    writeln!(art, "CSV:\n{}", csv.finish());
     Ok(art)
 }

@@ -25,7 +25,7 @@ pub fn render() -> rds_core::Result<Artifact> {
     let placement = strat.place(&inst, unc)?;
     let partition = GroupPartition::new_exact(m, k)?;
 
-    outln!(
+    writeln!(
         art,
         "phase 1 — data placement (each task replicated on its whole group):"
     );
@@ -41,28 +41,26 @@ pub fn render() -> rds_core::Result<Artifact> {
             format!("{}", placement.set(task)),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     // Phase 2 under a perturbed realization.
     let mut r = rng::rng(2024);
     let real = RealizationModel::TwoPoint { p_inflate: 0.3 }.realize(&inst, unc, &mut r)?;
     let out = strat.run(&inst, unc, &real)?;
-    outln!(
+    writeln!(
         art,
         "phase 2 — online execution within groups (C_max = {}):",
         out.makespan
     );
     let schedule = Schedule::sequence(&out.assignment.tasks_per_machine(), &real);
-    outln!(art, "{}", rds_report::gantt::render(&schedule, 60));
-    art.files.push((
-        "fig2_gantt.svg".into(),
-        rds_report::gantt_svg(&schedule, 720.0),
-    ));
+    writeln!(art, "{}", rds_report::gantt::render(&schedule, 60));
+    let svg = rds_report::gantt_svg(&schedule, 720.0);
+    art.files.push(("fig2_gantt.svg".into(), svg));
 
     // Cross-check with the event-driven engine.
     let sim = rds_sim::executors::simulate_grouped(&inst, &placement, &real)?;
     assert_eq!(sim.makespan, out.makespan, "engine and closed form agree");
-    outln!(
+    writeln!(
         art,
         "event-engine cross-check: identical makespan {} over {} dispatches ✓",
         sim.makespan,
@@ -73,15 +71,13 @@ pub fn render() -> rds_core::Result<Artifact> {
     // realization to show the tradeoff in action.
     let pinned = rds_algs::LptNoChoice.run(&inst, unc, &real)?;
     let every = rds_algs::LptNoRestriction.run(&inst, unc, &real)?;
-    outln!(
+    writeln!(
         art,
         "\nmakespans on this realization:  LPT-No Choice = {}   \
          LS-Group(k=2) = {}   LPT-No Restriction = {}",
-        pinned.makespan,
-        out.makespan,
-        every.makespan
+        pinned.makespan, out.makespan, every.makespan
     );
-    outln!(
+    writeln!(
         art,
         "replicas per task:              1                 {}                 {}",
         placement.max_replicas(),

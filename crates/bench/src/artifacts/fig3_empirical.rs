@@ -9,13 +9,13 @@
 //! measured curves fall with replication exactly as the guarantees do —
 //! just much lower in absolute terms.
 
-use super::{threads, Artifact};
+use super::{summary, threads, Artifact};
 use rds_algs::{LsGroup, Strategy};
 use rds_bounds::replication as rb;
 use rds_core::{Instance, Realization, TaskId, Uncertainty};
 use rds_exact::OptimalSolver;
 use rds_par::parallel_map;
-use rds_report::{table::fmt, Align, Chart, Csv, Series, Summary, Table};
+use rds_report::{table::fmt, Align, Chart, Csv, Series, Table};
 use rds_workloads::{realize::RealizationModel, rng};
 
 const M: usize = 210;
@@ -76,10 +76,7 @@ fn measure_cell(alpha: f64, k: usize) -> Cell {
         a.makespan(&real).ratio(opt.lo).unwrap_or(1.0)
     });
 
-    let mut s = Summary::new();
-    for &x in &random {
-        s.push(x);
-    }
+    let s = summary(random);
     Cell {
         k,
         replicas: M / k,
@@ -150,7 +147,7 @@ pub fn render() -> rds_core::Result<Artifact> {
                 c.k
             );
         }
-        outln!(art, "{}", t.to_markdown());
+        writeln!(art, "{}", t.to_markdown());
         let chart = Chart::new(
             format!("guarantee vs measured adversarial (log replicas), α={alpha}"),
             72,
@@ -159,7 +156,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         .log_x()
         .series(Series::new("Th.4 guarantee", '#', guarantee_pts))
         .series(Series::new("measured adversarial", '*', adversarial_pts));
-        outln!(art, "{}", chart.render());
+        writeln!(art, "{}", chart.render());
 
         // Shape claim: both curves decrease from 1 replica to m replicas.
         let first = &cells[0]; // k = 210 → 1 replica
@@ -169,13 +166,12 @@ pub fn render() -> rds_core::Result<Artifact> {
             last.worst_adversarial <= first.worst_adversarial + 1e-9,
             "measured adversarial should fall with replication"
         );
-        outln!(
+        writeln!(
             art,
             "measured adversarial falls {:.3} → {:.3} as replicas go 1 → {M} ✓\n",
-            first.worst_adversarial,
-            last.worst_adversarial
+            first.worst_adversarial, last.worst_adversarial
         );
     }
-    outln!(art, "CSV:\n{}", csv.finish());
+    writeln!(art, "CSV:\n{}", csv.finish());
     Ok(art)
 }

@@ -6,9 +6,9 @@
 //! (`|M_j| = m/k` replicas), and the Theorem-3/Graham guarantees at full
 //! replication — the exact series behind the paper's three subfigures.
 
-use super::Artifact;
+use super::{label_then_numbers, Artifact};
 use rds_bounds::series::{figure3_panels, RatioReplicationPanel};
-use rds_report::{table::fmt, Align, Chart, Csv, Series, Table};
+use rds_report::{table::fmt, Chart, Csv, Series, Table};
 
 /// Prints one panel's table and chart, and draws its SVG.
 fn panel(art: &mut Artifact, p: &RatioReplicationPanel) -> rds_core::Result<()> {
@@ -16,24 +16,28 @@ fn panel(art: &mut Artifact, p: &RatioReplicationPanel) -> rds_core::Result<()> 
         "Figure 3 panel — m = {}, alpha = {}",
         p.m, p.alpha
     ));
-    let mut t = Table::new(vec!["series", "k", "replicas |M_j|", "guaranteed ratio"]).align(vec![
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    t.row(vec![
-        "Th.1 lower bound".to_string(),
-        "-".into(),
-        "1".into(),
-        fmt(p.lower_bound.ratio, 4),
-    ]);
-    t.row(vec![
-        "LPT-No Choice (Th.2)".to_string(),
-        "-".into(),
-        "1".into(),
-        fmt(p.lpt_no_choice.ratio, 4),
-    ]);
+    // The single-point series, in table order around LS-Group's rows:
+    // (table and SVG label, chart label, glyph, replicas, ratio).
+    #[rustfmt::skip]
+    let points = [
+        ("Th.1 lower bound", "Th.1 LB @1", 'L', 1, p.lower_bound.ratio),
+        ("LPT-No Choice (Th.2)", "LPT-No Choice @1", 'C', 1, p.lpt_no_choice.ratio),
+        ("LPT-No Restriction (Th.3)", "LPT-No Restriction @m", 'R', p.m, p.lpt_no_restriction.ratio),
+        ("Graham LS", "Graham @m", 'G', p.m, p.graham.ratio),
+    ];
+    let point_row = |&(label, _, _, replicas, ratio): &(&str, &str, char, usize, f64)| {
+        vec![
+            label.to_string(),
+            "-".into(),
+            replicas.to_string(),
+            fmt(ratio, 4),
+        ]
+    };
+    let mut t = Table::new(vec!["series", "k", "replicas |M_j|", "guaranteed ratio"])
+        .align(label_then_numbers(3));
+    for q in &points[..2] {
+        t.row(point_row(q));
+    }
     for pt in &p.ls_group {
         t.row(vec![
             "LS-Group (Th.4)".to_string(),
@@ -42,19 +46,10 @@ fn panel(art: &mut Artifact, p: &RatioReplicationPanel) -> rds_core::Result<()> 
             fmt(pt.ratio, 4),
         ]);
     }
-    t.row(vec![
-        "LPT-No Restriction (Th.3)".to_string(),
-        "-".into(),
-        p.m.to_string(),
-        fmt(p.lpt_no_restriction.ratio, 4),
-    ]);
-    t.row(vec![
-        "Graham LS".to_string(),
-        "-".into(),
-        p.m.to_string(),
-        fmt(p.graham.ratio, 4),
-    ]);
-    outln!(art, "{}", t.to_markdown());
+    for q in &points[2..] {
+        t.row(point_row(q));
+    }
+    writeln!(art, "{}", t.to_markdown());
 
     let ls_pts: Vec<(f64, f64)> = p
         .ls_group
@@ -67,28 +62,11 @@ fn panel(art: &mut Artifact, p: &RatioReplicationPanel) -> rds_core::Result<()> 
         18,
     )?
     .log_x()
-    .series(Series::new("LS-Group(k)", '*', ls_pts.clone()))
-    .series(Series::new(
-        "Th.1 LB @1",
-        'L',
-        vec![(1.0, p.lower_bound.ratio)],
-    ))
-    .series(Series::new(
-        "LPT-No Choice @1",
-        'C',
-        vec![(1.0, p.lpt_no_choice.ratio)],
-    ))
-    .series(Series::new(
-        "LPT-No Restriction @m",
-        'R',
-        vec![(p.m as f64, p.lpt_no_restriction.ratio)],
-    ))
-    .series(Series::new(
-        "Graham @m",
-        'G',
-        vec![(p.m as f64, p.graham.ratio)],
-    ));
-    outln!(art, "{}", chart.render());
+    .series(Series::new("LS-Group(k)", '*', ls_pts.clone()));
+    let chart = points.iter().fold(chart, |c, &(_, label, glyph, x, y)| {
+        c.series(Series::new(label, glyph, vec![(x as f64, y)]))
+    });
+    writeln!(art, "{}", chart.render());
 
     // Publication-style SVG alongside the terminal rendering.
     let svg = rds_report::SvgChart::new(
@@ -101,28 +79,11 @@ fn panel(art: &mut Artifact, p: &RatioReplicationPanel) -> rds_core::Result<()> 
         "replicas per task |M_j| (log)",
         "guaranteed competitive ratio",
     )
-    .series(Series::new("LS-Group (Th.4)", '*', ls_pts))
-    .series(Series::new(
-        "Th.1 lower bound",
-        'L',
-        vec![(1.0, p.lower_bound.ratio)],
-    ))
-    .series(Series::new(
-        "LPT-No Choice (Th.2)",
-        'C',
-        vec![(1.0, p.lpt_no_choice.ratio)],
-    ))
-    .series(Series::new(
-        "LPT-No Restriction (Th.3)",
-        'R',
-        vec![(p.m as f64, p.lpt_no_restriction.ratio)],
-    ))
-    .series(Series::new(
-        "Graham LS",
-        'G',
-        vec![(p.m as f64, p.graham.ratio)],
-    ))
-    .render();
+    .series(Series::new("LS-Group (Th.4)", '*', ls_pts));
+    let svg = points.iter().fold(svg, |c, &(label, _, glyph, x, y)| {
+        c.series(Series::new(label, glyph, vec![(x as f64, y)]))
+    });
+    let svg = svg.render();
     art.files.push((format!("fig3_alpha{}.svg", p.alpha), svg));
     Ok(())
 }
@@ -149,24 +110,21 @@ pub fn render() -> rds_core::Result<Artifact> {
         .iter()
         .map(|p| p.ratio)
         .fold(f64::MAX, f64::min);
-    outln!(
+    writeln!(
         art,
         "α=1.1: LPT-No Choice {:.3} vs best LS-Group {:.3} (small gap), \
          LPT-No Restriction {:.3} (clear winner)",
-        a11.lpt_no_choice.ratio,
-        best_group,
-        a11.lpt_no_restriction.ratio
+        a11.lpt_no_choice.ratio, best_group, a11.lpt_no_restriction.ratio
     );
     assert!(a11.lpt_no_restriction.ratio < best_group);
 
     // α = 1.5: LS-Group(k=1) ≈ LPT-No Restriction.
     let a15 = &panels[1];
     let k1 = a15.ls_group.iter().find(|p| p.k == Some(1)).unwrap();
-    outln!(
+    writeln!(
         art,
         "α=1.5: LS-Group(k=1) {:.3} ≈ LPT-No Restriction {:.3}",
-        k1.ratio,
-        a15.lpt_no_restriction.ratio
+        k1.ratio, a15.lpt_no_restriction.ratio
     );
     assert!((k1.ratio - a15.lpt_no_restriction.ratio).abs() < 0.15);
 
@@ -180,15 +138,14 @@ pub fn render() -> rds_core::Result<Artifact> {
         .iter()
         .find(|p| p.ratio < a2.lower_bound.ratio)
         .unwrap();
-    outln!(
+    writeln!(
         art,
         "α=2: 1 replica → {at1:.2}, 3 replicas → {at3:.2}; beats the \
          no-replication LB ({:.2}) with only {} replicas",
-        a2.lower_bound.ratio,
-        winning.replicas
+        a2.lower_bound.ratio, winning.replicas
     );
     assert!(at1 > 7.5 && at3 < 6.0 && winning.replicas < 50);
 
-    outln!(art, "\nCSV:\n{}", csv.finish());
+    writeln!(art, "\nCSV:\n{}", csv.finish());
     Ok(art)
 }

@@ -55,14 +55,14 @@ pub fn render() -> rds_core::Result<Artifact> {
             format!("{}", assignment.machine_of(task)),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     let real = Realization::exact(&inst);
     let out = sabo.run(&inst, unc, &real)?;
-    outln!(art, "executed schedule (Δ = {delta}):");
+    writeln!(art, "executed schedule (Δ = {delta}):");
     let schedule = Schedule::sequence(&out.assignment.tasks_per_machine(), &real);
-    outln!(art, "{}", rds_report::gantt::render(&schedule, 60));
-    outln!(
+    writeln!(art, "{}", rds_report::gantt::render(&schedule, 60));
+    writeln!(
         art,
         "C_max = {}   Mem_max = {}   (placement uses {} replicas total: no replication)",
         out.makespan,
@@ -88,6 +88,6 @@ pub fn render() -> rds_core::Result<Artifact> {
             format!("{}", out.mem_max),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
     Ok(art)
 }

@@ -37,16 +37,16 @@ pub fn render() -> rds_core::Result<Artifact> {
             placement.replicas(task).to_string(),
         ]);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     // Execute under a perturbed realization: the online LS phase reacts.
     let mut r = rng::rng(7);
     let real = RealizationModel::TwoPoint { p_inflate: 0.4 }.realize(&inst, unc, &mut r)?;
     let out = abo.run(&inst, unc, &real)?;
-    outln!(art, "executed schedule (Δ = {delta}):");
+    writeln!(art, "executed schedule (Δ = {delta}):");
     let schedule = Schedule::sequence(&out.assignment.tasks_per_machine(), &real);
-    outln!(art, "{}", rds_report::gantt::render(&schedule, 60));
-    outln!(art, "C_max = {}   Mem_max = {}", out.makespan, out.mem_max);
+    writeln!(art, "{}", rds_report::gantt::render(&schedule, 60));
+    writeln!(art, "C_max = {}   Mem_max = {}", out.makespan, out.mem_max);
 
     art.header("ABO vs SABO on the same perturbed realization");
     let sabo_out = Sabo::new(delta).run(&inst, unc, &real)?;
@@ -63,15 +63,12 @@ pub fn render() -> rds_core::Result<Artifact> {
         format!("{}", out.mem_max),
         out.placement.total_replicas().to_string(),
     ]);
-    outln!(art, "{}", cmp.to_markdown());
-    outln!(
+    writeln!(art, "{}", cmp.to_markdown());
+    writeln!(
         art,
         "ABO spends memory {} vs SABO's {} for online flexibility; \
          makespan on this realization: {} vs {}.",
-        out.mem_max,
-        sabo_out.mem_max,
-        out.makespan,
-        sabo_out.makespan
+        out.mem_max, sabo_out.mem_max, out.makespan, sabo_out.makespan
     );
     Ok(art)
 }

@@ -46,7 +46,7 @@ pub fn render() -> rds_core::Result<Artifact> {
                 fmt(impossibility_memory_for_makespan(s.makespan), 2),
             ]);
         }
-        outln!(art, "{}", t.to_markdown());
+        writeln!(art, "{}", t.to_markdown());
 
         // Clip extreme memory values so the plot stays readable.
         let clipped = |label: &str, glyph: char, pts: Vec<(f64, f64)>| {
@@ -82,7 +82,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         .series(sabo.clone())
         .series(abo.clone())
         .series(frontier.clone());
-        outln!(art, "{}", chart.render());
+        writeln!(art, "{}", chart.render());
 
         for (i, &d) in deltas.iter().enumerate() {
             csv.row_f64(
@@ -126,7 +126,7 @@ pub fn render() -> rds_core::Result<Artifact> {
             assert!(p.sabo[i].memory < p.abo[i].memory);
         }
     }
-    outln!(
+    writeln!(
         art,
         "α²ρ₁ ≥ 2 panels: ABO dominates makespan, SABO dominates memory ✓"
     );
@@ -134,14 +134,13 @@ pub fn render() -> rds_core::Result<Artifact> {
     let p2 = &panels[1];
     let sabo_best_mk = p2.sabo.iter().map(|q| q.makespan).fold(f64::MAX, f64::min);
     let abo_best_mk = p2.abo.iter().map(|q| q.makespan).fold(f64::MAX, f64::min);
-    outln!(
+    writeln!(
         art,
         "panel (α²=3, ρ=1): best reachable makespan guarantee — SABO {:.2}, ABO {:.2}",
-        sabo_best_mk,
-        abo_best_mk
+        sabo_best_mk, abo_best_mk
     );
     assert!(abo_best_mk < 3.0 && sabo_best_mk > 3.0);
 
-    outln!(art, "\nCSV:\n{}", csv.finish());
+    writeln!(art, "\nCSV:\n{}", csv.finish());
     Ok(art)
 }

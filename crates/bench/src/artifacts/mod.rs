@@ -10,17 +10,7 @@
 //! a paper number shows up as a diff of those files.
 
 use rds_core::Result;
-
-/// `println!` into an [`Artifact`]'s text.
-macro_rules! outln {
-    ($art:expr) => {
-        $art.text.push('\n')
-    };
-    ($art:expr, $($arg:tt)*) => {{
-        $art.text.push_str(&format!($($arg)*));
-        $art.text.push('\n');
-    }};
-}
+use rds_report::{Align, Summary};
 
 mod ablation_critical_fraction;
 mod ablation_group_policy;
@@ -50,9 +40,15 @@ pub struct Artifact {
 }
 
 impl Artifact {
+    /// Appends to the text. `write!` and `writeln!` call this, so a
+    /// render writes `writeln!(art, …)` where a binary would `println!`.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        std::fmt::Write::write_fmt(&mut self.text, args).expect("a String accepts any text");
+    }
+
     /// Standard section header, as [`crate::header`] prints it.
     fn header(&mut self, title: &str) {
-        outln!(self, "\n=== {title} ===\n");
+        writeln!(self, "\n=== {title} ===\n");
     }
 }
 
@@ -82,16 +78,13 @@ impl Entry {
 }
 
 /// Every artifact, in DESIGN §3 order.
+#[rustfmt::skip]
 pub const REGISTRY: &[Entry] = &[
     entry("T1", "table1_guarantees", table1_guarantees::render),
     entry("T2", "table2_memory", table2_memory::render),
     entry("F1", "fig1_adversary", fig1_adversary::render),
     entry("F2", "fig2_groups", fig2_groups::render),
-    entry(
-        "F3",
-        "fig3_ratio_replication",
-        fig3_ratio_replication::render,
-    ),
+    entry("F3", "fig3_ratio_replication", fig3_ratio_replication::render),
     entry("F4", "fig4_sabo_schedule", fig4_sabo_schedule::render),
     entry("F5", "fig5_abo_schedule", fig5_abo_schedule::render),
     entry("F6", "fig6_memory_makespan", fig6_memory_makespan::render),
@@ -101,16 +94,8 @@ pub const REGISTRY: &[Entry] = &[
     entry("E3", "robustness", robustness::render),
     entry("E4", "fault_tolerance", fault_tolerance::render),
     entry("A1", "ablation_group_policy", ablation_group_policy::render),
-    entry(
-        "A2",
-        "ablation_replication_shape",
-        ablation_replication_shape::render,
-    ),
-    entry(
-        "A3",
-        "ablation_critical_fraction",
-        ablation_critical_fraction::render,
-    ),
+    entry("A2", "ablation_replication_shape", ablation_replication_shape::render),
+    entry("A3", "ablation_critical_fraction", ablation_critical_fraction::render),
     entry("A4", "ablation_phase2_order", ablation_phase2_order::render),
 ];
 
@@ -118,13 +103,23 @@ const fn entry(id: &'static str, stem: &'static str, render: fn() -> Result<Arti
     Entry { id, stem, render }
 }
 
-/// Looks an entry up by its experiment id.
-pub fn find(id: &str) -> Option<&'static Entry> {
-    REGISTRY.iter().find(|e| e.id == id)
-}
-
 /// Worker threads for the sweeps: all cores. Results do not depend on
 /// the count, since `parallel_map` preserves order.
 fn threads() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
+/// Summary statistics of `xs`, pushed in order.
+fn summary(xs: impl IntoIterator<Item = f64>) -> Summary {
+    let mut s = Summary::new();
+    xs.into_iter().for_each(|x| s.push(x));
+    s
+}
+
+/// Column alignment for a table whose first column is a label and the
+/// other `numbers` are numbers.
+fn label_then_numbers(numbers: usize) -> Vec<Align> {
+    let mut align = vec![Align::Right; numbers + 1];
+    align[0] = Align::Left;
+    align
 }

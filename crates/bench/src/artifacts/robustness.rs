@@ -30,7 +30,7 @@ pub fn render() -> rds_core::Result<Artifact> {
     let placement = LptNoChoice.place(&inst, unc)?;
     let assignment = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
     let env = envelope::envelope(&inst, &assignment, unc);
-    outln!(
+    writeln!(
         art,
         "planned C̃_max = {}   envelope = [{}, {}]   relative width = {:.3}",
         env.planned,
@@ -43,7 +43,7 @@ pub fn render() -> rds_core::Result<Artifact> {
     for (i, c) in crit.iter().enumerate() {
         t.row(vec![format!("p{i}"), fmt(*c, 3)]);
     }
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     art.header("E3b — expected value of adaptivity vs α");
     let mut table = Table::new(vec![
@@ -84,12 +84,12 @@ pub fn render() -> rds_core::Result<Artifact> {
         pts_full.push((alpha, full.mean() * 100.0));
         pts_group.push((alpha, grouped.mean() * 100.0));
     }
-    outln!(art, "{}", table.to_markdown());
+    writeln!(art, "{}", table.to_markdown());
 
     let chart = Chart::new("expected value of adaptivity (%) vs α", 72, 14)?
         .series(Series::new("full replication", '*', pts_full.clone()))
         .series(Series::new("grouped k=2", 'o', pts_group));
-    outln!(art, "{}", chart.render());
+    writeln!(art, "{}", chart.render());
 
     // The paper's thesis, distributionally: adaptivity value grows with α.
     let first = pts_full.first().unwrap().1;
@@ -98,7 +98,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         last > first,
         "EVA should grow with α: {first:.2}% → {last:.2}%"
     );
-    outln!(
+    writeln!(
         art,
         "EVA grows with α ✓ ({first:.2}% at α=1 → {last:.2}% at α=3)"
     );

@@ -34,7 +34,7 @@ pub fn render() -> rds_core::Result<Artifact> {
         "LS-Group ratio (Th. 4)",
         "(kα²/(α²+k−1))(1 + (k−1)/m) + (m−k)/m",
     ]);
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     art.header("Table 1 evaluated at m = 210 (Figure 3 parameters)");
     let m = 210;
@@ -61,13 +61,13 @@ pub fn render() -> rds_core::Result<Artifact> {
             fmt(rb::ls_group(alpha, m, m), 4),
         ]);
     }
-    outln!(art, "{}", v.to_markdown());
+    writeln!(art, "{}", v.to_markdown());
 
     art.header("Sanity relations asserted");
     for &alpha in &[1.1, 1.5, 2.0] {
         assert!(rb::lower_bound_no_replication(alpha, m) <= rb::lpt_no_choice(alpha, m));
         assert!(rb::ls_group(alpha, m, 1) <= rb::ls_group(alpha, m, m));
-        outln!(
+        writeln!(
             art,
             "alpha = {alpha}: LB ≤ Th.2 ✓   LS-Group monotone in k ✓   \
              gap(Th.2 − Th.1) = {:.4}",

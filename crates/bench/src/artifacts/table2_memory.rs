@@ -26,14 +26,14 @@ pub fn render() -> rds_core::Result<Artifact> {
         "2 − 1/m + Δ·α²·ρ₁ (Th. 7)",
         "(1 + m/Δ)·ρ₂ (Th. 8)",
     ]);
-    outln!(art, "{}", t.to_markdown());
+    writeln!(art, "{}", t.to_markdown());
 
     art.header("Evaluated on the Figure 6 parameter grid (m = 5)");
     let m = 5usize;
     let grid: &[(f64, f64)] = &[(2.0, 4.0 / 3.0), (3.0, 1.0), (3.0, 4.0 / 3.0)];
     for &(alpha_sq, rho) in grid {
         let alpha = alpha_sq.sqrt();
-        outln!(art, "α² = {alpha_sq}, ρ₁ = ρ₂ = {rho:.3}:");
+        writeln!(art, "α² = {alpha_sq}, ρ₁ = ρ₂ = {rho:.3}:");
         let mut v = Table::new(vec![
             "delta",
             "SABO makespan",
@@ -51,8 +51,8 @@ pub fn render() -> rds_core::Result<Artifact> {
                 fmt(mb::abo_memory(delta, rho, m), 3),
             ]);
         }
-        outln!(art, "{}", v.to_markdown());
-        outln!(
+        writeln!(art, "{}", v.to_markdown());
+        writeln!(
             art,
             "ABO beats SABO on makespan for every Δ: {} (condition α²ρ₁ > 2 − 1/m)\n",
             mb::abo_beats_sabo_on_makespan(alpha, rho, m)
@@ -72,7 +72,7 @@ pub fn render() -> rds_core::Result<Artifact> {
             }
         }
     }
-    outln!(art, "SABO dominates on memory for all Δ ✓");
-    outln!(art, "ABO dominates on makespan whenever α²ρ₁ > 2 − 1/m ✓");
+    writeln!(art, "SABO dominates on memory for all Δ ✓");
+    writeln!(art, "ABO dominates on makespan whenever α²ρ₁ > 2 − 1/m ✓");
     Ok(art)
 }

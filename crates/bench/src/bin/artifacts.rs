@@ -9,51 +9,49 @@
 //!
 //! Exits 2 on an unknown id and 1 when a render or a write fails.
 
-use rds_bench::artifacts::{find, Entry, REGISTRY};
+use rds_bench::artifacts::{Entry, REGISTRY};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let ids: Vec<String> = std::env::args().skip(1).collect();
-    let mut selected: Vec<&Entry> = Vec::new();
-    for id in &ids {
-        match find(id) {
-            Some(entry) => selected.push(entry),
-            None => {
-                let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
-                eprintln!(
-                    "artifacts: unknown id `{id}`; known ids: {}",
-                    known.join(" ")
-                );
-                return ExitCode::from(2);
-            }
-        }
+    let mut selected = Vec::new();
+    for id in std::env::args().skip(1) {
+        let Some(entry) = REGISTRY.iter().find(|e| e.id == id) else {
+            let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+            eprintln!(
+                "artifacts: unknown id `{id}`; known ids: {}",
+                known.join(" ")
+            );
+            return ExitCode::from(2);
+        };
+        selected.push(entry);
     }
     if selected.is_empty() {
         selected = REGISTRY.iter().collect();
     }
-
-    let dir = Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("artifacts: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
+    match write(&selected) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("artifacts: {e}");
+            ExitCode::FAILURE
+        }
     }
-    for entry in selected {
-        let files = match entry.files() {
-            Ok(files) => files,
-            Err(e) => {
-                eprintln!("artifacts: {} failed: {e}", entry.id);
-                return ExitCode::FAILURE;
-            }
-        };
+}
+
+/// Renders `entries` and writes their files under `results/`.
+fn write(entries: &[&Entry]) -> Result<(), String> {
+    let dir = Path::new("results");
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    for entry in entries {
+        let files = entry
+            .files()
+            .map_err(|e| format!("{} failed: {e}", entry.id))?;
         for (name, contents) in files {
             let path = dir.join(name);
-            if let Err(e) = rds_report::write_atomic_str(&path, &contents) {
-                eprintln!("artifacts: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            rds_report::write_atomic_str(&path, &contents)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             println!("wrote {}", path.display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
