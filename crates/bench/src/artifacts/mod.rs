@@ -30,19 +30,18 @@ mod robustness;
 mod table1_guarantees;
 mod table2_memory;
 
-/// A rendered artifact.
+/// A rendered artifact: the report text, and its figures as
+/// `(file name under results/, contents)` pairs.
 #[derive(Debug, Default)]
 pub struct Artifact {
-    /// The report text.
-    pub text: String,
-    /// Figures as `(file name under results/, contents)` pairs.
-    pub files: Vec<(String, String)>,
+    text: String,
+    files: Vec<(String, String)>,
 }
 
 impl Artifact {
     /// Appends to the text. `write!` and `writeln!` call this, so a
     /// render writes `writeln!(art, …)` where a binary would `println!`.
-    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
         std::fmt::Write::write_fmt(&mut self.text, args).expect("a String accepts any text");
     }
 
@@ -59,8 +58,7 @@ pub struct Entry {
     pub id: &'static str,
     /// File stem of the report text: `results/<stem>.txt`.
     pub stem: &'static str,
-    /// Renders the artifact.
-    pub render: fn() -> Result<Artifact>,
+    render: fn() -> Result<Artifact>,
 }
 
 impl Entry {
