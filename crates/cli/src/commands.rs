@@ -1555,8 +1555,9 @@ fn serve_config(args: &Args) -> Result<rds_serve::ServeConfig, CmdError> {
             .into())
         }
     }
-    // Rates, burst shape and trace times all come from flags, so an
-    // arrival process outside its domain is a usage error.
+    // Rates and burst shape come from flags and trace times from the
+    // user's file, so an arrival process outside its domain is a usage
+    // error.
     cfg.process
         .validate()
         .map_err(|e| bad_spec("arrivals", e.to_string()))?;
