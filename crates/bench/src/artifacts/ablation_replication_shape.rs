@@ -7,6 +7,7 @@
 //! general replication policies" of the paper's future work.
 
 use super::{summary, threads, Artifact};
+use crate::measure_ratio;
 use rds_algs::{LsGroup, Strategy};
 use rds_core::{Instance, Uncertainty};
 use rds_exact::OptimalSolver;
@@ -15,27 +16,25 @@ use rds_policies::{ChainedReplication, RandomKReplication};
 use rds_report::{table::fmt, Align, Table};
 use rds_workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
-fn mean_ratio<S: Strategy + Sync>(
-    strategy: &S,
-    m: usize,
-    n: usize,
-    alpha: f64,
-    reps: usize,
-    seed: u64,
-) -> (f64, f64) {
-    let unc = Uncertainty::of(alpha);
+const M: usize = 12;
+const ALPHA: f64 = 2.0;
+/// Tasks per instance, and random realizations per cell.
+const N: usize = 60;
+const REPS: usize = 40;
+
+fn mean_ratio<S: Strategy + Sync>(strategy: &S, seed: u64) -> (f64, f64) {
+    let unc = Uncertainty::of(ALPHA);
     let solver = OptimalSolver::fast();
-    let ratios = parallel_map((0..reps).collect::<Vec<_>>(), threads(), |rep| {
+    let ratios = parallel_map((0..REPS).collect::<Vec<_>>(), threads(), |rep| {
         let mut r = rng::rng(rng::child_seed(seed, rep as u64));
-        let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
-        let inst = Instance::from_estimates(&est, m).expect("instance");
+        let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(N, &mut r);
+        let inst = Instance::from_estimates(&est, M).expect("instance");
         let real = RealizationModel::TwoPoint { p_inflate: 0.3 }
             .realize(&inst, unc, &mut r)
             .expect("realization");
-        let out = strategy.run(&inst, unc, &real).expect("strategy");
-        out.makespan
-            .ratio(solver.solve_realization(&real, m).lo)
-            .unwrap_or(1.0)
+        measure_ratio(strategy, &inst, unc, &real, &solver)
+            .expect("strategy")
+            .hi
     });
     let s = summary(ratios);
     (s.mean(), s.max())
@@ -44,7 +43,6 @@ fn mean_ratio<S: Strategy + Sync>(
 pub fn render() -> rds_core::Result<Artifact> {
     let mut art = Artifact::default();
     art.header("A2 — replica-set shape at matched budget k (m = 12, α = 2)");
-    let (m, alpha, n, reps) = (12usize, 2.0f64, 60, 40);
 
     let mut t = Table::new(vec![
         "k (replicas)",
@@ -56,25 +54,11 @@ pub fn render() -> rds_core::Result<Artifact> {
 
     for &k in &[2usize, 3, 4, 6] {
         // LS-Group with m/groups = k replicas needs groups = m/k.
-        let groups = m / k;
-        let (g_mean, g_max) =
-            mean_ratio(&LsGroup::new(groups), m, n, alpha, reps, 0x1000 + k as u64);
-        let (c_mean, c_max) = mean_ratio(
-            &ChainedReplication::new(k).expect("static k list"),
-            m,
-            n,
-            alpha,
-            reps,
-            0x2000 + k as u64,
-        );
-        let (r_mean, r_max) = mean_ratio(
-            &RandomKReplication::new(k, 0xDEAD + k as u64).expect("static k list"),
-            m,
-            n,
-            alpha,
-            reps,
-            0x3000 + k as u64,
-        );
+        let (g_mean, g_max) = mean_ratio(&LsGroup::new(M / k), 0x1000 + k as u64);
+        let chained = ChainedReplication::new(k).expect("static k list");
+        let (c_mean, c_max) = mean_ratio(&chained, 0x2000 + k as u64);
+        let random = RandomKReplication::new(k, 0xDEAD + k as u64).expect("static k list");
+        let (r_mean, r_max) = mean_ratio(&random, 0x3000 + k as u64);
         t.row(vec![
             k.to_string(),
             format!("{} / {}", fmt(g_mean, 3), fmt(g_max, 3)),

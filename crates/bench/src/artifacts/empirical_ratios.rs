@@ -7,6 +7,7 @@
 //! how much slack typical instances leave.
 
 use super::{label_then_numbers, summary, threads, Artifact};
+use crate::measure_ratio;
 use rds_adversary::worst_case;
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
 use rds_bounds::replication as rb;
@@ -58,16 +59,8 @@ fn run_strategy_case<S: Strategy + Sync>(
             let real = model
                 .realize(&inst, unc, &mut r)
                 .expect("valid realization");
-            let makespan = strategy
-                .run(&inst, unc, &real)
-                .expect("strategy runs")
-                .makespan;
-            // Certified sides: against the bracket's upper and lower end.
-            let opt = solver.solve_realization(&real, m);
-            (
-                makespan.ratio(opt.hi).unwrap_or(1.0),
-                makespan.ratio(opt.lo).unwrap_or(1.0),
-            )
+            let mr = measure_ratio(strategy, &inst, unc, &real, &solver).expect("strategy runs");
+            (mr.lo, mr.hi)
         },
     );
     let mean = summary(results.iter().map(|(lo, hi)| 0.5 * (lo + hi)));

@@ -21,8 +21,7 @@ pub fn render() -> rds_core::Result<Artifact> {
 
     let inst = theorem1::uniform_instance(lambda, m)?;
     let unc = Uncertainty::of(alpha);
-    let placement = LptNoChoice.place(&inst, unc)?;
-    let assignment = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
+    let assignment = LptNoChoice.run(&inst, unc, &Realization::exact(&inst))?.assignment;
     let attack = theorem1::attack(&inst, unc, &assignment)?;
 
     writeln!(
@@ -67,8 +66,7 @@ pub fn render() -> rds_core::Result<Artifact> {
     let mut pts_formula = Vec::new();
     for &l in &lambdas {
         let inst = theorem1::uniform_instance(l, m)?;
-        let placement = LptNoChoice.place(&inst, unc)?;
-        let a = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
+        let a = LptNoChoice.run(&inst, unc, &Realization::exact(&inst))?.assignment;
         let atk = theorem1::attack(&inst, unc, &a)?;
         let fin = theorem1::finite_lambda_bound(alpha, m, l);
         t.row(vec![

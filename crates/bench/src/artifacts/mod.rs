@@ -12,24 +12,6 @@
 use rds_core::Result;
 use rds_report::{Align, Summary};
 
-mod ablation_critical_fraction;
-mod ablation_group_policy;
-mod ablation_phase2_order;
-mod ablation_replication_shape;
-mod crossover;
-mod empirical_ratios;
-mod fault_tolerance;
-mod fig1_adversary;
-mod fig2_groups;
-mod fig3_empirical;
-mod fig3_ratio_replication;
-mod fig4_sabo_schedule;
-mod fig5_abo_schedule;
-mod fig6_memory_makespan;
-mod robustness;
-mod table1_guarantees;
-mod table2_memory;
-
 /// A rendered artifact: the report text, and its figures as
 /// `(file name under results/, contents)` pairs.
 #[derive(Debug, Default)]
@@ -75,30 +57,39 @@ impl Entry {
     }
 }
 
-/// Every artifact, in DESIGN §3 order.
-#[rustfmt::skip]
-pub const REGISTRY: &[Entry] = &[
-    entry("T1", "table1_guarantees", table1_guarantees::render),
-    entry("T2", "table2_memory", table2_memory::render),
-    entry("F1", "fig1_adversary", fig1_adversary::render),
-    entry("F2", "fig2_groups", fig2_groups::render),
-    entry("F3", "fig3_ratio_replication", fig3_ratio_replication::render),
-    entry("F4", "fig4_sabo_schedule", fig4_sabo_schedule::render),
-    entry("F5", "fig5_abo_schedule", fig5_abo_schedule::render),
-    entry("F6", "fig6_memory_makespan", fig6_memory_makespan::render),
-    entry("F3E", "fig3_empirical", fig3_empirical::render),
-    entry("E1", "empirical_ratios", empirical_ratios::render),
-    entry("E2", "crossover", crossover::render),
-    entry("E3", "robustness", robustness::render),
-    entry("E4", "fault_tolerance", fault_tolerance::render),
-    entry("A1", "ablation_group_policy", ablation_group_policy::render),
-    entry("A2", "ablation_replication_shape", ablation_replication_shape::render),
-    entry("A3", "ablation_critical_fraction", ablation_critical_fraction::render),
-    entry("A4", "ablation_phase2_order", ablation_phase2_order::render),
-];
+/// Declares each artifact's module, named after its `results/` stem,
+/// and lists it in [`REGISTRY`] under its DESIGN §3 id.
+macro_rules! registry {
+    ($($id:literal => $stem:ident,)*) => {
+        $(mod $stem;)*
 
-const fn entry(id: &'static str, stem: &'static str, render: fn() -> Result<Artifact>) -> Entry {
-    Entry { id, stem, render }
+        /// Every artifact, in DESIGN §3 order.
+        pub const REGISTRY: &[Entry] = &[$(Entry {
+            id: $id,
+            stem: stringify!($stem),
+            render: $stem::render,
+        }),*];
+    };
+}
+
+registry! {
+    "T1" => table1_guarantees,
+    "T2" => table2_memory,
+    "F1" => fig1_adversary,
+    "F2" => fig2_groups,
+    "F3" => fig3_ratio_replication,
+    "F4" => fig4_sabo_schedule,
+    "F5" => fig5_abo_schedule,
+    "F6" => fig6_memory_makespan,
+    "F3E" => fig3_empirical,
+    "E1" => empirical_ratios,
+    "E2" => crossover,
+    "E3" => robustness,
+    "E4" => fault_tolerance,
+    "A1" => ablation_group_policy,
+    "A2" => ablation_replication_shape,
+    "A3" => ablation_critical_fraction,
+    "A4" => ablation_phase2_order,
 }
 
 /// Worker threads for the sweeps: all cores. Results do not depend on

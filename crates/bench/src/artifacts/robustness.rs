@@ -27,8 +27,7 @@ pub fn render() -> rds_core::Result<Artifact> {
 
     art.header("E3a — static-schedule envelope and criticality (LPT-No Choice)");
     let unc = Uncertainty::of(2.0);
-    let placement = LptNoChoice.place(&inst, unc)?;
-    let assignment = LptNoChoice.execute(&inst, &placement, &Realization::exact(&inst))?;
+    let assignment = LptNoChoice.run(&inst, unc, &Realization::exact(&inst))?.assignment;
     let env = envelope::envelope(&inst, &assignment, unc);
     writeln!(
         art,
