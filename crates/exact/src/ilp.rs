@@ -624,10 +624,11 @@ impl PlacementModel {
             loads: vec![0.0; self.m],
             mems: vec![0.0; self.m],
             slack: if self.bounded_memory() {
-                self.budget * self.m as f64
+                self.m as f64 * self.budget * (1.0 + ILP_TOL)
             } else {
                 f64::INFINITY
             },
+            slack_tol: ILP_TOL * (self.m as f64 * self.budget).max(1.0),
             lb,
             exhausted: false,
         };
@@ -688,7 +689,8 @@ struct IlpSearch<'a> {
     current: Vec<usize>,
     loads: Vec<f64>,
     mems: Vec<f64>,
-    slack: f64, // total remaining memory capacity Σ_i (B − mem_i)
+    slack: f64,     // total remaining memory capacity Σ_i (B·(1 + ILP_TOL) − mem_i)
+    slack_tol: f64, // absolute float margin of the suffix cut
     lb: f64,
     exhausted: bool,
 }
@@ -733,9 +735,9 @@ impl IlpSearch<'_> {
                 continue;
             }
             // Suffix memory cut: the rest must still fit the remaining
-            // total capacity.
-            if bounded && self.rem_size[depth + 1] > self.slack - s + ILP_TOL * self.slack.max(1.0)
-            {
+            // total capacity (a fixed margin: one relative to the
+            // shrinking slack would cut feasible tails).
+            if bounded && self.rem_size[depth + 1] > self.slack - s + self.slack_tol {
                 continue;
             }
             self.loads[k] = new_load;
@@ -909,6 +911,30 @@ mod tests {
         let md = model(&[1.0], &[11.0], 2, 10.0);
         assert_eq!(md.solve(10).unwrap_err(), IlpError::Infeasible);
         assert_eq!(md.solve_rounding().unwrap_err(), IlpError::Infeasible);
+    }
+
+    #[test]
+    fn suffix_cut_keeps_packings_that_fill_the_tolerance() {
+        // {6, 6, 6} / {4, 4, 4, 1, 5} puts 18 on each machine, within
+        // B·(1 + ILP_TOL) of B = 18·(1 − 1e-10). A suffix cut against
+        // m·B, or with a margin that shrinks with the slack, prunes it.
+        let env = [
+            1.4609292806245175,
+            3.638794090332568,
+            3.6186228531870874,
+            7.196366334564255,
+            3.2598423256126337,
+            5.6177729879065454,
+            1.2499915183191295,
+            8.92963336778433,
+        ];
+        let sizes = [6., 4., 6., 6., 4., 4., 1., 5.];
+        let md = model(&env, &sizes, 2, 18.0 * (1.0 - 1e-10));
+        assert!(md.feasible(&[0, 1, 0, 0, 1, 1, 1, 1]));
+        let r = md.solve(10_000_000).expect("a feasible split exists");
+        assert!(r.proved);
+        let a: Vec<usize> = r.assignment.iter().map(|id| id.index()).collect();
+        assert!(md.feasible(&a));
     }
 
     #[test]
