@@ -21,8 +21,12 @@
 //! symmetry signatures, a suffix memory-feasibility cut, the root LP
 //! value as a global bound, and a node budget that makes the solver
 //! anytime — when the budget runs out the best incumbent (LP rounding or
-//! memory-aware greedy) is returned with `proved = false`.
+//! memory-aware greedy) is returned with `proved = false`. When no
+//! incumbent meets the budget, an exact bin-packing test on the sizes
+//! decides (for `n ≤ dp::MAX_TASKS`) whether any placement can, before
+//! the search spends its node budget proving that none does.
 
+use crate::dp;
 use crate::lp::{LpOutcome, LpProblem, Rel};
 use rds_core::{Instance, MachineId, Size, Time, Uncertainty};
 
@@ -548,14 +552,78 @@ impl PlacementModel {
         Ok(())
     }
 
+    /// Decides exactly whether the sizes pack into `m` machines of
+    /// capacity `B·(1 + ILP_TOL)`: the `O(n·2ⁿ)` bin-packing DP over task
+    /// subsets. Each subset keeps the lexicographically least (machines
+    /// opened, fill of the open machine) over all packing orders; a
+    /// state that would open more than `m` machines, or whose unplaced
+    /// sizes exceed the capacity it has left, is dropped. The sizes pack
+    /// iff the full set is reached.
+    ///
+    /// The capacity is widened by a relative 1e-12 and the volume cut by
+    /// `ILP_TOL·m·B`: the search and [`Self::feasible`] sum the same
+    /// sizes in other orders, and this margin keeps every float
+    /// difference on the permissive side, so a budget they accept is
+    /// never called infeasible. Callers run [`Self::check_fit`] first
+    /// and keep `n ≤ dp::MAX_TASKS`.
+    fn sizes_pack(&self) -> bool {
+        let (n, m) = (self.n(), self.m);
+        if n <= m {
+            return true; // one task per machine; each fits on its own
+        }
+        let cap = self.budget * (1.0 + ILP_TOL) * (1.0 + 1e-12);
+        let vol_slack = ILP_TOL * m as f64 * self.budget;
+        let total: f64 = self.sizes.iter().sum();
+        let full = (1usize << n) - 1;
+        // opened[set] == 0: not reached (or dropped); m < n ≤ 18 fits u8.
+        let mut opened = vec![0u8; full + 1];
+        let mut fill = vec![0.0f64; full + 1];
+        opened[0] = 1;
+        for set in 0..full {
+            let k = opened[set];
+            if k == 0 {
+                continue;
+            }
+            let f = fill[set];
+            let placed: f64 = (0..n)
+                .filter(|&j| set >> j & 1 == 1)
+                .map(|j| self.sizes[j])
+                .sum();
+            let left = (m - k as usize) as f64 * cap + (cap - f);
+            if total - placed > left + vol_slack {
+                continue;
+            }
+            for (j, &s) in self.sizes.iter().enumerate() {
+                if set >> j & 1 == 1 {
+                    continue;
+                }
+                let (k2, f2) = if f + s <= cap {
+                    (k, f + s)
+                } else if (k as usize) < m {
+                    (k + 1, s)
+                } else {
+                    continue;
+                };
+                let next = set | 1 << j;
+                let k0 = opened[next];
+                if k0 == 0 || k2 < k0 || (k2 == k0 && f2 < fill[next]) {
+                    opened[next] = k2;
+                    fill[next] = f2;
+                }
+            }
+        }
+        opened[full] != 0
+    }
+
     /// Solves the IP exactly by branch and bound (within `node_limit`
     /// search nodes); anytime — on budget exhaustion the best incumbent
     /// is returned with `proved = false` and `used_fallback = true`.
     ///
     /// # Errors
-    /// [`IlpError::Infeasible`] when the search *proves* no feasible
-    /// placement exists; [`IlpError::ResourceLimit`] when the budget ran
-    /// out with no incumbent at all.
+    /// [`IlpError::Infeasible`] when no placement can meet the budget,
+    /// proven by the packing test on the sizes or by an exhausted search;
+    /// [`IlpError::ResourceLimit`] when the budget ran out with no
+    /// incumbent at all.
     pub fn solve(&self, node_limit: u64) -> Result<IlpResult, IlpError> {
         let n = self.n();
         if n == 0 {
@@ -598,6 +666,11 @@ impl PlacementModel {
         }
         consider(self.greedy_lpt(), &mut best, &mut best_mk);
         consider(self.greedy_bfd(), &mut best, &mut best_mk);
+        // No incumbent fits: prove the budget infeasible exactly, rather
+        // than by exhausting the search tree.
+        if best.is_none() && n <= dp::MAX_TASKS && !self.sizes_pack() {
+            return Err(IlpError::Infeasible);
+        }
 
         // Short-circuit: incumbent already meets the lower bound.
         if let Some(a) = &best {
@@ -621,6 +694,7 @@ impl PlacementModel {
             best: best_mk * (1.0 + 1e-12) + 1e-300,
             best_assign: best.clone().unwrap_or_default(),
             current: vec![0usize; n],
+            tried: vec![(0.0, 0.0); n * self.m],
             loads: vec![0.0; self.m],
             mems: vec![0.0; self.m],
             slack: if self.bounded_memory() {
@@ -687,6 +761,7 @@ struct IlpSearch<'a> {
     best: f64,
     best_assign: Vec<usize>, // machine per task id (not per position)
     current: Vec<usize>,
+    tried: Vec<(f64, f64)>, // (load, mem) states tried, one m-slice per depth
     loads: Vec<f64>,
     mems: Vec<f64>,
     slack: f64,     // total remaining memory capacity Σ_i (B·(1 + ILP_TOL) − mem_i)
@@ -707,7 +782,7 @@ impl IlpSearch<'_> {
         }
         if depth == self.order.len() {
             self.best = cur_max;
-            self.best_assign = self.current.clone();
+            self.best_assign.clone_from(&self.current);
             return;
         }
         let j = self.order[depth];
@@ -715,18 +790,20 @@ impl IlpSearch<'_> {
         let s = self.model.sizes[j];
         let m = self.model.m;
         let bounded = self.model.bounded_memory();
-        let mut tried: Vec<(f64, f64)> = Vec::with_capacity(m);
+        let base = depth * m;
+        let mut ntried = 0;
         for k in 0..m {
             let (load, mem) = (self.loads[k], self.mems[k]);
             // Symmetry: machines with identical (load, memory) state are
             // interchangeable; try only the first.
-            if tried
+            if self.tried[base..base + ntried]
                 .iter()
                 .any(|&(l, q)| (l - load).abs() < 1e-15 && (q - mem).abs() < 1e-15)
             {
                 continue;
             }
-            tried.push((load, mem));
+            self.tried[base + ntried] = (load, mem);
+            ntried += 1;
             if bounded && !self.model.mem_slack(mem, s) {
                 continue;
             }
@@ -935,6 +1012,42 @@ mod tests {
         assert!(r.proved);
         let a: Vec<usize> = r.assignment.iter().map(|id| id.index()).collect();
         assert!(md.feasible(&a));
+    }
+
+    #[test]
+    fn packing_test_agrees_with_the_exact_memory_optimum() {
+        // The least Mem_max any placement reaches is P || C_max on the
+        // sizes: the packing test accepts a budget at that optimum and
+        // rejects one below it (when every task still fits on its own).
+        let mut seed = 7u64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((seed >> 33) % 700) as f64 / 100.0 + 1.0
+        };
+        for trial in 0..40 {
+            let n = 5 + trial % 7;
+            let m = 2 + trial % 4;
+            let sizes: Vec<f64> = (0..n).map(|_| next()).collect();
+            let times: Vec<Time> = sizes.iter().map(|&s| Time::of(s)).collect();
+            let opt = OptimalSolver::default().solve(&times, m);
+            assert_eq!(opt.certainty, Certainty::Exact);
+            let env = vec![1.0; n];
+            let at = model(&env, &sizes, m, opt.lo.get());
+            assert!(
+                at.sizes_pack(),
+                "trial {trial}: optimum {} rejected",
+                opt.lo
+            );
+            let below = model(&env, &sizes, m, opt.lo.get() * (1.0 - 1e-6));
+            if below.check_fit().is_ok() {
+                assert!(
+                    !below.sizes_pack(),
+                    "trial {trial}: below {} accepted",
+                    opt.lo
+                );
+                assert_eq!(below.solve(1).unwrap_err(), IlpError::Infeasible);
+            }
+        }
     }
 
     #[test]
