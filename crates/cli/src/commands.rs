@@ -1055,9 +1055,15 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         ]);
     }
     writeln!(out, "{}", t.to_markdown())?;
-    if !sweep.unsolved.is_empty() {
-        writeln!(out, "unsolved, kept off the frontier:")?;
-        for u in &sweep.unsolved {
+    for (kind, skipped) in [
+        ("infeasible", &sweep.infeasible),
+        ("unsolved", &sweep.unsolved),
+    ] {
+        if skipped.is_empty() {
+            continue;
+        }
+        writeln!(out, "{kind}, kept off the frontier:")?;
+        for u in skipped {
             writeln!(out, "  {}: {}", u.label, u.reason)?;
         }
         writeln!(out)?;
@@ -2621,27 +2627,26 @@ mod tests {
     }
 
     #[test]
-    fn frontier_lists_budget_limited_points_as_unsolved() {
-        // At the tightest budget of this instance the ILP runs out of
-        // nodes; the sweep must still finish.
+    fn frontier_lists_infeasible_budgets_off_the_frontier() {
+        // The tightest budget of this instance admits no placement. The
+        // ILP proves that before branching, so it is listed as
+        // infeasible, and nothing runs out of nodes.
         let out = run_to_string(&["frontier", "--m", "6", "--n", "18", "--seed", "42"]).unwrap();
+        assert!(!out.contains("unsolved"), "{out}");
         let (table, rest) = out
-            .split_once("unsolved, kept off the frontier:\n")
-            .expect("no unsolved list");
-        let unsolved: Vec<&str> = rest
+            .split_once("infeasible, kept off the frontier:\n")
+            .expect("no infeasible list");
+        let infeasible: Vec<&str> = rest
             .lines()
             .take_while(|l| !l.is_empty())
             .map(|l| l.trim().split_once(": ").expect("label: reason").0)
             .collect();
-        assert!(
-            rest.contains("ILP(k=1,B=15.127): resource limit reached: ILP node budget"),
-            "{out}"
-        );
         let frontier = out
             .lines()
             .find(|l| l.starts_with("pareto frontier:"))
             .expect("no frontier line");
-        for label in unsolved {
+        for label in ["ILP(k=1,B=15.127)", "ILP(k=2,B=15.127)"] {
+            assert!(infeasible.contains(&label), "{label} not listed:\n{out}");
             assert!(!table.contains(label), "{label} has a row:\n{out}");
             assert!(!frontier.contains(label), "{label} on the frontier:\n{out}");
         }

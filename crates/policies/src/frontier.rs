@@ -49,14 +49,15 @@ impl ParetoPoint {
     }
 }
 
-/// A configuration whose solver stopped at its resource limit (e.g. the
-/// ILP node budget) before producing a placement. It has no point on
-/// the plane, so it is kept off the frontier and reported beside it.
+/// A configuration that produced no placement: its budget admits none,
+/// or its solver stopped at a resource limit (e.g. the ILP node budget)
+/// first. It has no point on the plane, so it is kept off the frontier
+/// and reported beside it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct UnsolvedPoint {
+pub struct SkippedPoint {
     /// Display label (the strategy's `name()`).
     pub label: String,
-    /// The limit the solver hit, as its error displays it.
+    /// Why it has no placement, as the solver's error displays it.
     pub reason: String,
 }
 
@@ -65,8 +66,12 @@ pub struct UnsolvedPoint {
 pub struct ParetoSweep {
     /// One point per solved configuration, frontier marked.
     pub points: Vec<ParetoPoint>,
+    /// Configurations rejected as infeasible: for `ILP` a proof that no
+    /// placement meets the budget, for `LP-Round` only that its
+    /// heuristics found none.
+    pub infeasible: Vec<SkippedPoint>,
     /// Configurations whose solver hit its resource limit.
-    pub unsolved: Vec<UnsolvedPoint>,
+    pub unsolved: Vec<SkippedPoint>,
 }
 
 /// A linear grid of `steps ≥ 2` per-machine memory budgets from the
@@ -132,8 +137,8 @@ impl HeteroProfile {
 }
 
 /// Runs one strategy and records its point in `sweep`. An infeasible
-/// configuration (a budget below the partition minimum) is skipped and
-/// one whose solver hit its resource limit is recorded as unsolved,
+/// configuration (a budget below the partition minimum) is recorded as
+/// infeasible and one whose solver hit its resource limit as unsolved,
 /// rather than failing the sweep. A homogeneous profile takes the
 /// closed-form path (bit-identical to the historical sweep); a
 /// heterogeneous one executes the strategy's placement through the
@@ -157,15 +162,18 @@ fn run_point(
     };
     let (placement, makespan) = match planned {
         Ok(planned) => planned,
-        Err(Error::InvalidParameter { .. }) => return Ok(()),
-        Err(e @ Error::ResourceLimit { .. }) => {
-            sweep.unsolved.push(UnsolvedPoint {
+        Err(e) => {
+            let list = match e {
+                Error::InvalidParameter { .. } => &mut sweep.infeasible,
+                Error::ResourceLimit { .. } => &mut sweep.unsolved,
+                _ => return Err(e),
+            };
+            list.push(SkippedPoint {
                 label: strategy.name(),
                 reason: e.to_string(),
             });
             return Ok(());
         }
-        Err(e) => return Err(e),
     };
     let makespan = match makespan {
         Some(makespan) => makespan,
@@ -203,8 +211,9 @@ pub fn mark_frontier(points: &mut [ParetoPoint]) {
 /// extremes plus both group families for every divisor of `m`), then
 /// `IlpPlacement` and `LpRoundingPlacement` for every `k` in `ks` at
 /// every budget in `budgets`. All points run under the same
-/// `realization`; infeasible (budget, k) combinations are skipped, and
-/// those whose solver hits its resource limit are listed as unsolved.
+/// `realization`; infeasible (budget, k) combinations are listed as
+/// infeasible, and those whose solver hits its resource limit as
+/// unsolved.
 ///
 /// # Errors
 /// Propagates placement and execution errors other than infeasibility
@@ -382,6 +391,47 @@ mod tests {
         let via = pareto_sweep_hetero(&inst, unc, &real, &[1], &budgets, &HeteroProfile::default())
             .unwrap();
         assert_eq!(plain, via);
+    }
+
+    #[test]
+    fn budgetless_points_are_listed_apart_from_the_plane() {
+        // {3, 3} / {2, 2, 2} fills both machines to B = 6, but LP
+        // rounding, LPT and size-BFD all spread the 3s and strand a 2:
+        // with one search node the ILP has no placement to return.
+        let pairs = [(3.0, 3.0), (3.0, 3.0), (2.0, 2.0), (2.0, 2.0), (2.0, 2.0)];
+        let inst = Instance::from_estimates_and_sizes(&pairs, 2).unwrap();
+        let unc = Uncertainty::of(1.5);
+        let real = Realization::exact(&inst);
+        let profile = HeteroProfile::default();
+        let ilp = |b: f64| IlpPlacement::new(1).unwrap().with_budget(Size::of(b));
+        let mut sweep = ParetoSweep::default();
+
+        let starved = ilp(6.0).with_node_limit(1);
+        run_point(&starved, &inst, unc, &real, &profile, &mut sweep).unwrap();
+        assert!(sweep.points.is_empty() && sweep.infeasible.is_empty());
+        assert_eq!(
+            sweep.unsolved,
+            [SkippedPoint {
+                label: "ILP(k=1,B=6.000)".into(),
+                reason: "resource limit reached: ILP node budget".into(),
+            }]
+        );
+
+        // Below Σs/m no placement exists, whatever the node budget.
+        run_point(&ilp(5.5), &inst, unc, &real, &profile, &mut sweep).unwrap();
+        assert_eq!(
+            sweep.infeasible,
+            [SkippedPoint {
+                label: "ILP(k=1,B=5.500)".into(),
+                reason: "invalid parameter: memory budget admits no feasible placement".into(),
+            }]
+        );
+
+        // With its full node budget the starved point solves.
+        run_point(&ilp(6.0), &inst, unc, &real, &profile, &mut sweep).unwrap();
+        assert_eq!(sweep.points.len(), 1);
+        assert!(sweep.points[0].mem_max <= 6.0 + 1e-9, "{:?}", sweep.points);
+        assert_eq!((sweep.infeasible.len(), sweep.unsolved.len()), (1, 1));
     }
 
     #[test]

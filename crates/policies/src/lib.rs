@@ -50,7 +50,7 @@ pub use chained::ChainedReplication;
 pub use critical::CriticalTaskReplication;
 pub use frontier::{
     budget_grid, mark_frontier, pareto_sweep, pareto_sweep_hetero, HeteroProfile, ParetoPoint,
-    ParetoSweep, UnsolvedPoint,
+    ParetoSweep, SkippedPoint,
 };
 pub use random_k::RandomKReplication;
 pub use reliability::{dominance, engine_survival, frontier, placement_memory, FrontierPoint};
