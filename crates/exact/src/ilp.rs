@@ -585,18 +585,13 @@ impl PlacementModel {
                 continue;
             }
             let f = fill[set];
-            let placed: f64 = (0..n)
-                .filter(|&j| set >> j & 1 == 1)
-                .map(|j| self.sizes[j])
-                .sum();
+            let placed: f64 = bits(set).map(|j| self.sizes[j]).sum();
             let left = (m - k as usize) as f64 * cap + (cap - f);
             if total - placed > left + vol_slack {
                 continue;
             }
-            for (j, &s) in self.sizes.iter().enumerate() {
-                if set >> j & 1 == 1 {
-                    continue;
-                }
+            for j in bits(full & !set) {
+                let s = self.sizes[j];
                 let (k2, f2) = if f + s <= cap {
                     (k, f + s)
                 } else if (k as usize) < m {
@@ -750,6 +745,17 @@ impl PlacementModel {
             used_fallback,
         }
     }
+}
+
+/// The indices of the set bits of `set`, in increasing order.
+fn bits(mut set: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let j = set.trailing_zeros() as usize;
+            set &= set - 1;
+            j
+        })
+    })
 }
 
 struct IlpSearch<'a> {
