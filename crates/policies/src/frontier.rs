@@ -78,7 +78,7 @@ pub struct ParetoSweep {
 /// pigeonhole lower bound (`max(max_j s_j, Σ_j s_j / m)`, below which no
 /// placement can exist) up to the bound the size-driven greedy always
 /// meets (`Σ_j s_j / m + max_j s_j`). The low end may still be
-/// partition-infeasible; the sweep skips those points.
+/// partition-infeasible; the sweep lists those points as infeasible.
 pub fn budget_grid(instance: &Instance, steps: usize) -> Vec<f64> {
     let lo = memory::mem_max_lower_bound(instance).get();
     let hi = instance.total_size().get() / instance.m() as f64 + instance.max_size().get();
