@@ -394,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn budgetless_points_are_listed_apart_from_the_plane() {
+    fn points_without_a_placement_are_listed_off_the_plane() {
         // {3, 3} / {2, 2, 2} fills both machines to B = 6, but LP
         // rounding, LPT and size-BFD all spread the 3s and strand a 2:
         // with one search node the ILP has no placement to return.
