@@ -6,7 +6,9 @@
 //!   models (MULTIFIT upper side, dual-approximation lower side);
 //! - `OptimalSolver::fast()` on mid-sized sweeps and small instances;
 //! - n = 15…40 branch-and-bound instances under a small node budget, so
-//!   both proved optima and unproven MULTIFIT/B&B incumbents appear.
+//!   both proved optima and unproven MULTIFIT/B&B incumbents appear;
+//! - n ≤ 14 subset-DP instances (`dp ` labels), whose `lo` must also be
+//!   the bits `dp::optimal` itself returns.
 //!
 //! `OptimalSolver::lower_bound` must return the same `lo` bits: every
 //! bracket here stays open, and the exact routes are shared.
@@ -17,7 +19,7 @@
 //! change that was meant to be behavior-preserving.
 
 use rds_core::{Instance, Time, Uncertainty};
-use rds_exact::{Certainty, OptimalSolver};
+use rds_exact::{dp, Certainty, OptimalSolver};
 use rds_workloads::{rng, EstimateDistribution, RealizationModel};
 
 /// The realized times `rds sweep --m m --n n --seed seed --model model`
@@ -104,11 +106,70 @@ fn cases() -> Vec<(String, OptimalSolver, Vec<Time>, usize)> {
             }
         }
     }
+    out.extend(dp_cases());
+    out
+}
+
+/// The subset-DP route (`n ≤ dp_limit`): seeded reals and integers over
+/// a grid of `n` and `m` (few at n = 14, where the DP is slowest), the
+/// `fast()` profile at its limit, the Theorem-1 adversary shape (14 unit
+/// tasks on m = 7, the first `b` realized at α = 1.5 and the rest at
+/// 1/1.5), twelve equal tasks of 4/3 (inexact in binary, so part sums
+/// round), and `m ≥ n`. Every label starts with `dp `.
+fn dp_cases() -> Vec<(String, OptimalSolver, Vec<Time>, usize)> {
+    let mut out = Vec::new();
+    let grid = [6usize, 10, 12]
+        .iter()
+        .flat_map(|&n| [2usize, 3, 5, 7].map(|m| (n, m)))
+        .flat_map(|(n, m)| [false, true].map(|integral| (n, m, integral)))
+        .chain([(14, 2, false), (14, 5, true), (14, 7, false)]);
+    for (n, m, integral) in grid {
+        out.push((
+            format!("dp n={n} m={m} integral={integral}"),
+            OptimalSolver::default(),
+            small_times(n, 2000 + (n * 10 + m) as u64, integral),
+            m,
+        ));
+    }
+    for (m, integral) in [(4usize, false), (6, true)] {
+        out.push((
+            format!("dp fast n=12 m={m} integral={integral}"),
+            OptimalSolver::fast(),
+            small_times(12, 3000 + m as u64, integral),
+            m,
+        ));
+    }
+    let alpha = 1.5f64;
+    for b in [2usize, 7, 11] {
+        out.push((
+            format!("dp adversary n=14 m=7 b={b}"),
+            OptimalSolver::default(),
+            (0..14)
+                .map(|j| Time::of(if j < b { alpha } else { 1.0 / alpha }))
+                .collect(),
+            7,
+        ));
+    }
+    out.push((
+        "dp twelve 4/3 m=6".to_string(),
+        OptimalSolver::default(),
+        vec![Time::of(4.0 / 3.0); 12],
+        6,
+    ));
+    for (n, m, integral) in [(5usize, 5usize, false), (4, 9, true)] {
+        out.push((
+            format!("dp m>=n n={n} m={m} integral={integral}"),
+            OptimalSolver::default(),
+            small_times(n, 4000 + (n * 10 + m) as u64, integral),
+            m,
+        ));
+    }
     out
 }
 
 /// `(label, lo bits, hi bits, exact)` recorded before MULTIFIT's FFD
-/// passes moved to the tournament tree.
+/// passes moved to the tournament tree; the `dp ` entries were recorded
+/// with the unpruned `(m−1)·3ⁿ` subset DP.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, bool)] = &[
     ("sweep seed=3 uniform rep=0", 0x4057f7bea5cef930, 0x4057fa9108469bce, false),
@@ -200,6 +261,41 @@ const GOLDEN: &[(&str, u64, u64, bool)] = &[
     ("bnb n=40 m=5 integral=true", 0x405299999999999a, 0x4052c00000000000, false),
     ("bnb n=40 m=8 integral=false", 0x4049790bd18ddc3e, 0x4049a2fd10f8bbcd, false),
     ("bnb n=40 m=8 integral=true", 0x4048400000000000, 0x4048800000000000, false),
+    ("dp n=6 m=2 integral=false", 0x403951d2d0c9d6ac, 0x403951d2d0c9d6ac, true),
+    ("dp n=6 m=2 integral=true", 0x4037000000000000, 0x4037000000000000, true),
+    ("dp n=6 m=3 integral=false", 0x4032777a47f7081a, 0x4032777a47f7081a, true),
+    ("dp n=6 m=3 integral=true", 0x4032000000000000, 0x4032000000000000, true),
+    ("dp n=6 m=5 integral=false", 0x40327f114335c092, 0x40327f114335c092, true),
+    ("dp n=6 m=5 integral=true", 0x4031000000000000, 0x4031000000000000, true),
+    ("dp n=6 m=7 integral=false", 0x40337d88700ccbb5, 0x40337d88700ccbb5, true),
+    ("dp n=6 m=7 integral=true", 0x4033000000000000, 0x4033000000000000, true),
+    ("dp n=10 m=2 integral=false", 0x404c400c6612310a, 0x404c400c6612310a, true),
+    ("dp n=10 m=2 integral=true", 0x404b000000000000, 0x404b000000000000, true),
+    ("dp n=10 m=3 integral=false", 0x4042d4b83be3c6c7, 0x4042d4b83be3c6c7, true),
+    ("dp n=10 m=3 integral=true", 0x4042000000000000, 0x4042000000000000, true),
+    ("dp n=10 m=5 integral=false", 0x40319b14eff00eef, 0x40319b14eff00eef, true),
+    ("dp n=10 m=5 integral=true", 0x4031000000000000, 0x4031000000000000, true),
+    ("dp n=10 m=7 integral=false", 0x40325efbbfa4dcd6, 0x40325efbbfa4dcd6, true),
+    ("dp n=10 m=7 integral=true", 0x4032000000000000, 0x4032000000000000, true),
+    ("dp n=12 m=2 integral=false", 0x405342e1d01876c4, 0x405342e1d01876c4, true),
+    ("dp n=12 m=2 integral=true", 0x4052c00000000000, 0x4052c00000000000, true),
+    ("dp n=12 m=3 integral=false", 0x40466a14206722a4, 0x40466a14206722a4, true),
+    ("dp n=12 m=3 integral=true", 0x4045800000000000, 0x4045800000000000, true),
+    ("dp n=12 m=5 integral=false", 0x403b16c9067442dd, 0x403b16c9067442dd, true),
+    ("dp n=12 m=5 integral=true", 0x403a000000000000, 0x403a000000000000, true),
+    ("dp n=12 m=7 integral=false", 0x4031952da1a73ee1, 0x4031952da1a73ee1, true),
+    ("dp n=12 m=7 integral=true", 0x4030000000000000, 0x4030000000000000, true),
+    ("dp n=14 m=2 integral=false", 0x40501eef43634b95, 0x40501eef43634b95, true),
+    ("dp n=14 m=5 integral=true", 0x4033000000000000, 0x4033000000000000, true),
+    ("dp n=14 m=7 integral=false", 0x40327ed204b57aec, 0x40327ed204b57aec, true),
+    ("dp fast n=12 m=4 integral=false", 0x403d53973d0d4520, 0x403d53973d0d4520, true),
+    ("dp fast n=12 m=6 integral=true", 0x403c000000000000, 0x403c000000000000, true),
+    ("dp adversary n=14 m=7 b=2", 0x4000000000000000, 0x4000000000000000, true),
+    ("dp adversary n=14 m=7 b=7", 0x4001555555555555, 0x4001555555555555, true),
+    ("dp adversary n=14 m=7 b=11", 0x4008000000000000, 0x4008000000000000, true),
+    ("dp twelve 4/3 m=6", 0x4005555555555555, 0x4005555555555555, true),
+    ("dp m>=n n=5 m=5 integral=false", 0x402b66700571d801, 0x402b66700571d801, true),
+    ("dp m>=n n=4 m=9 integral=true", 0x4026000000000000, 0x4026000000000000, true),
 ];
 
 #[test]
@@ -231,6 +327,22 @@ fn lower_bound_returns_the_golden_lo_bits() {
         .zip(GOLDEN)
         .filter_map(|((label, solver, times, m), &(_, lo, _, _))| {
             let got = solver.lower_bound(times, *m).get().to_bits();
+            (got != lo).then(|| format!("{label}: want {lo:#018x}, got {got:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn dp_returns_the_golden_bits_on_its_route() {
+    let cases = cases();
+    assert_eq!(cases.len(), GOLDEN.len(), "case list changed");
+    let mismatches: Vec<String> = cases
+        .iter()
+        .zip(GOLDEN)
+        .filter(|((label, ..), _)| label.starts_with("dp "))
+        .filter_map(|((label, _, times, m), &(_, lo, _, _))| {
+            let got = dp::optimal(times, *m).unwrap().0.get().to_bits();
             (got != lo).then(|| format!("{label}: want {lo:#018x}, got {got:#018x}"))
         })
         .collect();
