@@ -1,15 +1,48 @@
-//! Exact optimal makespan by dynamic programming over task subsets.
+//! Exact optimal makespan by dynamic programming over task subsets,
+//! pruned by its own incumbent.
 //!
-//! `f_k(S)` = the best makespan achievable scheduling subset `S` on `k`
-//! machines; `f_k(S) = min_{T ⊆ S} max(Σ T, f_{k−1}(S − T))`. Complexity
-//! `O(3ⁿ · m)` time, `O(2ⁿ)` space — reserved for small `n` (≤ ~16).
+//! `sum[S]` is the float sum of the times in `S`, and every value the DP
+//! returns is one of these table entries. `f_k(S)`, the best makespan of
+//! `S` on `k` machines, follows the recurrence
+//!
+//! `f_1(S) = sum[S]`, `f_k(S) = min max(sum[T], f_{k−1}(S∖T))` over the
+//! parts `T ⊆ S` that hold the lowest task of `S`,
+//!
+//! where fixing the lowest task drops only relabelings of identical
+//! machines. Three prunings cut the `3ⁿ` subset pairs per level:
+//!
+//! - **Incumbent cap.** `ub` is the largest table load of an LPT
+//!   partition. A part above `ub` cannot be on an optimal partition, so
+//!   only parts with `sum[T] ≤ ub` are tried and `f_1(S)` is ∞ above it.
+//! - **Band.** On an optimal partition's path, level `k` holds `k` parts
+//!   and `m − k` parts are already placed, each at most `ub`. So `f_k(S)`
+//!   is computed only where `sum[S] ≤ k·ub·(1 + 1e-12)` and
+//!   `sum[full∖S] ≤ (m − k)·ub·(1 + 1e-12)`, and is ∞ elsewhere. The
+//!   slack is required: a union's table sum can exceed the sum of its
+//!   parts' table sums by up to about `n·2⁻⁵³` relative, and without the
+//!   slack twelve tasks of 4/3 on six machines lose their optimal path.
+//! - **Top level.** `f_m` is evaluated at the full set only.
+//!
+//! The result is the bit pattern the unpruned recurrence returns: `min`
+//! and `max` only select among table entries, so no rounding enters
+//! beyond the table, and every pruned state lies off every optimal path
+//! (`ub` is attained by a real partition, so the optimum is at most
+//! `ub`). Worst case `O(m·3ⁿ)` time and `O(m·2ⁿ)` space, reserved for
+//! small `n`.
 
 use rds_core::{Error, MachineId, Result, Time};
 
 /// Hard cap on `n` for the DP (3ⁿ work).
 pub const MAX_TASKS: usize = 18;
 
+/// Relative slack on the band's capacity bounds; far above the rounding
+/// gap between a union's table sum and its parts' (`n ≤ MAX_TASKS`).
+const BAND_SLACK: f64 = 1e-12;
+
 /// Exact optimal makespan and an optimal assignment.
+///
+/// The makespan is the largest table load of the assignment, where a
+/// machine's table load sums its tasks from the highest index down.
 ///
 /// # Errors
 /// Returns [`Error::ResourceLimit`] when `n > MAX_TASKS`.
@@ -29,61 +62,123 @@ pub fn optimal(times: &[Time], m: usize) -> Result<(Time, Vec<MachineId>)> {
     }
     // More machines than tasks never helps beyond n machines.
     let m_eff = m.min(n);
-    let full: usize = (1usize << n) - 1;
+    let size = 1usize << n;
+    let full = size - 1;
 
     // Subset sums.
-    let mut sum = vec![0.0f64; 1 << n];
+    let mut sum = vec![0.0f64; size];
     for s in 1..=full {
         let low = s.trailing_zeros() as usize;
         sum[s] = sum[s & (s - 1)] + times[low].get();
     }
 
-    // f[s] for the current machine count; choice[k][s] = subset given to
-    // machine k when solving s with k+1 machines.
-    let mut f: Vec<f64> = sum.clone(); // one machine: makespan = subset sum
-    let mut choice: Vec<Vec<usize>> = vec![vec![0; 1 << n]; m_eff];
-    for (s, c) in choice[0].iter_mut().enumerate() {
-        *c = s; // with one machine, the machine takes everything
+    // Incumbent: LPT on table loads, ties to the lower index and the
+    // first least-loaded machine.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| times[b].cmp(&times[a]));
+    let mut parts = vec![0usize; m_eff];
+    for &j in &order {
+        let k = (0..m_eff)
+            .min_by(|&a, &b| sum[parts[a]].total_cmp(&sum[parts[b]]))
+            .expect("m_eff >= 1");
+        parts[k] |= 1 << j;
     }
-    for choice_k in choice.iter_mut().take(m_eff).skip(1) {
-        let mut g = vec![f64::INFINITY; 1 << n];
-        g[0] = 0.0;
-        for s in 1..=full {
-            // Iterate over non-empty subsets t of s (the last machine's
-            // share); allow empty t implicitly via t = 0 case below.
-            let mut best = f[s]; // t = ∅ → last machine idle
-            let mut best_t = 0usize;
-            let mut t = s;
-            while t > 0 {
-                let cand = sum[t].max(f[s & !t]);
-                if cand < best {
-                    best = cand;
-                    best_t = t;
-                }
-                t = (t - 1) & s;
-            }
-            g[s] = best;
-            choice_k[s] = best_t;
-        }
-        f = g;
+    let ub = parts.iter().map(|&p| sum[p]).fold(0.0, f64::max);
+    // Every part's table sum is at least its longest time (adding
+    // non-negative floats never decreases a sum), so `ub` at or below the
+    // longest time is optimal.
+    let longest = times.iter().map(|t| t.get()).fold(0.0, f64::max);
+    if m_eff == 1 || ub <= longest {
+        return Ok((finite(ub), assign(n, &parts)));
     }
 
-    // Reconstruct.
-    let mut assignment = vec![MachineId::new(0); n];
+    // f[(k−1)·size + s] = f_k(s) for k = 1..m_eff−1.
+    let mut f = vec![f64::INFINITY; (m_eff - 1) * size];
+    let cap = ub * (1.0 + BAND_SLACK);
+    for k in 1..m_eff {
+        let (lower, upper) = f.split_at_mut((k - 1) * size);
+        let prev = &lower[lower.len().saturating_sub(size)..];
+        let cur = &mut upper[..size];
+        let (inside, placed) = (k as f64 * cap, (m_eff - k) as f64 * cap);
+        cur[0] = 0.0;
+        for s in 1..=full {
+            if sum[s] > inside || sum[full ^ s] > placed {
+                continue;
+            }
+            cur[s] = if k == 1 {
+                if sum[s] <= ub {
+                    sum[s]
+                } else {
+                    f64::INFINITY
+                }
+            } else {
+                best_split(s, &sum, prev, ub).0
+            };
+        }
+    }
+
+    // Top level at the full set, then the same split search down the
+    // stored levels rebuilds an optimal partition.
+    let level = |k: usize| &f[(k - 1) * size..k * size];
+    let (best, mut t) = best_split(full, &sum, level(m_eff - 1), ub);
     let mut s = full;
-    for k in (0..m_eff).rev() {
-        let t = choice[k][s];
-        let mut bits = t;
+    for k in (1..m_eff).rev() {
+        parts[k] = t;
+        s ^= t;
+        t = if k == 1 {
+            s
+        } else {
+            best_split(s, &sum, level(k - 1), ub).1
+        };
+    }
+    parts[0] = t;
+    Ok((finite(best), assign(n, &parts)))
+}
+
+/// The best split of `s` at some level `k ≥ 2`, given `prev` = `f_{k−1}`:
+/// `(min max(sum[T], prev[s∖T]), T)` over the parts `T ⊆ s` that hold
+/// the lowest task of `s` and have `sum[T] ≤ ub`. The value is ∞ when no
+/// such part leads to a finite state, and `(0, 0)` for the empty set.
+fn best_split(s: usize, sum: &[f64], prev: &[f64], ub: f64) -> (f64, usize) {
+    if s == 0 {
+        return (0.0, 0);
+    }
+    let low = s & s.wrapping_neg();
+    let rest = s ^ low;
+    let (mut best, mut best_t) = (f64::INFINITY, 0usize);
+    let mut u = rest;
+    loop {
+        let t = u | low;
+        if sum[t] <= ub {
+            let cand = sum[t].max(prev[s ^ t]);
+            if cand < best {
+                best = cand;
+                best_t = t;
+            }
+        }
+        if u == 0 {
+            break;
+        }
+        u = (u - 1) & rest;
+    }
+    (best, best_t)
+}
+
+/// Machine `k` runs the tasks in `parts[k]`.
+fn assign(n: usize, parts: &[usize]) -> Vec<MachineId> {
+    let mut assignment = vec![MachineId::new(0); n];
+    for (k, &part) in parts.iter().enumerate() {
+        let mut bits = part;
         while bits > 0 {
-            let j = bits.trailing_zeros() as usize;
-            assignment[j] = MachineId::new(k);
+            assignment[bits.trailing_zeros() as usize] = MachineId::new(k);
             bits &= bits - 1;
         }
-        s &= !t;
     }
-    debug_assert_eq!(s, 0, "all tasks assigned");
-    let makespan = Time::new(f[full]).expect("finite makespan");
-    Ok((makespan, assignment))
+    assignment
+}
+
+fn finite(makespan: f64) -> Time {
+    Time::new(makespan).expect("finite makespan")
 }
 
 #[cfg(test)]
