@@ -30,9 +30,11 @@ pub enum ArgError {
     },
     /// A spec (`--model`, `--speeds`, `--topology`, or `rds serve`'s
     /// arrival process and `--trace-file`) that breaks its grammar or
-    /// names a parameter outside its domain.
+    /// names a parameter outside its domain; also an `rds serve`
+    /// configuration its flags put outside its domain.
     BadSpec {
-        /// The option name.
+        /// The option name, or `serve` for a configuration check that
+        /// spans several flags.
         key: String,
         /// The message shown to the user: it names the grammar or the
         /// violated domain.

@@ -1591,6 +1591,10 @@ fn serve_config(args: &Args) -> Result<rds_serve::ServeConfig, CmdError> {
     cfg.max_attempts = args.get_or("attempts", cfg.max_attempts)?;
     cfg.fsync_every = args.get_or("fsync-every", cfg.fsync_every)?;
     cfg.seed = args.get_or("seed", cfg.seed)?;
+    // Every field now comes from a flag or its default, so a
+    // configuration outside its domain is a usage error too.
+    cfg.validate()
+        .map_err(|e| bad_spec("serve", e.to_string()))?;
     Ok(cfg)
 }
 
@@ -2359,6 +2363,62 @@ mod tests {
         assert!(err
             .to_string()
             .starts_with(&format!("cannot read --trace-file {missing}: ")));
+    }
+
+    #[test]
+    fn serve_configuration_errors_are_usage_errors_with_their_messages() {
+        let cases: [(&[&str], &str); 10] = [
+            (
+                &["--queue-cap", "0"],
+                "invalid parameter: queue_cap must be >= 1",
+            ),
+            (
+                &["--alpha", "0.5"],
+                "uncertainty factor alpha = 0.5 must be >= 1",
+            ),
+            (
+                &["--attempts", "0"],
+                "invalid parameter: max_attempts must be >= 1",
+            ),
+            (
+                &["--fail-rate", "1"],
+                "invalid parameter: fail_rate must be in [0, 1)",
+            ),
+            (
+                &["--fsync-every", "0"],
+                "invalid parameter: fsync_every must be >= 1",
+            ),
+            (
+                &["--deadline-factor", "0"],
+                "invalid parameter: deadline_factor must be finite and > 0",
+            ),
+            (
+                &["--degrade-lo", "40", "--degrade-hi", "30"],
+                "invalid parameter: watermarks must satisfy degrade_lo <= degrade_hi <= shed_hi",
+            ),
+            (
+                &["--shed-lo", "800"],
+                "invalid parameter: watermarks must satisfy shed_lo <= shed_hi <= queue_cap",
+            ),
+            (
+                &["--kd", "0"],
+                "invalid parameter: degraded_replication must satisfy 1 <= degraded <= replication",
+            ),
+            (
+                &["--k", "3"],
+                "invalid group count k = 3 for m = 2 machines",
+            ),
+        ];
+        for (extra, message) in cases {
+            let mut argv = vec!["serve", "--m", "2"];
+            argv.extend_from_slice(extra);
+            let err = usage_error(&argv);
+            assert!(
+                matches!(&err, ArgError::BadSpec { key, .. } if key == "serve"),
+                "{argv:?}: {err:?}"
+            );
+            assert_eq!(err.to_string(), message, "{argv:?}");
+        }
     }
 
     #[test]
