@@ -14,6 +14,8 @@
 //! - **Incumbent cap.** `ub` is the largest table load of an LPT
 //!   partition. A part above `ub` cannot be on an optimal partition, so
 //!   only parts with `sum[T] ≤ ub` are tried and `f_1(S)` is ∞ above it.
+//!   Parts are grown task by task, so those above the cap are never
+//!   enumerated.
 //! - **Band.** On an optimal partition's path, level `k` holds `k` parts
 //!   and `m − k` parts are already placed, each at most `ub`. So `f_k(S)`
 //!   is computed only where `sum[S] ≤ k·ub·(1 + 1e-12)` and
@@ -25,10 +27,10 @@
 //!
 //! The result is the bit pattern the unpruned recurrence returns: `min`
 //! and `max` only select among table entries, so no rounding enters
-//! beyond the table, and every pruned state lies off every optimal path
-//! (`ub` is attained by a real partition, so the optimum is at most
-//! `ub`). Worst case `O(m·3ⁿ)` time and `O(m·2ⁿ)` space, reserved for
-//! small `n`.
+//! beyond the table, and each pruning keeps at least one optimal
+//! partition's path whole (`ub` is attained by a real partition, so the
+//! optimum is at most `ub`). Worst case `O(m·3ⁿ)` time and `O(m·2ⁿ)`
+//! space, reserved for small `n`.
 
 use rds_core::{Error, MachineId, Result, Time};
 
@@ -97,6 +99,7 @@ pub fn optimal(times: &[Time], m: usize) -> Result<(Time, Vec<MachineId>)> {
     let cap = ub * (1.0 + BAND_SLACK);
     for k in 1..m_eff {
         let (lower, upper) = f.split_at_mut((k - 1) * size);
+        // The level below; empty for k = 1.
         let prev = &lower[lower.len().saturating_sub(size)..];
         let cur = &mut upper[..size];
         let (inside, placed) = (k as f64 * cap, (m_eff - k) as f64 * cap);
@@ -139,27 +142,44 @@ pub fn optimal(times: &[Time], m: usize) -> Result<(Time, Vec<MachineId>)> {
 /// `(min max(sum[T], prev[s∖T]), T)` over the parts `T ⊆ s` that hold
 /// the lowest task of `s` and have `sum[T] ≤ ub`. The value is ∞ when no
 /// such part leads to a finite state, and `(0, 0)` for the empty set.
+///
+/// Parts grow from the lowest task by adding tasks of `s` in increasing
+/// index order, depth first. A part above `ub`, or not below the best
+/// value so far, is not grown: IEEE addition is monotone in each
+/// operand, so adding a non-negative time never lowers a table sum, and
+/// no superset could qualify or improve.
 fn best_split(s: usize, sum: &[f64], prev: &[f64], ub: f64) -> (f64, usize) {
     if s == 0 {
         return (0.0, 0);
     }
     let low = s & s.wrapping_neg();
-    let rest = s ^ low;
-    let (mut best, mut best_t) = (f64::INFINITY, 0usize);
-    let mut u = rest;
+    // `sum[low] ≤ ub`: the incumbent's part holding `low` sums at least that.
+    let (mut best, mut best_t) = (sum[low].max(prev[s ^ low]), low);
+    // `stack[d]`: a part and the tasks of `s` above its highest one.
+    let mut stack = [(0usize, 0usize); MAX_TASKS];
+    stack[0] = (low, s ^ low);
+    let mut depth = 0;
     loop {
-        let t = u | low;
-        if sum[t] <= ub {
-            let cand = sum[t].max(prev[s ^ t]);
+        let (t, above) = stack[depth];
+        if above == 0 {
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+            continue;
+        }
+        let next = above & above.wrapping_neg();
+        stack[depth].1 = above ^ next;
+        let grown = t | next;
+        if sum[grown] <= ub && sum[grown] < best {
+            let cand = sum[grown].max(prev[s ^ grown]);
             if cand < best {
                 best = cand;
-                best_t = t;
+                best_t = grown;
             }
+            depth += 1;
+            stack[depth] = (grown, above ^ next);
         }
-        if u == 0 {
-            break;
-        }
-        u = (u - 1) & rest;
     }
     (best, best_t)
 }
