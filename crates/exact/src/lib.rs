@@ -5,7 +5,8 @@
 //! or brackets it:
 //!
 //! - [`lower_bounds`]: pigeonhole bounds valid for every schedule;
-//! - [`dp`]: exact subset dynamic programming (`n ≤ 18`);
+//! - [`dp`]: exact subset dynamic programming (`n ≤ 18`), pruned by its
+//!   own LPT incumbent;
 //! - [`branch_bound`]: exact anytime branch-and-bound with LPT/MULTIFIT
 //!   incumbents and symmetry pruning;
 //! - [`bin_packing`]: First Fit Decreasing and MULTIFIT;

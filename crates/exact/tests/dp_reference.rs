@@ -173,12 +173,13 @@ proptest! {
 fn known_tight_inputs_match() {
     let ts = |v: &[f64]| v.iter().map(|&x| Time::of(x)).collect::<Vec<_>>();
     let cases = [
-        // Equal parts: the sum of four 4/3 exceeds twice the sum of two
-        // by a rounding step, so the band needs its slack.
+        // Equal parts: ten 4/3 sum to one step above five times the sum
+        // of two, so the band needs its slack.
         (ts(&[4.0 / 3.0; 12]), 6),
         // LPT is optimal, so the best parts tie with the incumbent.
-        (ts(&[3.0, 3.0, 2.0, 2.0, 2.0]), 2),
         (ts(&[1.0; 7]), 3),
+        // LPT is not (7 against 6).
+        (ts(&[3.0, 3.0, 2.0, 2.0, 2.0]), 2),
         // The Theorem-1 adversary shape at α = 1.5.
         (
             (0..10)
