@@ -1105,7 +1105,10 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// `rds resilience`; per-trial ratios are stored as
 /// makespan/baseline pairs, so aggregates survive a crash bit-for-bit.
 pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use rds_par::{supervise, Supervised, TrialRecord, TrialStatus};
+    use rds_par::{supervise, Supervised, TrialRecord};
+    use rds_policies::{
+        quarantine_record, record_from_measurement, CampaignReport, TrialMeasurement,
+    };
     use std::collections::HashSet;
 
     let m: usize = args.require("m")?;
@@ -1218,40 +1221,27 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
                     Ok(res.makespan.get())
                 });
                 let record = match outcome {
-                    Supervised::Done { value, attempts } => TrialRecord {
-                        policy: policy.name.clone(),
-                        trial: rep_idx,
-                        seed: trial_seed,
-                        attempts,
-                        status: TrialStatus::Completed,
-                        survival: 1.0,
-                        restarts: 0.0,
-                        rejoins: 0.0,
-                        spec_started: 0.0,
-                        spec_wins: 0.0,
-                        cancelled: 0.0,
-                        wasted: 0.0,
-                        makespan: value,
-                        baseline: Some(opt_lo),
-                        error: None,
-                    },
-                    Supervised::Quarantined { attempts, error } => TrialRecord {
-                        policy: policy.name.clone(),
-                        trial: rep_idx,
-                        seed: trial_seed,
-                        attempts,
-                        status: TrialStatus::Quarantined,
-                        survival: 0.0,
-                        restarts: 0.0,
-                        rejoins: 0.0,
-                        spec_started: 0.0,
-                        spec_wins: 0.0,
-                        cancelled: 0.0,
-                        wasted: 0.0,
-                        makespan: 0.0,
-                        baseline: None,
-                        error: Some(error.to_string()),
-                    },
+                    Supervised::Done { value, attempts } => {
+                        // A fault-free run: everything survives, and the
+                        // ratio's denominator rides in the baseline.
+                        let measured = TrialMeasurement {
+                            completed: true,
+                            survival: 1.0,
+                            makespan: value,
+                            baseline: opt_lo,
+                            ..Default::default()
+                        };
+                        record_from_measurement(
+                            &policy.name,
+                            rep_idx,
+                            trial_seed,
+                            attempts,
+                            &measured,
+                        )
+                    }
+                    Supervised::Quarantined { attempts, error } => {
+                        quarantine_record(&policy.name, rep_idx, trial_seed, attempts, &error)
+                    }
                 };
                 if let Some(j) = journal.as_mut() {
                     j.append(&record)?;
@@ -1267,8 +1257,6 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         g.counter("campaign.skipped").add(skipped as u64);
     }
 
-    // Aggregate per policy in (suite order, rep order); the journaled
-    // makespan/baseline pairs reproduce the ratios bit-for-bit.
     writeln!(
         out,
         "competitive-ratio sweep: n = {n}, m = {m}, alpha = {alpha}, \
@@ -1297,52 +1285,17 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         Align::Right,
         Align::Right,
     ]);
-    let mut quarantined = Vec::new();
-    for policy in &suite {
-        let mut mine: Vec<&TrialRecord> = records
-            .iter()
-            .filter(|rec| rec.policy == policy.name)
-            .collect();
-        mine.sort_by_key(|rec| rec.trial);
-        let measurements: Vec<rds_policies::TrialMeasurement> = mine
-            .iter()
-            .filter(|rec| rec.status.usable())
-            .map(|rec| rds_policies::TrialMeasurement {
-                completed: true,
-                survival: rec.survival,
-                restarts: rec.restarts,
-                rejoins: rec.rejoins,
-                spec_started: rec.spec_started,
-                spec_wins: rec.spec_wins,
-                cancelled: rec.cancelled,
-                wasted: rec.wasted,
-                makespan: rec.makespan,
-                baseline: rec.baseline.unwrap_or(0.0),
-            })
-            .collect();
-        quarantined.extend(
-            mine.iter()
-                .filter(|rec| rec.status == TrialStatus::Quarantined)
-                .map(|rec| rds_policies::QuarantinedTrial {
-                    policy: rec.policy.clone(),
-                    trial: rec.trial,
-                    seed: rec.seed,
-                    attempts: rec.attempts,
-                    error: rec.error.clone().unwrap_or_default(),
-                }),
-        );
-        let row = rds_policies::aggregate_row(
-            &policy.name,
-            policy.placement.max_replicas(),
-            &measurements,
-        );
-        let degr = |v: f64| {
-            if v.is_nan() {
-                "-".to_string()
-            } else {
-                fmt(v, 4)
-            }
-        };
+    // Aggregate per policy in (suite order, rep order); the journaled
+    // makespan/baseline pairs reproduce the ratios bit-for-bit.
+    let report = CampaignReport::from_records(&suite, &records, executed, skipped);
+    let degr = |v: f64| {
+        if v.is_nan() {
+            "-".to_string()
+        } else {
+            fmt(v, 4)
+        }
+    };
+    for row in &report.rows {
         t.row(vec![
             row.name.clone(),
             row.replicas.to_string(),
@@ -1352,12 +1305,6 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         ]);
     }
     writeln!(out, "{}", t.to_markdown())?;
-    let report = rds_policies::CampaignReport {
-        rows: Vec::new(),
-        quarantined,
-        executed,
-        skipped,
-    };
     report_campaign_health(&report, config.journal.as_deref(), out)?;
     Ok(())
 }
@@ -1474,29 +1421,16 @@ pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
         }
         writeln!(out, "{}", t.to_markdown())?;
     }
-    if report.survival_violations > 0 {
-        writeln!(
-            out,
-            "survival arm: {} violation(s); reproduce with --seed {} \
-             (survival specs are fully seeded and never shrunk)",
-            report.survival_violations, config.seed
-        )?;
-    }
-    if report.ilp_violations > 0 {
-        writeln!(
-            out,
-            "ilp arm: {} violation(s); reproduce with --seed {} \
-             (ilp specs are fully seeded and never shrunk)",
-            report.ilp_violations, config.seed
-        )?;
-    }
-    if report.hetero_violations > 0 {
-        writeln!(
-            out,
-            "hetero arm: {} violation(s); reproduce with --seed {} \
-             (hetero specs are fully seeded and never shrunk)",
-            report.hetero_violations, config.seed
-        )?;
+    for (arm, &n) in rds_conformance::Arm::ALL.iter().zip(&report.arm_violations) {
+        if n > 0 {
+            let arm = arm.as_str();
+            writeln!(
+                out,
+                "{arm} arm: {n} violation(s); reproduce with --seed {} \
+                 ({arm} specs are fully seeded and never shrunk)",
+                config.seed
+            )?;
+        }
     }
     for path in &report.artifacts {
         writeln!(out, "counterexample written to {}", path.display())?;

@@ -27,6 +27,7 @@
 //! movement is free). Parity against the truth-charging reference
 //! catches both.
 
+use crate::arm::{ArmReport, Violation};
 use crate::registry::Mutation;
 use rand::Rng;
 use rds_algs::{speed_lower_bound, SpeedRobustBags, Strategy};
@@ -128,28 +129,6 @@ impl HeteroCheck {
             HeteroCheck::Determinism => "determinism",
         }
     }
-}
-
-/// One breached hetero invariant.
-#[derive(Debug, Clone)]
-pub struct HeteroViolation {
-    /// Which invariant broke.
-    pub check: HeteroCheck,
-    /// The observed value (makespan, …).
-    pub observed: f64,
-    /// The value it had to match or respect.
-    pub limit: f64,
-    /// Human-readable context.
-    pub detail: String,
-}
-
-/// The outcome of one hetero case.
-#[derive(Debug, Clone, Default)]
-pub struct HeteroCaseReport {
-    /// Checks evaluated.
-    pub checks_run: u64,
-    /// Breached invariants.
-    pub violations: Vec<HeteroViolation>,
 }
 
 /// Generates the `index`-th hetero case of the stream rooted at `seed`.
@@ -284,8 +263,8 @@ fn reference_makespan(
 /// # Errors
 /// Only on invalid specs (a well-formed generator never triggers them);
 /// engine failures on valid cases are *violations*, not errors.
-pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<HeteroCaseReport> {
-    let mut report = HeteroCaseReport::default();
+pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<ArmReport<HeteroCheck>> {
+    let mut report = ArmReport::default();
     let case = spec.build()?;
     let HeteroCase {
         instance,
@@ -295,8 +274,8 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
         placement,
     } = &case;
 
-    let engine_error = |report: &mut HeteroCaseReport, what: &str, e: &rds_core::Error| {
-        report.violations.push(HeteroViolation {
+    let engine_error = |report: &mut ArmReport<HeteroCheck>, what: &str, e: &rds_core::Error| {
+        report.violations.push(Violation {
             check: HeteroCheck::EngineError,
             observed: 0.0,
             limit: 0.0,
@@ -325,7 +304,7 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
         Err(e) => engine_error(&mut report, "hetero run (no profile) failed", &e),
         Ok(res) => {
             if res.trace.events() != baseline.trace.events() {
-                report.violations.push(HeteroViolation {
+                report.violations.push(Violation {
                     check: HeteroCheck::UnitSpeedCollapse,
                     observed: res.makespan.get(),
                     limit: baseline.makespan.get(),
@@ -344,7 +323,7 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
         Err(e) => engine_error(&mut report, "zero-topology run failed", &e),
         Ok(res) => {
             if res.trace.events() != baseline.trace.events() {
-                report.violations.push(HeteroViolation {
+                report.violations.push(Violation {
                     check: HeteroCheck::ZeroLatencyCollapse,
                     observed: res.makespan.get(),
                     limit: baseline.makespan.get(),
@@ -368,7 +347,7 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
         Ok(res) => {
             let expect = reference_makespan(instance, placement, realization, Some(speeds), None);
             if res.makespan.get() != expect {
-                report.violations.push(HeteroViolation {
+                report.violations.push(Violation {
                     check: HeteroCheck::SpeedParity,
                     observed: res.makespan.get(),
                     limit: expect,
@@ -398,7 +377,7 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
         Ok(res) => {
             let expect = reference_makespan(instance, placement, realization, None, Some(topology));
             if res.makespan.get() != expect {
-                report.violations.push(HeteroViolation {
+                report.violations.push(Violation {
                     check: HeteroCheck::LocalityParity,
                     observed: res.makespan.get(),
                     limit: expect,
@@ -429,7 +408,7 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
             // stays sound; the tiny relative slack covers the different
             // float summation orders of bound and engine.
             if res.makespan.get() < lb * (1.0 - 1e-9) {
-                report.violations.push(HeteroViolation {
+                report.violations.push(Violation {
                     check: HeteroCheck::LowerBound,
                     observed: res.makespan.get(),
                     limit: lb,
@@ -449,7 +428,7 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
                 Err(e) => engine_error(&mut report, "combined re-run failed", &e),
                 Ok(again) => {
                     if again.trace.events() != res.trace.events() {
-                        report.violations.push(HeteroViolation {
+                        report.violations.push(Violation {
                             check: HeteroCheck::Determinism,
                             observed: again.makespan.get(),
                             limit: res.makespan.get(),
@@ -462,24 +441,6 @@ pub fn check_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> Result<Hetero
     }
 
     Ok(report)
-}
-
-/// Convenience wrapper matching the runner's error discipline: spec
-/// build failures become a single `EngineError` violation instead of
-/// aborting the campaign.
-pub fn run_hetero_case(spec: &HeteroSpec, mutation: Mutation) -> HeteroCaseReport {
-    match check_hetero_case(spec, mutation) {
-        Ok(report) => report,
-        Err(e) => HeteroCaseReport {
-            checks_run: 1,
-            violations: vec![HeteroViolation {
-                check: HeteroCheck::EngineError,
-                observed: 0.0,
-                limit: 0.0,
-                detail: format!("hetero case rejected: {e}"),
-            }],
-        },
-    }
 }
 
 #[cfg(test)]
@@ -503,7 +464,7 @@ mod tests {
     fn clean_stream_has_no_violations() {
         for index in 0..24 {
             let spec = generate_hetero_case(42, index, 12, 8);
-            let report = run_hetero_case(&spec, Mutation::None);
+            let report = check_hetero_case(&spec, Mutation::None).unwrap();
             assert!(
                 report.violations.is_empty(),
                 "case {index}: {:?}",
@@ -518,7 +479,7 @@ mod tests {
         let mut caught = 0;
         for index in 0..32 {
             let spec = generate_hetero_case(42, index, 12, 8);
-            let report = run_hetero_case(&spec, Mutation::IgnoreSpeeds);
+            let report = check_hetero_case(&spec, Mutation::IgnoreSpeeds).unwrap();
             if report
                 .violations
                 .iter()
@@ -538,7 +499,7 @@ mod tests {
         let mut caught = 0;
         for index in 0..32 {
             let spec = generate_hetero_case(42, index, 12, 8);
-            let report = run_hetero_case(&spec, Mutation::IgnoreTransferCost);
+            let report = check_hetero_case(&spec, Mutation::IgnoreTransferCost).unwrap();
             if report
                 .violations
                 .iter()
@@ -564,7 +525,7 @@ mod tests {
         ] {
             for index in 0..8 {
                 let spec = generate_hetero_case(42, index, 12, 8);
-                let report = run_hetero_case(&spec, mutation);
+                let report = check_hetero_case(&spec, mutation).unwrap();
                 assert!(report.violations.is_empty(), "case {index} ({mutation:?})");
             }
         }

@@ -27,6 +27,7 @@
 //! the defect of a placer that optimizes load and hopes memory works
 //! out. The feasibility check catches it on the tight family.
 
+use crate::arm::{ArmReport, Violation};
 use crate::registry::Mutation;
 use rand::Rng;
 use rds_algs::{IlpPlacement, LpRoundingPlacement, Strategy};
@@ -113,28 +114,6 @@ impl IlpCheck {
     }
 }
 
-/// One breached ILP invariant.
-#[derive(Debug, Clone)]
-pub struct IlpViolation {
-    /// Which invariant broke.
-    pub check: IlpCheck,
-    /// The observed value (makespan, memory, …).
-    pub observed: f64,
-    /// The limit it had to respect.
-    pub limit: f64,
-    /// Human-readable context.
-    pub detail: String,
-}
-
-/// The outcome of one ILP case.
-#[derive(Debug, Clone, Default)]
-pub struct IlpCaseReport {
-    /// Checks evaluated.
-    pub checks_run: u64,
-    /// Breached invariants.
-    pub violations: Vec<IlpViolation>,
-}
-
 /// Generates the `index`-th ILP case of the stream rooted at `seed`.
 /// Sizes are drawn independently of the times, so load-optimal and
 /// memory-optimal assignments genuinely disagree; the tight family's
@@ -196,13 +175,13 @@ fn check_placement_feasibility(
     inst: &Instance,
     placement: &rds_core::Placement,
     spec: &IlpSpec,
-    report: &mut IlpCaseReport,
+    report: &mut ArmReport<IlpCheck>,
 ) {
     report.checks_run += 1;
     if let Some(b) = spec.budget {
         let mem = memory::mem_max(inst, placement).get();
         if mem > b * (1.0 + TOL) {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::MemoryBudget,
                 observed: mem,
                 limit: b,
@@ -213,7 +192,7 @@ fn check_placement_feasibility(
     report.checks_run += 1;
     let k_eff = spec.k.min(spec.m);
     if placement.check_budget(k_eff).is_err() {
-        report.violations.push(IlpViolation {
+        report.violations.push(Violation {
             check: IlpCheck::ReplicaBudget,
             observed: k_eff as f64 + 1.0,
             limit: k_eff as f64,
@@ -222,7 +201,7 @@ fn check_placement_feasibility(
     }
     for t in inst.task_ids() {
         if placement.replicas(t) == 0 {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::ReplicaBudget,
                 observed: 0.0,
                 limit: 1.0,
@@ -237,8 +216,8 @@ fn check_placement_feasibility(
 /// # Errors
 /// Only on invalid specs (a well-formed generator never triggers them);
 /// planner failures on valid cases are *violations*, not errors.
-pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseReport> {
-    let mut report = IlpCaseReport::default();
+pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<ArmReport<IlpCheck>> {
+    let mut report = ArmReport::default();
     let inst = spec.build()?;
     let unc = Uncertainty::of(spec.alpha);
     let budget = planner_budget(spec, mutation);
@@ -256,7 +235,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
     let placement = match ilp.place(&inst, unc) {
         Ok(p) => p,
         Err(e) => {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::PlannerError,
                 observed: 0.0,
                 limit: 0.0,
@@ -275,7 +254,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
     let mk = solve.makespan.get();
     let lb = solve.lower_bound.get();
     if mk < lb - TOL * lb.max(1.0) {
-        report.violations.push(IlpViolation {
+        report.violations.push(Violation {
             check: IlpCheck::BoundSoundness,
             observed: mk,
             limit: lb,
@@ -284,7 +263,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
     }
     if let Some(lp) = solve.lp_bound {
         if mk < lp - TOL * lp.max(1.0) {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::BoundSoundness,
                 observed: mk,
                 limit: lp,
@@ -303,7 +282,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
         let opt = OptimalSolver::default().solve(&envelopes, spec.m);
         let lo = opt.lo.get();
         if (mk - lo).abs() > TOL * lo.max(1.0) {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::ExactAgreement,
                 observed: mk,
                 limit: lo,
@@ -328,7 +307,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
             let r = rounding.solve_model(&inst, unc)?;
             let rmk = r.makespan.get();
             if solve.proved && rmk < mk - TOL * mk.max(1.0) {
-                report.violations.push(IlpViolation {
+                report.violations.push(Violation {
                     check: IlpCheck::BoundSoundness,
                     observed: rmk,
                     limit: mk,
@@ -337,7 +316,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
             }
         }
         Err(e) => {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::PlannerError,
                 observed: 0.0,
                 limit: 0.0,
@@ -350,7 +329,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
     report.checks_run += 1;
     let again = ilp.place(&inst, unc)?;
     if again != placement {
-        report.violations.push(IlpViolation {
+        report.violations.push(Violation {
             check: IlpCheck::Determinism,
             observed: 1.0,
             limit: 0.0,
@@ -365,7 +344,7 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
     match boxed.place(&inst, unc) {
         Ok(p) => check_placement_feasibility("time-boxed ilp", &inst, &p, spec, &mut report),
         Err(e) => {
-            report.violations.push(IlpViolation {
+            report.violations.push(Violation {
                 check: IlpCheck::TimeBoxFallback,
                 observed: 0.0,
                 limit: 0.0,
@@ -375,24 +354,6 @@ pub fn check_ilp_case(spec: &IlpSpec, mutation: Mutation) -> Result<IlpCaseRepor
     }
 
     Ok(report)
-}
-
-/// Convenience wrapper matching the runner's error discipline: spec
-/// build failures become a single `PlannerError` violation instead of
-/// aborting the campaign.
-pub fn run_ilp_case(spec: &IlpSpec, mutation: Mutation) -> IlpCaseReport {
-    match check_ilp_case(spec, mutation) {
-        Ok(report) => report,
-        Err(e) => IlpCaseReport {
-            checks_run: 1,
-            violations: vec![IlpViolation {
-                check: IlpCheck::PlannerError,
-                observed: 0.0,
-                limit: 0.0,
-                detail: format!("ilp case rejected: {e}"),
-            }],
-        },
-    }
 }
 
 #[cfg(test)]
@@ -420,7 +381,7 @@ mod tests {
     fn clean_stream_has_no_violations() {
         for index in 0..24 {
             let spec = generate_ilp_case(42, index, 12, 8);
-            let report = run_ilp_case(&spec, Mutation::None);
+            let report = check_ilp_case(&spec, Mutation::None).unwrap();
             assert!(
                 report.violations.is_empty(),
                 "case {index}: {:?}",
@@ -435,7 +396,7 @@ mod tests {
         let mut caught = 0;
         for index in 0..32 {
             let spec = generate_ilp_case(42, index, 12, 8);
-            let report = run_ilp_case(&spec, Mutation::IgnoreMemoryBudget);
+            let report = check_ilp_case(&spec, Mutation::IgnoreMemoryBudget).unwrap();
             if report
                 .violations
                 .iter()
@@ -458,7 +419,7 @@ mod tests {
         for index in 0..8 {
             let spec = generate_ilp_case(42, index, 12, 8);
             for mutation in [Mutation::DropReplica, Mutation::IgnoreReliability] {
-                let report = run_ilp_case(&spec, mutation);
+                let report = check_ilp_case(&spec, mutation).unwrap();
                 assert!(
                     report.violations.is_empty(),
                     "case {index} under {}: {:?}",

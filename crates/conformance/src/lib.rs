@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod arm;
 pub mod artifact;
 pub mod case;
 pub mod checks;
@@ -41,22 +42,15 @@ pub mod runner;
 pub mod shrink;
 pub mod survival;
 
+pub use arm::{Arm, ArmReport, Violation};
 pub use artifact::Counterexample;
 pub use case::CaseSpec;
 pub use checks::{check_case, CaseReport, CheckKind, ConformanceViolation};
 pub use generator::generate_case;
-pub use hetero::{
-    check_hetero_case, generate_hetero_case, run_hetero_case, HeteroCaseReport, HeteroCheck,
-    HeteroSpec, HeteroViolation,
-};
-pub use ilp::{
-    check_ilp_case, generate_ilp_case, run_ilp_case, IlpCaseReport, IlpCheck, IlpSpec, IlpViolation,
-};
+pub use hetero::{check_hetero_case, generate_hetero_case, HeteroCheck, HeteroSpec};
+pub use ilp::{check_ilp_case, generate_ilp_case, IlpCheck, IlpSpec};
 pub use mutant::DropReplica;
 pub use registry::{Dispatch, Mutation, StrategyId};
 pub use runner::{replay, run, ConformanceConfig, ConformanceReport, ReplayOutcome};
 pub use shrink::{shrink, ShrinkResult};
-pub use survival::{
-    check_survival_case, generate_survival_case, run_survival_case, SurvivalCaseReport,
-    SurvivalCheck, SurvivalSpec, SurvivalViolation,
-};
+pub use survival::{check_survival_case, generate_survival_case, SurvivalCheck, SurvivalSpec};

@@ -2,15 +2,13 @@
 //! seeded case stream, with automatic shrinking and artifact emission on
 //! failure, plus replay of previously saved counterexamples.
 
+use crate::arm::Arm;
 use crate::artifact::Counterexample;
 use crate::case::CaseSpec;
 use crate::checks::{check_case, CaseReport};
 use crate::generator::generate_case;
-use crate::hetero::{generate_hetero_case, run_hetero_case};
-use crate::ilp::{generate_ilp_case, run_ilp_case};
 use crate::registry::{Mutation, StrategyId};
 use crate::shrink::shrink;
-use crate::survival::{generate_survival_case, run_survival_case};
 use rds_core::Result;
 use rds_exact::OptimalSolver;
 use rds_par::journal::{CampaignMeta, Journal, TrialRecord, TrialStatus};
@@ -77,16 +75,10 @@ pub struct ConformanceReport {
     pub checks_run: u64,
     /// Total breached invariants (may exceed `counterexamples.len()`).
     pub violations: u64,
-    /// The subset of `violations` raised by the survival arm. These are
-    /// journaled but never shrunk or archived — the survival spec is
-    /// already minimal, so `(seed, index)` is the reproducer.
-    pub survival_violations: u64,
-    /// The subset of `violations` raised by the ILP arm, with the same
-    /// journal-only discipline as the survival arm.
-    pub ilp_violations: u64,
-    /// The subset of `violations` raised by the hetero arm
-    /// (speed-robust + locality), with the same journal-only discipline.
-    pub hetero_violations: u64,
+    /// The subset of `violations` raised by each seeded arm, indexed in
+    /// [`Arm::ALL`] order. These are journaled but never shrunk or
+    /// archived: `(seed, index)` is the reproducer.
+    pub arm_violations: [u64; Arm::ALL.len()],
     /// Minimized counterexamples, one per breached (strategy, check).
     pub counterexamples: Vec<Counterexample>,
     /// Artifact files written.
@@ -229,64 +221,21 @@ pub fn run(config: &ConformanceConfig) -> Result<ConformanceReport> {
                     (n, error)
                 }
             };
-        // The survival arm: same case index, its own seeded spec.
-        // Violations here are counted and journaled with the case but
-        // not shrunk — the spec is already small and fully seeded, so
-        // the (seed, index) pair *is* the reproducer.
-        let survival_spec = generate_survival_case(config.seed, index, config.max_n, config.max_m);
-        let survival_report = run_survival_case(&survival_spec, config.mutation);
-        report.checks_run += survival_report.checks_run;
-        if !survival_report.violations.is_empty() {
-            let n = survival_report.violations.len() as u64;
+        // The seeded arms, each on its own spec for this case index.
+        for arm in Arm::ALL {
+            let case = arm.run(config, index);
+            report.checks_run += case.checks_run;
+            let Some(first) = case.violations.first() else {
+                continue;
+            };
+            let n = case.violations.len() as u64;
             report.violations += n;
-            report.survival_violations += n;
+            report.arm_violations[arm as usize] += n;
             violations += n;
-            let first = &survival_report.violations[0];
             let msg = format!(
-                "{n} survival violation(s); first: [{}] {}",
-                first.check.as_str(),
-                first.detail
-            );
-            error = Some(match error {
-                Some(prev) => format!("{prev}; {msg}"),
-                None => msg,
-            });
-        }
-        // The ILP arm: same discipline as the survival arm — counted
-        // and journaled, not shrunk; (seed, index) is the reproducer.
-        let ilp_spec = generate_ilp_case(config.seed, index, config.max_n, config.max_m);
-        let ilp_report = run_ilp_case(&ilp_spec, config.mutation);
-        report.checks_run += ilp_report.checks_run;
-        if !ilp_report.violations.is_empty() {
-            let n = ilp_report.violations.len() as u64;
-            report.violations += n;
-            report.ilp_violations += n;
-            violations += n;
-            let first = &ilp_report.violations[0];
-            let msg = format!(
-                "{n} ilp violation(s); first: [{}] {}",
-                first.check.as_str(),
-                first.detail
-            );
-            error = Some(match error {
-                Some(prev) => format!("{prev}; {msg}"),
-                None => msg,
-            });
-        }
-        // The hetero arm (speed-robust execution + locality dispatch):
-        // same discipline again — counted and journaled, not shrunk.
-        let hetero_spec = generate_hetero_case(config.seed, index, config.max_n, config.max_m);
-        let hetero_report = run_hetero_case(&hetero_spec, config.mutation);
-        report.checks_run += hetero_report.checks_run;
-        if !hetero_report.violations.is_empty() {
-            let n = hetero_report.violations.len() as u64;
-            report.violations += n;
-            report.hetero_violations += n;
-            violations += n;
-            let first = &hetero_report.violations[0];
-            let msg = format!(
-                "{n} hetero violation(s); first: [{}] {}",
-                first.check.as_str(),
+                "{n} {} violation(s); first: [{}] {}",
+                arm.as_str(),
+                first.check,
                 first.detail
             );
             error = Some(match error {
@@ -455,7 +404,8 @@ mod tests {
             "memory-blind mutant escaped the campaign"
         );
         assert_eq!(
-            report.violations, report.ilp_violations,
+            report.violations,
+            report.arm_violations[Arm::Ilp as usize],
             "ignore-memory-budget must only fire in the ILP arm"
         );
     }
@@ -470,7 +420,8 @@ mod tests {
         let report = run(&config).unwrap();
         assert!(report.violations > 0, "speed-blind mutant escaped");
         assert_eq!(
-            report.violations, report.hetero_violations,
+            report.violations,
+            report.arm_violations[Arm::Hetero as usize],
             "ignore-speeds must only fire in the hetero arm"
         );
     }
@@ -485,7 +436,8 @@ mod tests {
         let report = run(&config).unwrap();
         assert!(report.violations > 0, "transfer-blind mutant escaped");
         assert_eq!(
-            report.violations, report.hetero_violations,
+            report.violations,
+            report.arm_violations[Arm::Hetero as usize],
             "ignore-transfer-cost must only fire in the hetero arm"
         );
     }

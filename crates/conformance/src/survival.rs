@@ -24,6 +24,7 @@
 //! reading the failure data. Target honesty catches it: the flattened
 //! planner claims feasibility that the true model refutes.
 
+use crate::arm::{ArmReport, Violation};
 use crate::registry::Mutation;
 use rand::Rng;
 use rds_algs::survival::{SurvivalPlacement, TARGET_EPS};
@@ -104,28 +105,6 @@ impl SurvivalCheck {
     }
 }
 
-/// One breached survival invariant.
-#[derive(Debug, Clone)]
-pub struct SurvivalViolation {
-    /// Which invariant broke.
-    pub check: SurvivalCheck,
-    /// The observed value (survival, memory, …).
-    pub observed: f64,
-    /// The limit it had to respect.
-    pub limit: f64,
-    /// Human-readable context.
-    pub detail: String,
-}
-
-/// The outcome of one survival case.
-#[derive(Debug, Clone, Default)]
-pub struct SurvivalCaseReport {
-    /// Checks evaluated.
-    pub checks_run: u64,
-    /// Breached invariants.
-    pub violations: Vec<SurvivalViolation>,
-}
-
 /// Generates the `index`-th survival case of the stream rooted at
 /// `seed`. Clusters are deliberately lopsided: failure probabilities
 /// span an order of magnitude and zones carry correlated outage risk,
@@ -176,8 +155,11 @@ fn planner_model(true_model: &ReliabilityModel, mutation: Mutation) -> Result<Re
 /// # Errors
 /// Only on invalid specs (a well-formed generator never triggers them);
 /// planner failures on valid cases are *violations*, not errors.
-pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<SurvivalCaseReport> {
-    let mut report = SurvivalCaseReport::default();
+pub fn check_survival_case(
+    spec: &SurvivalSpec,
+    mutation: Mutation,
+) -> Result<ArmReport<SurvivalCheck>> {
+    let mut report = ArmReport::default();
     let (inst, true_model) = spec.build()?;
     let plan_model = planner_model(&true_model, mutation)?;
 
@@ -187,7 +169,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
     let plan = match planner.plan(&inst) {
         Ok(plan) => plan,
         Err(e) => {
-            report.violations.push(SurvivalViolation {
+            report.violations.push(Violation {
                 check: SurvivalCheck::PlannerError,
                 observed: 0.0,
                 limit: 0.0,
@@ -203,7 +185,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
         let true_survival = true_model.placement_survival(&plan.placement);
         for (j, &p) in true_survival.iter().enumerate() {
             if p + TARGET_EPS < spec.target {
-                report.violations.push(SurvivalViolation {
+                report.violations.push(Violation {
                     check: SurvivalCheck::TargetHonesty,
                     observed: p,
                     limit: spec.target,
@@ -231,7 +213,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
         let sigma = (a.clamp(0.01, 0.99) * (1.0 - a.clamp(0.01, 0.99)) / MC_TRIALS as f64).sqrt();
         let tol = 4.5 * sigma + 0.015;
         if (a - e).abs() > tol {
-            report.violations.push(SurvivalViolation {
+            report.violations.push(Violation {
                 check: SurvivalCheck::MonteCarloAgreement,
                 observed: e,
                 limit: a,
@@ -248,7 +230,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
         report.checks_run += 1;
         let exact = min_memory_survival(&inst, &plan_model, spec.target)?;
         if plan.feasible != exact.feasible {
-            report.violations.push(SurvivalViolation {
+            report.violations.push(Violation {
                 check: SurvivalCheck::ExactAgreement,
                 observed: plan.feasible as u8 as f64,
                 limit: exact.feasible as u8 as f64,
@@ -258,7 +240,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
                 ),
             });
         } else if plan.feasible && plan.memory < exact.memory - 1e-9 {
-            report.violations.push(SurvivalViolation {
+            report.violations.push(Violation {
                 check: SurvivalCheck::ExactAgreement,
                 observed: plan.memory,
                 limit: exact.memory,
@@ -278,7 +260,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
         .with_budget(budget)?
         .plan(&inst)?;
     if budgeted.memory > budget + TARGET_EPS {
-        report.violations.push(SurvivalViolation {
+        report.violations.push(Violation {
             check: SurvivalCheck::BudgetDiscipline,
             observed: budgeted.memory,
             limit: budget,
@@ -290,7 +272,7 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
     report.checks_run += 1;
     let again = planner.plan(&inst)?;
     if again.placement != plan.placement {
-        report.violations.push(SurvivalViolation {
+        report.violations.push(Violation {
             check: SurvivalCheck::Determinism,
             observed: 1.0,
             limit: 0.0,
@@ -299,24 +281,6 @@ pub fn check_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> Result<Su
     }
 
     Ok(report)
-}
-
-/// Convenience wrapper matching the runner's error discipline: spec
-/// build failures become a single `PlannerError` violation instead of
-/// aborting the campaign.
-pub fn run_survival_case(spec: &SurvivalSpec, mutation: Mutation) -> SurvivalCaseReport {
-    match check_survival_case(spec, mutation) {
-        Ok(report) => report,
-        Err(e) => SurvivalCaseReport {
-            checks_run: 1,
-            violations: vec![SurvivalViolation {
-                check: SurvivalCheck::PlannerError,
-                observed: 0.0,
-                limit: 0.0,
-                detail: format!("survival case rejected: {e}"),
-            }],
-        },
-    }
 }
 
 #[cfg(test)]
@@ -340,7 +304,7 @@ mod tests {
     fn clean_stream_has_no_violations() {
         for index in 0..24 {
             let spec = generate_survival_case(42, index, 12, 8);
-            let report = run_survival_case(&spec, Mutation::None);
+            let report = check_survival_case(&spec, Mutation::None).unwrap();
             assert!(
                 report.violations.is_empty(),
                 "case {index}: {:?}",
@@ -355,7 +319,7 @@ mod tests {
         let mut caught = 0;
         for index in 0..32 {
             let spec = generate_survival_case(42, index, 12, 8);
-            let report = run_survival_case(&spec, Mutation::IgnoreReliability);
+            let report = check_survival_case(&spec, Mutation::IgnoreReliability).unwrap();
             if report
                 .violations
                 .iter()
@@ -376,7 +340,7 @@ mod tests {
         // the survival planner: the survival arm must stay quiet.
         for index in 0..8 {
             let spec = generate_survival_case(42, index, 12, 8);
-            let report = run_survival_case(&spec, Mutation::DropReplica);
+            let report = check_survival_case(&spec, Mutation::DropReplica).unwrap();
             assert!(report.violations.is_empty(), "case {index}");
         }
     }

@@ -302,101 +302,6 @@ impl PlacementModel {
         }
     }
 
-    /// Solves the LP relaxation at every budget of a grid, building the
-    /// program **once** and warm-starting each point from the previous
-    /// point's optimal basis ([`LpProblem::solve_warm`]) — adjacent
-    /// budgets move only the memory rows' right-hand sides, so the old
-    /// vertex is usually a few pivots from the new optimum. The model's
-    /// own budget is ignored; each grid entry supplies the memory rows'
-    /// `B` (a non-finite entry means unconstrained). Each point's bound
-    /// equals what [`Self::lp_relaxation`] computes cold at that budget:
-    /// warm-starting changes the pivot path (and possibly which optimal
-    /// vertex ties resolve to), never the optimum value the simplex
-    /// stops at.
-    pub fn lp_relaxation_over_budgets(&self, budgets: &[f64]) -> Vec<Option<LpRelaxation>> {
-        let (n, m) = (self.n(), self.m);
-        let nv = n * m + 1;
-        if nv > LP_VAR_LIMIT {
-            return budgets.iter().map(|_| None).collect();
-        }
-        if n == 0 {
-            return budgets
-                .iter()
-                .map(|_| {
-                    Some(LpRelaxation {
-                        bound: 0.0,
-                        y: Vec::new(),
-                    })
-                })
-                .collect();
-        }
-        let mut lp = LpProblem::new(nv);
-        let mut c = vec![0.0; nv];
-        c[n * m] = 1.0;
-        lp.set_objective(c);
-        for j in 0..n {
-            let mut row = vec![0.0; nv];
-            for i in 0..m {
-                row[j * m + i] = 1.0;
-            }
-            lp.add_row(row, Rel::Eq, 1.0);
-        }
-        for i in 0..m {
-            let mut row = vec![0.0; nv];
-            for j in 0..n {
-                row[j * m + i] = self.envelopes[j];
-            }
-            row[n * m] = -1.0;
-            lp.add_row(row, Rel::Le, 0.0);
-        }
-        // The memory rows exist for every grid point so the tableau
-        // layout (and hence the basis encoding) is stable across the
-        // sweep. An unconstrained point sets their right-hand side to
-        // the total size: `Σ_i s_j·y[j][i] ≤ Σ_j s_j` can never bind
-        // because the assignment rows cap every `y[j][i]` at 1.
-        let total_size: f64 = self.sizes.iter().sum();
-        let mem_rows = lp.rows();
-        for i in 0..m {
-            let mut row = vec![0.0; nv];
-            for j in 0..n {
-                row[j * m + i] = self.sizes[j];
-            }
-            lp.add_row(row, Rel::Le, total_size);
-        }
-        let pivots = 200 * (nv + lp.rows());
-
-        let mut out = Vec::with_capacity(budgets.len());
-        let mut basis: Option<Vec<usize>> = None;
-        for &b in budgets {
-            let rhs = if b.is_finite() { b } else { total_size };
-            if rhs.is_nan() || rhs < 0.0 {
-                out.push(None);
-                continue;
-            }
-            for i in 0..m {
-                lp.set_rhs(mem_rows + i, rhs);
-            }
-            let outcome = match &basis {
-                Some(prev) => lp.solve_warm(pivots, prev),
-                None => lp.solve(pivots),
-            };
-            match outcome {
-                LpOutcome::Optimal(s) => {
-                    out.push(Some(LpRelaxation {
-                        bound: s.objective.max(0.0),
-                        y: s.x[..n * m].to_vec(),
-                    }));
-                    basis = Some(s.basis);
-                }
-                _ => {
-                    out.push(None);
-                    basis = None;
-                }
-            }
-        }
-        out
-    }
-
     /// Memory-aware LPT greedy: tasks in envelope-LPT order, each to the
     /// least-loaded machine with memory slack (ties → smallest id).
     /// `None` when some task finds no machine with slack.
@@ -851,53 +756,6 @@ mod tests {
 
     fn model(env: &[f64], sizes: &[f64], m: usize, b: f64) -> PlacementModel {
         PlacementModel::new(env, sizes, m, b).unwrap()
-    }
-
-    #[test]
-    fn budget_grid_warm_start_matches_cold_solves() {
-        let envelopes: Vec<f64> = (0..10).map(|i| 1.0 + (i % 4) as f64).collect();
-        let sizes: Vec<f64> = (0..10).map(|i| 1.0 + ((9 - i) % 3) as f64).collect();
-        let m = 3usize;
-        let total: f64 = sizes.iter().sum();
-        let max_size = sizes.iter().fold(0.0f64, |a, &b| a.max(b));
-        let lo = max_size.max(total / m as f64);
-        let hi = total / m as f64 + max_size;
-        let mut budgets: Vec<f64> = (0..8).map(|i| lo + (hi - lo) * i as f64 / 7.0).collect();
-        budgets.push(f64::INFINITY);
-        budgets.push(lo); // revisit a tight point after the loose ones
-
-        let sweep = model(&envelopes, &sizes, m, f64::INFINITY);
-        let warm = sweep.lp_relaxation_over_budgets(&budgets);
-        assert_eq!(warm.len(), budgets.len());
-        for (i, &b) in budgets.iter().enumerate() {
-            let cold = model(&envelopes, &sizes, m, b).lp_relaxation();
-            match (&warm[i], &cold) {
-                (Some(w), Some(c)) => {
-                    assert!(
-                        (w.bound - c.bound).abs() < 1e-7,
-                        "B={b}: warm bound {} vs cold {}",
-                        w.bound,
-                        c.bound
-                    );
-                    // The warm vertex is a feasible fractional placement
-                    // for ITS budget (ties may resolve to a different
-                    // optimal vertex than the cold pivot path).
-                    let n = envelopes.len();
-                    for j in 0..n {
-                        let s: f64 = (0..m).map(|i| w.y[j * m + i]).sum();
-                        assert!((s - 1.0).abs() < 1e-7, "B={b}: task {j} mass {s}");
-                    }
-                    for i in 0..m {
-                        let mem: f64 = (0..n).map(|j| sizes[j] * w.y[j * m + i]).sum();
-                        assert!(mem <= b + 1e-7, "B={b}: machine {i} memory {mem}");
-                        let load: f64 = (0..n).map(|j| envelopes[j] * w.y[j * m + i]).sum();
-                        assert!(load <= w.bound + 1e-7, "B={b}: machine {i} load {load}");
-                    }
-                }
-                (None, None) => {}
-                (w, c) => panic!("B={b}: warm {w:?} vs cold {c:?}"),
-            }
-        }
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub struct LpSolution {
     pub objective: f64,
     /// The optimal point, indexed like the structural variables.
     pub x: Vec<f64>,
-    /// The optimal basis: per constraint row, the tableau column that is
-    /// basic in it (structural columns first, then slacks, then
-    /// artificials). Feed it to [`LpProblem::solve_warm`] to warm-start
-    /// a neighbouring problem — e.g. the same program with a nudged
-    /// right-hand side — from this vertex instead of from scratch.
-    pub basis: Vec<usize>,
 }
 
 /// A linear program under construction.
@@ -100,42 +94,9 @@ impl LpProblem {
         self.rows.len()
     }
 
-    /// Replaces row `row`'s right-hand side, keeping its coefficients
-    /// and relation. This is how a budget-grid sweep reuses one program:
-    /// nudge the budget rows, then [`Self::solve_warm`] from the
-    /// previous optimum.
-    ///
-    /// # Panics
-    /// Panics if `row` is out of range or `rhs` is not finite.
-    pub fn set_rhs(&mut self, row: usize, rhs: f64) {
-        assert!(rhs.is_finite(), "rhs must be finite");
-        self.rows[row].2 = rhs;
-    }
-
     /// Solves the program with at most `max_pivots` simplex pivots.
     pub fn solve(&self, max_pivots: usize) -> LpOutcome {
         Tableau::build(self).solve(max_pivots)
-    }
-
-    /// Solves the program warm-started from `basis` — typically the
-    /// [`LpSolution::basis`] of an adjacent solve (same rows and
-    /// relations, nearby right-hand sides). The basis is re-factored
-    /// against *this* problem's data, so the result is exactly this
-    /// problem's optimum, never a stale one: when the basis is singular,
-    /// refers to artificial columns, or is no longer primal-feasible
-    /// under the new right-hand side, the solve silently falls back to
-    /// the cold two-phase path. Only the starting vertex — and therefore
-    /// the pivot count — ever differs from [`Self::solve`].
-    pub fn solve_warm(&self, max_pivots: usize, basis: &[usize]) -> LpOutcome {
-        let mut t = Tableau::build(self);
-        if basis.len() != t.a.len() || basis.iter().any(|&c| c >= t.art_start) {
-            return t.solve(max_pivots);
-        }
-        let mut budget = max_pivots;
-        match t.install_basis(basis, &mut budget) {
-            Some(()) => t.phase2(&mut budget),
-            None => Tableau::build(self).solve(max_pivots),
-        }
     }
 }
 
@@ -302,67 +263,6 @@ impl Tableau {
         }
     }
 
-    /// Pivots the tableau onto the given basis (a column set, one per
-    /// row) with partial pivoting, spending from `budget`. `None` when
-    /// the basis is singular for this data, the budget runs out, or the
-    /// resulting vertex is not primal-feasible — callers fall back to
-    /// the cold two-phase solve.
-    fn install_basis(&mut self, basis: &[usize], budget: &mut usize) -> Option<()> {
-        let m = self.a.len();
-        let mut placed = vec![false; m];
-        for &col in basis {
-            // Partial pivoting: the basis is a set; its row assignment
-            // is ours to choose, so take the strongest remaining pivot.
-            let row = (0..m)
-                .filter(|&r| !placed[r])
-                .max_by(|&a, &b| self.a[a][col].abs().total_cmp(&self.a[b][col].abs()))?;
-            if self.a[row][col].abs() <= EPS {
-                return None;
-            }
-            if *budget == 0 {
-                return None;
-            }
-            *budget -= 1;
-            self.pivot(row, col);
-            placed[row] = true;
-        }
-        // The old optimal basis may sit outside the new feasible region
-        // (a tightened budget row): fall back rather than run primal
-        // simplex from an infeasible vertex.
-        if self.rhs.iter().any(|&b| b < -EPS) {
-            return None;
-        }
-        for b in self.rhs.iter_mut() {
-            *b = b.max(0.0);
-        }
-        Some(())
-    }
-
-    /// Prices the real objective on the current (feasible) basis and
-    /// runs phase 2 to optimality, artificial columns barred.
-    fn phase2(&mut self, budget: &mut usize) -> LpOutcome {
-        let mut c2 = vec![0.0; self.cols];
-        c2[..self.n_struct].copy_from_slice(&self.obj);
-        self.price(&c2);
-        match self.iterate(budget, false) {
-            None => LpOutcome::PivotLimit,
-            Some(false) => LpOutcome::Unbounded,
-            Some(true) => {
-                let mut x = vec![0.0; self.n_struct];
-                for i in 0..self.a.len() {
-                    if self.basis[i] < self.n_struct {
-                        x[self.basis[i]] = self.rhs[i].max(0.0);
-                    }
-                }
-                LpOutcome::Optimal(LpSolution {
-                    objective: self.zval,
-                    x,
-                    basis: self.basis.clone(),
-                })
-            }
-        }
-    }
-
     fn solve(mut self, max_pivots: usize) -> LpOutcome {
         let mut budget = max_pivots;
         // Phase 1: minimize the sum of artificials.
@@ -395,7 +295,25 @@ impl Tableau {
             }
         }
         // Phase 2: the real objective, artificial columns barred.
-        self.phase2(&mut budget)
+        let mut c2 = vec![0.0; self.cols];
+        c2[..self.n_struct].copy_from_slice(&self.obj);
+        self.price(&c2);
+        match self.iterate(&mut budget, false) {
+            None => LpOutcome::PivotLimit,
+            Some(false) => LpOutcome::Unbounded,
+            Some(true) => {
+                let mut x = vec![0.0; self.n_struct];
+                for i in 0..self.a.len() {
+                    if self.basis[i] < self.n_struct {
+                        x[self.basis[i]] = self.rhs[i].max(0.0);
+                    }
+                }
+                LpOutcome::Optimal(LpSolution {
+                    objective: self.zval,
+                    x,
+                })
+            }
+        }
     }
 }
 
@@ -469,64 +387,6 @@ mod tests {
         lp.add_row(vec![1.0, 1.0], Rel::Le, 4.0);
         lp.add_row(vec![1.0, 0.0], Rel::Le, 2.0);
         assert_eq!(lp.solve(0), LpOutcome::PivotLimit);
-    }
-
-    #[test]
-    fn warm_start_matches_cold_across_rhs_nudges() {
-        // A budget-style sweep: tighten the `x ≤ B` row step by step,
-        // warm-starting each solve from the previous optimal basis. The
-        // optimum must match the cold solve at every point.
-        let mut lp = LpProblem::new(2);
-        lp.set_objective(vec![1.0, 2.0]);
-        lp.add_row(vec![1.0, 1.0], Rel::Eq, 3.0);
-        lp.add_row(vec![0.0, 1.0], Rel::Ge, 1.0);
-        lp.add_row(vec![1.0, 0.0], Rel::Le, 2.5);
-        let mut basis: Option<Vec<usize>> = None;
-        for b in [2.5, 2.0, 1.5, 1.0, 0.5, 0.0, 1.75] {
-            lp.set_rhs(2, b);
-            let cold = optimal(lp.solve(1000));
-            let warm = match &basis {
-                Some(prev) => optimal(lp.solve_warm(1000, prev)),
-                None => optimal(lp.solve(1000)),
-            };
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-9,
-                "B={b}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            for (w, c) in warm.x.iter().zip(&cold.x) {
-                assert!((w - c).abs() < 1e-9, "B={b}: x {warm:?} vs {cold:?}");
-            }
-            basis = Some(warm.basis);
-        }
-    }
-
-    #[test]
-    fn warm_start_detects_new_infeasibility() {
-        let mut lp = LpProblem::new(1);
-        lp.set_objective(vec![1.0]);
-        lp.add_row(vec![1.0], Rel::Ge, 1.0);
-        lp.add_row(vec![1.0], Rel::Le, 2.0);
-        let s = optimal(lp.solve(1000));
-        lp.set_rhs(1, 0.5); // now x ≥ 1 and x ≤ 0.5: infeasible
-        assert_eq!(lp.solve_warm(1000, &s.basis), LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn degenerate_bases_fall_back_to_cold_solve() {
-        let mut lp = LpProblem::new(2);
-        lp.set_objective(vec![-1.0, -1.0]);
-        lp.add_row(vec![1.0, 1.0], Rel::Le, 4.0);
-        lp.add_row(vec![1.0, 0.0], Rel::Le, 2.0);
-        let cold = optimal(lp.solve(1000));
-        // Wrong length, duplicate (singular) columns, and artificial
-        // references must all silently take the cold path.
-        for bad in [vec![0usize], vec![0, 0], vec![99, 0]] {
-            let warm = optimal(lp.solve_warm(1000, &bad));
-            assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-            assert_eq!(warm.x, cold.x);
-        }
     }
 
     #[test]

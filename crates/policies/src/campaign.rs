@@ -136,7 +136,10 @@ pub struct CampaignReport {
     pub skipped: usize,
 }
 
-fn record_from_measurement(
+/// The journal record of a finished trial: its measurement, keyed by
+/// policy, trial index and seed. This module owns the record layout;
+/// every campaign that journals trials builds its records here.
+pub fn record_from_measurement(
     policy: &str,
     trial: u64,
     seed: u64,
@@ -181,7 +184,9 @@ fn measurement_from_record(r: &TrialRecord) -> TrialMeasurement {
     }
 }
 
-fn quarantine_record(
+/// The journal record of a trial the watchdog gave up on: zeroed
+/// measurements, no baseline, and the last attempt's error.
+pub fn quarantine_record(
     policy: &str,
     trial: u64,
     seed: u64,
@@ -425,43 +430,58 @@ pub fn run_campaign_resumable(
         executed += part.executed;
         skipped += part.skipped;
     }
+    Ok(CampaignReport::from_records(
+        suite, &records, executed, skipped,
+    ))
+}
 
-    // Aggregate in (suite order, trial order) regardless of which
-    // invocation produced each record — the resume-identity invariant.
-    let mut rows = Vec::with_capacity(suite.len());
-    let mut quarantined = Vec::new();
-    for policy in suite {
-        let mut mine: Vec<&TrialRecord> =
-            records.iter().filter(|r| r.policy == policy.name).collect();
-        mine.sort_by_key(|r| r.trial);
-        let measurements: Vec<TrialMeasurement> = mine
-            .iter()
-            .filter(|r| r.status.usable())
-            .map(|r| measurement_from_record(r))
-            .collect();
-        quarantined.extend(
-            mine.iter()
-                .filter(|r| r.status == TrialStatus::Quarantined)
-                .map(|r| QuarantinedTrial {
-                    policy: r.policy.clone(),
-                    trial: r.trial,
-                    seed: r.seed,
-                    attempts: r.attempts,
-                    error: r.error.clone().unwrap_or_default(),
-                }),
-        );
-        rows.push(aggregate_row(
-            &policy.name,
-            policy.placement.max_replicas(),
-            &measurements,
-        ));
+impl CampaignReport {
+    /// Aggregates journal records into one row per policy and the poison
+    /// list. Rows follow suite order and each policy's records are taken
+    /// in trial order, regardless of which invocation or shard produced
+    /// them — the resume-identity invariant. Quarantined records go to
+    /// [`Self::quarantined`] and are excluded from the rows.
+    pub fn from_records(
+        suite: &[ResiliencePolicy],
+        records: &[TrialRecord],
+        executed: usize,
+        skipped: usize,
+    ) -> Self {
+        let mut rows = Vec::with_capacity(suite.len());
+        let mut quarantined = Vec::new();
+        for policy in suite {
+            let mut mine: Vec<&TrialRecord> =
+                records.iter().filter(|r| r.policy == policy.name).collect();
+            mine.sort_by_key(|r| r.trial);
+            let measurements: Vec<TrialMeasurement> = mine
+                .iter()
+                .filter(|r| r.status.usable())
+                .map(|r| measurement_from_record(r))
+                .collect();
+            quarantined.extend(
+                mine.iter()
+                    .filter(|r| r.status == TrialStatus::Quarantined)
+                    .map(|r| QuarantinedTrial {
+                        policy: r.policy.clone(),
+                        trial: r.trial,
+                        seed: r.seed,
+                        attempts: r.attempts,
+                        error: r.error.clone().unwrap_or_default(),
+                    }),
+            );
+            rows.push(aggregate_row(
+                &policy.name,
+                policy.placement.max_replicas(),
+                &measurements,
+            ));
+        }
+        CampaignReport {
+            rows,
+            quarantined,
+            executed,
+            skipped,
+        }
     }
-    Ok(CampaignReport {
-        rows,
-        quarantined,
-        executed,
-        skipped,
-    })
 }
 
 #[cfg(test)]

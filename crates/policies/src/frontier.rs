@@ -88,35 +88,6 @@ pub fn budget_grid(instance: &Instance, steps: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The LP lower-bound curve over a budget grid: for each budget, the
-/// optimal value of the fractional placement relaxation (`None` where
-/// the LP is infeasible, failed, or the model is too large for the
-/// dense simplex). Computed as **one** warm-started simplex sweep —
-/// [`rds_exact::PlacementModel::lp_relaxation_over_budgets`] reuses the
-/// previous budget point's optimal basis, so the whole curve costs a
-/// few pivots per point instead of a full two-phase solve each — and
-/// each value equals what a cold solve at that budget produces.
-///
-/// # Errors
-/// [`Error::InvalidParameter`] when the instance rejects model building
-/// (e.g. non-finite task data).
-pub fn lp_bound_curve(
-    instance: &Instance,
-    unc: Uncertainty,
-    budgets: &[f64],
-) -> Result<Vec<(f64, Option<f64>)>> {
-    let model = rds_exact::PlacementModel::from_instance(instance, unc, None).map_err(|_| {
-        Error::InvalidParameter {
-            what: "instance does not admit a placement LP model",
-        }
-    })?;
-    Ok(budgets
-        .iter()
-        .zip(model.lp_relaxation_over_budgets(budgets))
-        .map(|(&b, r)| (b, r.map(|r| r.bound)))
-        .collect())
-}
-
 /// A heterogeneous execution profile for frontier and sweep
 /// measurement: optional per-machine speeds (revealed in phase 2) and
 /// an optional transfer-latency topology (charged on remote starts).
@@ -325,28 +296,19 @@ mod tests {
     }
 
     #[test]
-    fn lp_bound_curve_matches_cold_relaxations_and_decreases() {
+    fn cold_lp_bound_never_rises_as_the_budget_loosens() {
         let inst = instance();
         let unc = Uncertainty::of(1.5);
-        let budgets = budget_grid(&inst, 6);
-        let curve = lp_bound_curve(&inst, unc, &budgets).unwrap();
-        assert_eq!(curve.len(), budgets.len());
-        for (i, (b, bound)) in curve.iter().enumerate() {
-            assert_eq!(*b, budgets[i]);
-            let cold =
-                rds_exact::PlacementModel::from_instance(&inst, unc, Some(rds_core::Size::of(*b)))
+        let bounds: Vec<f64> = budget_grid(&inst, 6)
+            .into_iter()
+            .filter_map(|b| {
+                rds_exact::PlacementModel::from_instance(&inst, unc, Some(Size::of(b)))
                     .unwrap()
-                    .lp_relaxation();
-            match (bound, cold) {
-                (Some(w), Some(c)) => {
-                    assert!((w - c.bound).abs() < 1e-7, "B={b}: {w} vs {}", c.bound)
-                }
-                (None, None) => {}
-                (w, c) => panic!("B={b}: warm {w:?} vs cold {c:?}"),
-            }
-        }
-        // Loosening the budget can only help the fractional optimum.
-        let bounds: Vec<f64> = curve.iter().filter_map(|(_, v)| *v).collect();
+                    .lp_relaxation()
+                    .map(|r| r.bound)
+            })
+            .collect();
+        assert!(bounds.len() >= 2, "{bounds:?}");
         assert!(bounds.windows(2).all(|w| w[1] <= w[0] + 1e-9), "{bounds:?}");
     }
 

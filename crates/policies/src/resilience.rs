@@ -175,7 +175,7 @@ pub struct CampaignRow {
 /// Per-trial measurements of one policy under one (realization, fault
 /// script) pair — the unit the campaign journal stores and aggregates
 /// are recomputed from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrialMeasurement {
     /// `true` when every task completed.
     pub completed: bool,

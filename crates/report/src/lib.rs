@@ -1,7 +1,7 @@
 //! Reporting utilities for the benchmark harness and examples.
 //!
 //! - [`stats`]: streaming [`stats::Summary`] (Welford, mergeable for
-//!   parallel reductions) and quantile [`stats::Samples`];
+//!   parallel reductions);
 //! - [`table`]: aligned markdown tables;
 //! - [`csv`]: RFC-4180 CSV emission;
 //! - [`plot`]: ASCII line/scatter charts (terminal renderings of the
@@ -36,6 +36,6 @@ pub use histogram::Histogram;
 pub use marks::{Mark, MarkKind};
 pub use output::{write_atomic, write_atomic_str};
 pub use plot::{Chart, Series};
-pub use stats::{Samples, Summary};
+pub use stats::Summary;
 pub use svg::{gantt_svg, gantt_svg_with_marks, SvgChart};
 pub use table::{Align, Table};

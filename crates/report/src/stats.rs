@@ -109,74 +109,6 @@ impl Summary {
     }
 }
 
-/// Buffered sample set with quantile queries.
-#[derive(Debug, Clone, Default)]
-pub struct Samples {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Samples {
-    /// An empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(!x.is_nan());
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-    }
-
-    /// Linear-interpolation quantile; `q` is clamped into `[0, 1]` (a
-    /// NaN `q` reads as the minimum). Returns `0` when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        let q = if q.is_nan() { 0.0 } else { q };
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let pos = q * (self.values.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.values[lo] * (1.0 - frac) + self.values[hi] * frac
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Reduces to a [`Summary`].
-    pub fn summary(&self) -> Summary {
-        let mut s = Summary::new();
-        for &v in &self.values {
-            s.push(v);
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,49 +170,5 @@ mod tests {
         let mut e = Summary::new();
         e.merge(&a);
         assert_eq!(e.count(), 1);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let mut s = Samples::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 4.0);
-        assert!((s.median() - 2.5).abs() < 1e-12);
-        assert!((s.quantile(1.0 / 3.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_empty_and_single() {
-        let mut s = Samples::new();
-        assert_eq!(s.median(), 0.0);
-        s.push(7.0);
-        assert_eq!(s.quantile(0.25), 7.0);
-        assert!(!s.is_empty());
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn samples_summary_roundtrip() {
-        let mut s = Samples::new();
-        for x in [3.0, 1.0, 2.0] {
-            s.push(x);
-        }
-        let sum = s.summary();
-        assert_eq!(sum.count(), 3);
-        assert!((sum.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_domain_is_clamped() {
-        let mut s = Samples::new();
-        for v in [1.0, 2.0, 3.0] {
-            s.push(v);
-        }
-        assert_eq!(s.quantile(1.5), 3.0);
-        assert_eq!(s.quantile(-0.5), 1.0);
-        assert_eq!(s.quantile(f64::NAN), 1.0);
     }
 }

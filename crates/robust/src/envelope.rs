@@ -76,27 +76,6 @@ pub fn task_criticality(instance: &Instance, assignment: &Assignment) -> Vec<f64
         .collect()
 }
 
-/// The *slack* of a static schedule against a deadline `d`: the largest
-/// uniform inflation factor `f ≤ α` such that the makespan stays `≤ d`,
-/// or `None` if even the planned schedule misses it. This is the
-/// slack-based robustness measure of Davenport et al. (cited in §2),
-/// adapted to multiplicative deviations.
-pub fn inflation_slack(
-    instance: &Instance,
-    assignment: &Assignment,
-    unc: Uncertainty,
-    deadline: Time,
-) -> Option<f64> {
-    let planned = assignment.estimated_makespan(instance);
-    if planned.is_zero() {
-        return Some(unc.alpha());
-    }
-    if planned > deadline {
-        return None;
-    }
-    Some((deadline.get() / planned.get()).min(unc.alpha()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +142,5 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(max_idx, 0);
-    }
-
-    #[test]
-    fn slack_semantics() {
-        let (inst, a, unc) = setup();
-        // Planned 6; deadline 9 → slack 1.5; deadline 24 → capped at α.
-        assert_eq!(inflation_slack(&inst, &a, unc, Time::of(9.0)), Some(1.5));
-        assert_eq!(inflation_slack(&inst, &a, unc, Time::of(24.0)), Some(2.0));
-        assert_eq!(inflation_slack(&inst, &a, unc, Time::of(5.0)), None);
     }
 }

@@ -6,11 +6,10 @@
 //! two-phase model:
 //!
 //! - [`envelope`](mod@envelope): tight analytic worst/best-case makespan envelopes of
-//!   static schedules, machine/task criticality, inflation slack against
-//!   deadlines;
-//! - [`montecarlo`]: sampled makespan distributions per strategy and the
-//!   expected value of adaptivity (how much replication buys on average,
-//!   not just in the worst case).
+//!   static schedules and machine/task criticality;
+//! - [`montecarlo`]: the expected value of adaptivity (how much
+//!   replication buys on average, not just in the worst case), sampled
+//!   over seeded realizations.
 //!
 //! # Example
 //! ```
@@ -33,7 +32,5 @@
 pub mod envelope;
 pub mod montecarlo;
 
-pub use envelope::{envelope, inflation_slack, machine_criticality, task_criticality, Envelope};
-pub use montecarlo::{
-    expected_value_of_adaptivity, sample_makespans, sample_makespans_resilient, Distribution,
-};
+pub use envelope::{envelope, machine_criticality, task_criticality, Envelope};
+pub use montecarlo::expected_value_of_adaptivity;

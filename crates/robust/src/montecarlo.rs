@@ -1,111 +1,16 @@
-//! Monte Carlo makespan distributions and the expected value of
-//! adaptivity.
+//! The expected value of adaptivity, estimated by Monte Carlo.
 //!
-//! The paper proves worst-case ratios; practitioners also want the
-//! *distribution*: how much does replication help on average, and how
-//! heavy is the tail? This module samples realizations from a
-//! [`RealizationModel`] and summarizes the makespans of any strategy,
-//! plus the **expected value of adaptivity (EVA)**: the mean makespan
-//! gap between a static strategy and an adaptive one on identical
-//! realizations.
+//! The paper proves worst-case ratios; practitioners also want to know
+//! how much replication helps on average. This module samples
+//! realizations from a [`RealizationModel`] and measures the **expected
+//! value of adaptivity (EVA)**: the mean makespan gap between a static
+//! strategy and an adaptive one on identical realizations.
 
 use rds_algs::Strategy;
 use rds_core::{Instance, Result, Uncertainty};
-use rds_report::{Samples, Summary};
+use rds_report::Summary;
 use rds_workloads::realize::RealizationModel;
 use rds_workloads::rng;
-
-/// The sampled makespan distribution of one strategy.
-#[derive(Debug, Clone)]
-pub struct Distribution {
-    /// Streaming summary (mean/std/extremes).
-    pub summary: Summary,
-    /// Raw samples, for quantiles.
-    pub samples: Samples,
-}
-
-impl Distribution {
-    /// `q`-quantile of the sampled makespans.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        self.samples.quantile(q)
-    }
-}
-
-/// Samples `reps` realizations and collects the strategy's makespans.
-/// Phase 1 runs once (the placement does not depend on the realization);
-/// phase 2 re-runs per sample, exactly like a production system would.
-///
-/// # Errors
-/// Propagates strategy/realization failures.
-pub fn sample_makespans<S: Strategy>(
-    strategy: &S,
-    instance: &Instance,
-    unc: Uncertainty,
-    model: RealizationModel,
-    reps: usize,
-    seed: u64,
-) -> Result<Distribution> {
-    let placement = strategy.place(instance, unc)?;
-    let mut summary = Summary::new();
-    let mut samples = Samples::new();
-    for rep in 0..reps {
-        let mut r = rng::rng(rng::child_seed(seed, rep as u64));
-        let real = model.realize(instance, unc, &mut r)?;
-        let assignment = strategy.execute(instance, &placement, &real)?;
-        assignment.check_feasible(&placement)?;
-        let mk = assignment.makespan(&real).get();
-        summary.push(mk);
-        samples.push(mk);
-    }
-    Ok(Distribution { summary, samples })
-}
-
-/// Error-isolating variant of [`sample_makespans`] for long campaigns:
-/// a failing repetition (strategy error or panic inside `execute`) is
-/// recorded and skipped instead of aborting the whole distribution.
-///
-/// Surviving samples are pushed in repetition order, so a run with zero
-/// failures is bit-identical to [`sample_makespans`]. The returned pairs
-/// are `(rep_index, rendered error)` for every skipped repetition.
-///
-/// # Errors
-/// Only setup errors (phase-1 placement) abort; per-rep failures are
-/// returned in the skip list.
-pub fn sample_makespans_resilient<S: Strategy>(
-    strategy: &S,
-    instance: &Instance,
-    unc: Uncertainty,
-    model: RealizationModel,
-    reps: usize,
-    seed: u64,
-) -> Result<(Distribution, Vec<(usize, String)>)> {
-    let placement = strategy.place(instance, unc)?;
-    let mut summary = Summary::new();
-    let mut samples = Samples::new();
-    let mut skipped = Vec::new();
-    for rep in 0..reps {
-        let one = || -> Result<f64> {
-            let mut r = rng::rng(rng::child_seed(seed, rep as u64));
-            let real = model.realize(instance, unc, &mut r)?;
-            let assignment = strategy.execute(instance, &placement, &real)?;
-            assignment.check_feasible(&placement)?;
-            Ok(assignment.makespan(&real).get())
-        };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(one)).unwrap_or(Err(
-            rds_core::Error::InvalidParameter {
-                what: "sampling repetition panicked",
-            },
-        ));
-        match outcome {
-            Ok(mk) => {
-                summary.push(mk);
-                samples.push(mk);
-            }
-            Err(e) => skipped.push((rep, e.to_string())),
-        }
-    }
-    Ok((Distribution { summary, samples }, skipped))
-}
 
 /// Expected value of adaptivity: mean over paired samples of
 /// `(static makespan − adaptive makespan) / static makespan`.
@@ -158,45 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn distribution_is_reproducible_and_bounded() {
-        let i = inst();
-        let unc = Uncertainty::of(2.0);
-        let a = sample_makespans(
-            &LptNoChoice,
-            &i,
-            unc,
-            RealizationModel::UniformFactor,
-            50,
-            42,
-        )
-        .unwrap();
-        let b = sample_makespans(
-            &LptNoChoice,
-            &i,
-            unc,
-            RealizationModel::UniformFactor,
-            50,
-            42,
-        )
-        .unwrap();
-        assert_eq!(a.summary.mean(), b.summary.mean());
-        // Bounded by the analytic envelope.
-        let placement = {
-            use rds_algs::Strategy;
-            LptNoChoice.place(&i, unc).unwrap()
-        };
-        let assignment = {
-            use rds_algs::Strategy;
-            LptNoChoice
-                .execute(&i, &placement, &rds_core::Realization::exact(&i))
-                .unwrap()
-        };
-        let env = crate::envelope::envelope(&i, &assignment, unc);
-        assert!(a.summary.max() <= env.worst.get() + 1e-9);
-        assert!(a.summary.min() >= env.best.get() - 1e-9);
-    }
-
-    #[test]
     fn eva_is_nonnegative_under_uncertainty() {
         let i = inst();
         let unc = Uncertainty::of(2.0);
@@ -234,58 +100,5 @@ mod tests {
         // With exact estimates both run LPT on the truth: nearly no gap
         // (tie-breaking can still differ slightly, but not in sign).
         assert!(eva.mean().abs() < 0.05, "EVA = {}", eva.mean());
-    }
-
-    #[test]
-    fn resilient_sampling_matches_fail_fast_when_nothing_fails() {
-        let i = inst();
-        let unc = Uncertainty::of(2.0);
-        let strict = sample_makespans(
-            &LptNoChoice,
-            &i,
-            unc,
-            RealizationModel::UniformFactor,
-            30,
-            42,
-        )
-        .unwrap();
-        let (resilient, skipped) = sample_makespans_resilient(
-            &LptNoChoice,
-            &i,
-            unc,
-            RealizationModel::UniformFactor,
-            30,
-            42,
-        )
-        .unwrap();
-        assert!(skipped.is_empty());
-        assert_eq!(strict.summary.count(), resilient.summary.count());
-        assert_eq!(
-            strict.summary.mean().to_bits(),
-            resilient.summary.mean().to_bits()
-        );
-        assert_eq!(
-            strict.summary.max().to_bits(),
-            resilient.summary.max().to_bits()
-        );
-    }
-
-    #[test]
-    fn quantiles_ordered() {
-        let i = inst();
-        let unc = Uncertainty::of(1.5);
-        let mut d = sample_makespans(
-            &LptNoRestriction,
-            &i,
-            unc,
-            RealizationModel::LogUniformFactor,
-            40,
-            11,
-        )
-        .unwrap();
-        let q10 = d.quantile(0.1);
-        let q90 = d.quantile(0.9);
-        assert!(q10 <= q90);
-        assert!(d.summary.count() == 40);
     }
 }

@@ -483,20 +483,15 @@ impl Dispatcher for OrderedDispatcher {
             // Indexed path: every entry in the machine's row is eligible
             // by construction, so pending is the only filter, and the
             // shared per-row cursor makes the advance amortized O(1)
-            // across all machines sharing the row. Under the CSR layout
-            // the probe IS the cursor position: each row sweeps its own
-            // contiguous hot-column segment left to right, the access
-            // pattern that keeps n = 10^6 runs cache-resident.
+            // across all machines sharing the row.
             let r = idx.row[machine.index()] as usize;
             let hi = idx.offsets[r + 1];
             let mut c = idx.cursors[r];
             while c < hi {
-                let slot = if !by_slot {
-                    idx.tasks[c as usize]
-                } else if csr_slots {
-                    c
-                } else {
+                let slot = if by_slot {
                     idx.ranks[c as usize]
+                } else {
+                    idx.tasks[c as usize]
                 };
                 if view.tasks[slot as usize].is_pending() {
                     idx.cursors[r] = c;

@@ -369,72 +369,6 @@ impl CalendarQueue {
         self.scanned > 8 * self.popped + 4 * self.head.len() as u64
     }
 
-    /// Minimum event by `(time, machine)` without mutating anything.
-    fn peek(&self) -> Option<IdleEvent> {
-        let b = self.head.len() as u64;
-        let mut best: Option<IdleEvent> = None;
-        if self.bucketed > 0 {
-            // First non-empty bucket in window order holds the wheel
-            // minimum (clamped pushes only land in the current bucket).
-            for k in 0..b {
-                let ring = ((self.vidx + k) & self.mask) as usize;
-                let mut mi = self.head[ring];
-                if mi == NIL {
-                    continue;
-                }
-                while mi != NIL {
-                    let ev = self.event_of(mi as usize);
-                    if best.is_none_or(|b| (ev.time, ev.machine) < (b.time, b.machine)) {
-                        best = Some(ev);
-                    }
-                    mi = self.next[mi as usize];
-                }
-                break;
-            }
-        }
-        // Overflow normally holds times past the window, but a blocked
-        // second-event-per-machine push can undercut the wheel minimum.
-        match (best, self.overflow.peek()) {
-            (Some(w), Some(Reverse(Entry(o)))) => {
-                if (o.time, o.machine) < (w.time, w.machine) {
-                    Some(*o)
-                } else {
-                    Some(w)
-                }
-            }
-            (Some(w), None) => Some(w),
-            (None, Some(Reverse(Entry(o)))) => Some(*o),
-            (None, None) => None,
-        }
-    }
-
-    /// Pops the single minimum event (compatibility path; the engine
-    /// uses [`CalendarQueue::pop_round`]).
-    fn pop(&mut self) -> Option<IdleEvent> {
-        let ev = self.peek()?;
-        let mi = ev.machine.index();
-        if mi < self.next.len() && self.next[mi] != FREE && self.event_of(mi) == ev {
-            // Unlink it from whichever bucket chains it.
-            let ring = (self.idx(ev.time).max(self.vidx) & self.mask) as usize;
-            let mut scratch = Vec::with_capacity(1);
-            self.unlink_time(ring, ev.time.get(), &mut scratch);
-            // Equal-time chain mates came out too; relink all but `ev`.
-            for other in scratch {
-                if other != ev {
-                    self.link(other, self.idx(other.time).max(self.vidx));
-                }
-            }
-            self.popped += 1;
-            Some(ev)
-        } else {
-            let Some(Reverse(Entry(popped))) = self.overflow.pop() else {
-                unreachable!("peeked event vanished");
-            };
-            self.popped += 1;
-            Some(popped)
-        }
-    }
-
     /// Drains every remaining event (used by the heap migration).
     fn drain_into(&mut self, heap: &mut BinaryHeap<Reverse<Entry>>) {
         for ring in 0..self.head.len() {
@@ -584,11 +518,11 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event (ties → smallest machine).
+    /// A calendar-armed queue first moves all its events to the heap,
+    /// as the degeneracy fallback does; the engine pops by round instead.
     pub fn pop(&mut self) -> Option<IdleEvent> {
-        match self.active {
-            Active::Heap => self.heap.pop().map(|Reverse(Entry(ev))| ev),
-            Active::Calendar => self.cal.pop(),
-        }
+        self.use_heap();
+        self.heap.pop().map(|Reverse(Entry(ev))| ev)
     }
 
     /// Pops **every** event sharing the minimal time into `out`
@@ -632,8 +566,7 @@ impl EventQueue {
             Active::Calendar => {
                 let any = self.cal.pop_round(out);
                 if any && self.cal.degenerate() {
-                    self.cal.drain_into(&mut self.heap);
-                    self.active = Active::Heap;
+                    self.use_heap();
                 }
                 any
             }
@@ -642,11 +575,20 @@ impl EventQueue {
 
     /// The earliest event without removing it — lets an outer loop (the
     /// serve daemon) merge this queue with other event sources (task
-    /// arrivals, retry timers) by comparing heads.
-    pub fn peek(&self) -> Option<IdleEvent> {
-        match self.active {
-            Active::Heap => self.heap.peek().map(|Reverse(Entry(ev))| *ev),
-            Active::Calendar => self.cal.peek(),
+    /// arrivals, retry timers) by comparing heads. Like [`Self::pop`],
+    /// it moves a calendar-armed queue's events to the heap first.
+    pub fn peek(&mut self) -> Option<IdleEvent> {
+        self.use_heap();
+        self.heap.peek().map(|Reverse(Entry(ev))| *ev)
+    }
+
+    /// Switches a calendar-armed queue to the heap backend, moving every
+    /// queued event over — the degeneracy fallback's migration, which
+    /// reorders nothing. A no-op on the heap backend.
+    fn use_heap(&mut self) {
+        if self.active == Active::Calendar {
+            self.cal.drain_into(&mut self.heap);
+            self.active = Active::Heap;
         }
     }
 
@@ -808,6 +750,54 @@ mod tests {
             }
             assert_eq!(heap.len(), cal.len());
         }
+    }
+
+    #[test]
+    fn pop_and_peek_on_a_calendar_queue_match_the_heap() {
+        let mut heap = EventQueue::new();
+        heap.reset_all_idle(6);
+        let mut cal = EventQueue::new();
+        cal.reset_bucketed(6, 0.5);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(heap.pop_round(&mut a) && cal.pop_round(&mut b));
+        assert_eq!(a, b);
+        // On the calendar these land on the wheel, past its window in
+        // the overflow heap (1e9), and as a second event for machine 4
+        // in the overflow heap too.
+        for (t, m) in [(0.7, 0), (0.2, 4), (3.1, 2), (1e9, 5), (0.7, 3), (0.2, 4)] {
+            heap.push(ev(t, m));
+            cal.push(ev(t, m));
+        }
+        assert!(cal.is_bucketed());
+        let mut seq = Vec::new();
+        for step in 0..2 {
+            let head = cal.peek();
+            assert_eq!(head, heap.peek(), "peek diverged at step {step}");
+            assert_eq!(cal.pop(), head, "pop differs from peek at step {step}");
+            assert_eq!(heap.pop(), head, "pop diverged at step {step}");
+            seq.push(head.map(|e| (e.time.get(), e.machine.index())));
+        }
+        for q in [&mut heap, &mut cal] {
+            q.push(ev(0.5, 1));
+        }
+        while let Some(e) = cal.pop() {
+            assert_eq!(heap.pop(), Some(e));
+            seq.push(Some((e.time.get(), e.machine.index())));
+        }
+        assert!(heap.is_empty());
+        assert_eq!(
+            seq,
+            [
+                (0.2, 4),
+                (0.2, 4),
+                (0.5, 1),
+                (0.7, 0),
+                (0.7, 3),
+                (3.1, 2),
+                (1e9, 5)
+            ]
+            .map(Some)
+        );
     }
 
     #[test]

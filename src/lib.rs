@@ -24,8 +24,8 @@
 //! - [`par`]: parallel sweep executor;
 //! - [`policies`]: future-work replication policies
 //!   (chained, critical-task, randomized);
-//! - [`robust`]: robustness envelopes, criticality, Monte
-//!   Carlo distributions;
+//! - [`robust`]: robustness envelopes, criticality, the
+//!   expected value of adaptivity;
 //! - [`report`]: stats, tables, CSV, ASCII plots and Gantts;
 //! - [`conformance`]: the differential/metamorphic oracle checking every
 //!   algorithm against the exact solvers and proven bounds.
