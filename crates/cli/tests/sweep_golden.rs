@@ -1,12 +1,15 @@
-//! Golden `rds sweep` runs: the printed table and the journal bytes of a
-//! fixed set of seeded sweeps, one or more per route the exact solver
-//! takes for the ratio denominator:
+//! Golden `rds sweep` and `rds resilience` runs: the printed table and
+//! the journal bytes of fixed seeded campaigns. The sweeps cover one or
+//! more routes the exact solver takes for the ratio denominator:
 //!
 //! - n = 12, m = 8: the subset DP proves the optimum;
 //! - n = 30, m = 8: branch-and-bound, whose node budget runs out, so an
 //!   unproven incumbent caps the dual-approximation lower bound;
 //! - n = 41 and up: the MULTIFIT / dual-approximation bracket, under two
 //!   realization models and with the reps split over two journal shards.
+//!
+//! The resilience campaigns cover a plain run, two journal shards, the
+//! validator and stragglers.
 //!
 //! Every journal record stores the makespan and its baseline by value,
 //! so a digest mismatch means some ratio denominator (or makespan) moved
@@ -38,14 +41,15 @@ fn journal_files(journal: &Path, shards: usize) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Runs `rds sweep <args> --journal <tmp>` in process and returns the
-/// table lines and the FNV-1a digest of the journal bytes (all segments,
-/// in shard order).
-fn sweep(tag: &str, args: &str) -> (Vec<String>, u64) {
-    let dir = std::env::temp_dir().join(format!("rds-sweep-golden-{}-{tag}", std::process::id()));
+/// Runs `rds <command> <args> --journal <tmp>` in process and returns
+/// the table lines and the FNV-1a digest of the journal bytes (all
+/// segments, in shard order).
+fn campaign(command: &str, tag: &str, args: &str) -> (Vec<String>, u64) {
+    let dir =
+        std::env::temp_dir().join(format!("rds-golden-{}-{command}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("sweep.journal");
-    let mut argv: Vec<String> = std::iter::once("sweep")
+    let journal = dir.join("campaign.journal");
+    let mut argv: Vec<String> = std::iter::once(command)
         .chain(args.split_whitespace())
         .map(str::to_string)
         .collect();
@@ -71,8 +75,24 @@ fn sweep(tag: &str, args: &str) -> (Vec<String>, u64) {
 }
 
 /// `(arguments, table lines, journal digest)`.
+type Golden = &'static [(&'static str, &'static [&'static str], u64)];
+
+/// Runs every case of `golden` under `command` and lists the mismatches.
+fn mismatches(command: &str, golden: Golden) -> Vec<String> {
+    let mut out = Vec::new();
+    for (i, &(args, table, digest)) in golden.iter().enumerate() {
+        let (got_table, got_digest) = campaign(command, &i.to_string(), args);
+        if got_table != table || got_digest != digest {
+            out.push(format!(
+                "{command} {args:?}: want {table:#?} {digest:#018x}, got {got_table:#?} {got_digest:#018x}"
+            ));
+        }
+    }
+    out
+}
+
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &[&str], u64)] = &[
+const GOLDEN: Golden = &[
     ("--m 8 --n 12 --reps 6 --seed 5", &[
         "| policy             | replicas | runs | mean ratio | worst ratio |",
         "| ------------------ | --------:| ----:| ----------:| -----------:|",
@@ -129,16 +149,54 @@ const GOLDEN: &[(&str, &[&str], u64)] = &[
     ], 0xfa21cbe3f0757924),
 ];
 
+#[rustfmt::skip]
+const RESILIENCE: Golden = &[
+    ("--m 8 --n 40 --mtbf 30 --reps 4 --seed 5", &[
+        "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
+        "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
+        "| LPT-No Choice      |        1 |         0.787 |            0/4 |          6.25 |            28.20 |      0.00 |                - |                 - |",
+        "| Chained(k=2)       |        2 |         0.887 |            1/4 |          7.75 |            30.58 |      0.00 |            1.419 |             1.419 |",
+        "| Chained(k=3)       |        3 |         0.994 |            3/4 |          8.00 |            30.92 |      0.00 |            2.054 |             2.416 |",
+        "| LS-Group(k=2)      |        4 |         1.000 |            4/4 |          7.75 |            36.09 |      0.00 |            2.909 |             3.894 |",
+        "| LPT-No Restriction |        8 |         1.000 |            4/4 |          8.25 |            33.22 |      0.00 |            1.768 |             2.067 |",
+    ], 0xb198c04f423a87fb),
+    ("--m 8 --n 40 --mtbf 30 --reps 5 --seed 7 --shards 2", &[
+        "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
+        "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
+        "| LPT-No Choice      |        1 |         0.920 |            1/5 |          4.00 |            14.92 |      0.00 |            1.532 |             1.532 |",
+        "| Chained(k=2)       |        2 |         0.960 |            3/5 |          4.80 |            20.05 |      0.00 |            1.469 |             1.792 |",
+        "| Chained(k=3)       |        3 |         1.000 |            5/5 |          5.60 |            20.53 |      0.00 |            1.432 |             1.774 |",
+        "| LS-Group(k=2)      |        4 |         1.000 |            5/5 |          5.20 |            18.53 |      0.00 |            1.569 |             2.184 |",
+        "| LPT-No Restriction |        8 |         1.000 |            5/5 |          5.40 |            20.95 |      0.00 |            1.338 |             1.623 |",
+    ], 0xe441b52abb45572f),
+    ("--m 6 --n 30 --mtbf 20 --reps 3 --seed 9 --validate", &[
+        "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
+        "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
+        "| LPT-No Choice      |        1 |         0.844 |            0/3 |          4.67 |            19.30 |      0.00 |                - |                 - |",
+        "| Chained(k=2)       |        2 |         1.000 |            3/3 |          5.00 |            20.43 |      0.00 |            1.585 |             2.118 |",
+        "| Chained(k=3)       |        3 |         1.000 |            3/3 |          5.67 |            22.17 |      0.00 |            1.425 |             1.610 |",
+        "| LS-Group(k=2)      |        3 |         1.000 |            3/3 |          5.00 |            15.51 |      0.00 |            1.353 |             1.601 |",
+        "| LPT-No Restriction |        6 |         1.000 |            3/3 |          6.00 |            20.00 |      0.00 |            1.409 |             1.585 |",
+    ], 0xb392dda24af1a80f),
+    ("--m 8 --n 40 --mtbf 40 --reps 3 --seed 11 --stragglers 0.1", &[
+        "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
+        "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
+        "| LPT-No Choice      |        1 |         0.900 |            1/3 |          5.33 |            41.20 |      0.00 |            2.616 |             2.616 |",
+        "| Chained(k=2)       |        2 |         0.983 |            2/3 |          5.00 |            42.64 |      0.00 |            1.939 |             2.471 |",
+        "| Chained(k=3)       |        3 |         1.000 |            3/3 |          5.67 |            41.79 |      0.00 |            2.101 |             2.698 |",
+        "| LS-Group(k=2)      |        4 |         1.000 |            3/3 |          4.67 |            35.84 |      0.00 |            2.023 |             3.253 |",
+        "| LPT-No Restriction |        8 |         1.000 |            3/3 |          5.33 |            46.20 |      0.33 |            2.093 |             3.309 |",
+    ], 0xa8f47705f405fcbb),
+];
+
 #[test]
 fn sweep_tables_and_journals_are_byte_identical_to_golden() {
-    let mut mismatches = Vec::new();
-    for (i, &(args, table, digest)) in GOLDEN.iter().enumerate() {
-        let (got_table, got_digest) = sweep(&i.to_string(), args);
-        if got_table != table || got_digest != digest {
-            mismatches.push(format!(
-                "{args:?}: want {table:#?} {digest:#018x}, got {got_table:#?} {got_digest:#018x}"
-            ));
-        }
-    }
-    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    let bad = mismatches("sweep", GOLDEN);
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn resilience_tables_and_journals_are_byte_identical_to_golden() {
+    let bad = mismatches("resilience", RESILIENCE);
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
 }
