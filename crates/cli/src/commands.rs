@@ -1105,11 +1105,8 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// `rds resilience`; per-trial ratios are stored as
 /// makespan/baseline pairs, so aggregates survive a crash bit-for-bit.
 pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    use rds_par::{supervise, Supervised, TrialRecord};
-    use rds_policies::{
-        quarantine_record, record_from_measurement, CampaignReport, TrialMeasurement,
-    };
-    use std::collections::HashSet;
+    use rds_policies::{CellOrder, SweepRep};
+    use std::sync::Arc;
 
     let m: usize = args.require("m")?;
     let alpha: f64 = args.get_or("alpha", 1.5)?;
@@ -1129,7 +1126,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 
     let mut r = rng::rng(seed);
     let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
-    let inst = Instance::from_estimates(&est, m)?;
+    let inst = Arc::new(Instance::from_estimates(&est, m)?);
     let suite = rds_policies::standard_suite(&inst, unc)?;
     // Hetero specs join the journal params so a resumed shard refuses to
     // mix homogeneous and heterogeneous records; absent flags leave the
@@ -1143,118 +1140,56 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     }
     let config = campaign_config(args, "sweep", seed, params)?;
 
-    // Like `run_campaign_resumable`, the sweep partitions reps across
-    // `--shards` independent journal segments (rep `r` belongs to shard
-    // `r % shards`); aggregation below sorts by trial, so the merged
-    // report is bit-identical however the reps were sharded.
-    let mut records: Vec<TrialRecord> = Vec::new();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    for shard in 0..config.shards {
-        let (mut journal, shard_records) =
-            rds_policies::open_shard_journal(&config, inst.digest(), shard)?;
-        skipped += shard_records.len();
-        let have: HashSet<(String, u64)> = shard_records.iter().map(TrialRecord::key).collect();
-        records.extend(shard_records);
-
-        for rep in 0..reps {
-            if rep % config.shards != shard {
-                continue;
-            }
-            let rep_idx = rep as u64;
-            let pending: Vec<&rds_policies::ResiliencePolicy> = suite
-                .iter()
-                .filter(|p| !have.contains(&(p.name.clone(), rep_idx)))
-                .collect();
-            if pending.is_empty() {
-                continue;
-            }
-            let trial_seed = rng::child_seed(seed, rep_idx);
-            let mut tr = rng::rng(trial_seed);
-            let real = model.realize(&inst, unc, &mut tr)?;
-            // Hetero draws come after the realization draw so runs
-            // without the flags keep their historical stream.
-            let speeds = match speeds_raw.as_deref().zip(speed_dist.as_ref()) {
-                Some((raw, d)) => Some(realize_speeds(raw, d, m, &real, &mut tr)?),
-                None => None,
-            };
-            let topo = match &topo_model {
-                Some(t) => Some(t.build(m, &mut tr)?),
-                None => None,
-            };
-            // The exact solver's certified lower bound on the offline
-            // optimum of this realization is the ratio denominator; the
-            // bracket's upper side is never needed here. Under
-            // heterogeneous speeds the homogeneous solver bound no
-            // longer applies, so switch to the speed-aware bound
-            // (transfer charges only add time, so it stays sound when
-            // a topology is also present).
-            let opt_lo = match &speeds {
-                Some(s) => rds_algs::speed_lower_bound(real.times(), s).get(),
-                None => OptimalSolver::default()
-                    .lower_bound(real.times(), inst.m())
-                    .get(),
-            };
-            for policy in pending {
-                let body_inst = inst.clone();
-                let body_policy = policy.clone();
-                let body_real = real.clone();
-                let body_speeds = speeds.clone();
-                let body_topo = topo.clone();
-                let outcome = supervise(&config.watchdog, trial_seed, move |_token| {
-                    // The locality-aware dispatcher takes over phase 2
-                    // when a topology is present; otherwise each policy
-                    // keeps its own dispatcher. Without speeds and
-                    // topology `run_hetero` is exactly `Engine::run`.
-                    let engine =
-                        rds_sim::Engine::new(&body_inst, &body_policy.placement, &body_real)?;
-                    let mut d: Box<dyn rds_sim::Dispatcher> = match &body_topo {
-                        Some(t) => Box::new(rds_sim::LocalityDispatcher::new(
-                            body_inst.ids_by_estimate_desc(),
-                            &body_policy.placement,
-                            t.clone(),
-                        )?),
-                        None => body_policy.dispatcher(&body_inst),
-                    };
-                    let res =
-                        engine.run_hetero(d.as_mut(), body_speeds.as_ref(), body_topo.as_ref())?;
-                    Ok(res.makespan.get())
-                });
-                let record = match outcome {
-                    Supervised::Done { value, attempts } => {
-                        // A fault-free run: everything survives, and the
-                        // ratio's denominator rides in the baseline.
-                        let measured = TrialMeasurement {
-                            completed: true,
-                            survival: 1.0,
-                            makespan: value,
-                            baseline: opt_lo,
-                            ..Default::default()
-                        };
-                        record_from_measurement(
-                            &policy.name,
-                            rep_idx,
-                            trial_seed,
-                            attempts,
-                            &measured,
-                        )
-                    }
-                    Supervised::Quarantined { attempts, error } => {
-                        quarantine_record(&policy.name, rep_idx, trial_seed, attempts, &error)
-                    }
-                };
-                if let Some(j) = journal.as_mut() {
-                    j.append(&record)?;
-                }
-                records.push(record);
-                executed += 1;
-            }
-        }
-    }
+    // Rep-major: a rep's realization, hetero draws and ratio denominator
+    // are built once, and only when one of its cells is pending.
+    let rep_inputs = |rep: u64| -> Result<(u64, Arc<SweepRep>), CmdError> {
+        let trial_seed = rng::child_seed(seed, rep);
+        let mut tr = rng::rng(trial_seed);
+        let realization = model.realize(&inst, unc, &mut tr)?;
+        // Hetero draws come after the realization draw so runs without
+        // the flags keep their historical stream.
+        let speeds = match speeds_raw.as_deref().zip(speed_dist.as_ref()) {
+            Some((raw, d)) => Some(realize_speeds(raw, d, m, &realization, &mut tr)?),
+            None => None,
+        };
+        let topology = match &topo_model {
+            Some(t) => Some(Arc::new(t.build(m, &mut tr)?)),
+            None => None,
+        };
+        // The exact solver's certified lower bound on the offline
+        // optimum of this realization is the ratio denominator; the
+        // bracket's upper side is never needed here. Under
+        // heterogeneous speeds the homogeneous solver bound no longer
+        // applies, so switch to the speed-aware bound (transfer charges
+        // only add time, so it stays sound when a topology is also
+        // present).
+        let baseline = match &speeds {
+            Some(s) => rds_algs::speed_lower_bound(realization.times(), s).get(),
+            None => OptimalSolver::default()
+                .lower_bound(realization.times(), inst.m())
+                .get(),
+        };
+        let rep = SweepRep {
+            realization,
+            speeds,
+            topology,
+            baseline,
+        };
+        Ok((trial_seed, Arc::new(rep)))
+    };
+    let report = rds_policies::run_supervised(
+        Arc::clone(&inst),
+        &suite,
+        reps as u64,
+        CellOrder::TrialMajor,
+        &config,
+        rep_inputs,
+        rds_policies::run_sweep_trial,
+    )?;
     if rds_obs::enabled() {
-        let g = rds_obs::global();
-        g.counter("sweep.items").add(executed as u64);
-        g.counter("campaign.skipped").add(skipped as u64);
+        rds_obs::global()
+            .counter("sweep.items")
+            .add(report.executed as u64);
     }
 
     writeln!(
@@ -1285,9 +1220,8 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         Align::Right,
         Align::Right,
     ]);
-    // Aggregate per policy in (suite order, rep order); the journaled
-    // makespan/baseline pairs reproduce the ratios bit-for-bit.
-    let report = CampaignReport::from_records(&suite, &records, executed, skipped);
+    // Rows aggregate per policy in (suite order, rep order); the
+    // journaled makespan/baseline pairs reproduce the ratios bit-for-bit.
     let degr = |v: f64| {
         if v.is_nan() {
             "-".to_string()
@@ -1315,10 +1249,24 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// non-zero — conformance is a pass/fail gate, not a report.
 pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_conformance::{Counterexample, Mutation};
-    use std::path::{Path, PathBuf};
+    use std::path::PathBuf;
 
     if let Some(path) = args.get::<String>("replay")? {
-        let ce = Counterexample::read(Path::new(&path))?;
+        // A file that cannot be read is a runtime failure; one that is
+        // not UTF-8 text or not an artifact is a malformed replay.
+        let text = std::fs::read_to_string(&path).map_err(|e| -> CmdError {
+            let err = rds_core::Error::Io {
+                op: "read",
+                path: path.clone(),
+                why: e.to_string(),
+            };
+            if e.kind() == std::io::ErrorKind::InvalidData {
+                bad_spec("replay", err.to_string()).into()
+            } else {
+                err.into()
+            }
+        })?;
+        let ce = Counterexample::parse(&text).map_err(|e| bad_spec("replay", e.to_string()))?;
         writeln!(
             out,
             "replaying {path}: strategy {}, mutation {}, check {} \
@@ -2356,6 +2304,80 @@ mod tests {
     }
 
     #[test]
+    fn malformed_replay_artifacts_are_usage_errors_with_their_messages() {
+        let path = std::env::temp_dir().join(format!("rds-cli-replay-{}.json", std::process::id()));
+        let path_str = path.to_string_lossy().into_owned();
+        let artifact = |strategy: &str, mutation: &str, check: &str, estimates: &str| {
+            format!(
+                "{{\"strategy\":\"{strategy}\",\"mutation\":\"{mutation}\",\"check\":\"{check}\",\
+                 \"observed\":1.5,\"limit\":1.2,\"detail\":\"d\",\"seed\":1,\"case_index\":0,\
+                 \"shrink_steps\":0,\"m\":2,\"alpha\":1.5,\"estimates\":\"{estimates}\",\
+                 \"factors\":\"1,1\"}}"
+            )
+        };
+        let ok = ["lpt-no-choice", "none", "guarantee-ratio", "1,2"];
+        let cases: Vec<(Vec<u8>, String)> = vec![
+            (
+                b"not json".to_vec(),
+                "invalid parameter: counterexample artifact is not a flat JSON object".into(),
+            ),
+            (
+                b"{}".to_vec(),
+                "invalid parameter: counterexample artifact is missing a required field".into(),
+            ),
+            (
+                artifact("bogus", ok[1], ok[2], ok[3]).into_bytes(),
+                "invalid parameter: counterexample artifact names an unknown strategy".into(),
+            ),
+            (
+                artifact(ok[0], "bogus", ok[2], ok[3]).into_bytes(),
+                "invalid parameter: counterexample artifact names an unknown mutation".into(),
+            ),
+            (
+                artifact(ok[0], ok[1], "bogus", ok[3]).into_bytes(),
+                "invalid parameter: counterexample artifact names an unknown check".into(),
+            ),
+            (
+                artifact(ok[0], ok[1], ok[2], "1,x").into_bytes(),
+                "invalid parameter: counterexample artifact has malformed estimates".into(),
+            ),
+            (
+                artifact(ok[0], ok[1], ok[2], ok[3])
+                    .replace("\"seed\":1", "\"seed\":-1")
+                    .into_bytes(),
+                "invalid parameter: counterexample artifact has a malformed field".into(),
+            ),
+            (
+                artifact(ok[0], ok[1], ok[2], ok[3])
+                    .replace("\"factors\":\"1,1\"", "\"factors\":\"1;1\"")
+                    .into_bytes(),
+                "invalid parameter: counterexample artifact has malformed factors".into(),
+            ),
+            (
+                b"{\"strategy\":\"\xff\"}".to_vec(),
+                format!("io error during read of {path_str}: stream did not contain valid UTF-8"),
+            ),
+        ];
+        for (bytes, message) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = usage_error(&["conformance", "--replay", &path_str]);
+            assert!(
+                matches!(&err, ArgError::BadSpec { key, .. } if key == "replay"),
+                "{message}: {err:?}"
+            );
+            assert_eq!(err.to_string(), message);
+        }
+        // A file that cannot be read stays a runtime failure (exit 1).
+        std::fs::remove_file(&path).unwrap();
+        let err = run_to_string(&["conformance", "--replay", &path_str]).unwrap_err();
+        assert!(err.downcast_ref::<ArgError>().is_none(), "{err}");
+        assert!(
+            err.to_string().starts_with("io error during read of"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn resilience_journal_resume_reproduces_identical_table() {
         let path = std::env::temp_dir().join(format!("rds-cli-res-{}", std::process::id()));
         let path_str = path.to_string_lossy().into_owned();
@@ -2409,14 +2431,24 @@ mod tests {
 
     #[test]
     fn resilience_hung_trial_is_quarantined_via_flags() {
-        let out = run_to_string(&[
-            "resilience",
+        // The (policy, trial) rows of a printed quarantine table.
+        fn quarantined(out: &str) -> Vec<(String, String)> {
+            out.lines()
+                .skip_while(|l| !l.starts_with("quarantined trials"))
+                .filter(|l| l.starts_with("| ") && !l.starts_with("| policy") && !l.contains("---"))
+                .map(|l| {
+                    let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                    (cells[1].to_string(), cells[2].to_string())
+                })
+                .collect()
+        }
+        // Both campaign commands run on one supervised loop, so the same
+        // stall flags hang and quarantine the same cells in each.
+        let common = [
             "--m",
             "3",
             "--n",
             "9",
-            "--mtbf",
-            "0",
             "--reps",
             "2",
             "--seed",
@@ -2429,10 +2461,18 @@ mod tests {
             "30",
             "--retries",
             "2",
-        ])
-        .unwrap();
-        assert!(out.contains("quarantined trials"), "{out}");
-        assert!(out.contains("wall-clock budget"), "{out}");
+        ];
+        let mut lists = Vec::new();
+        for command in [&["resilience", "--mtbf", "0"][..], &["sweep"][..]] {
+            let argv: Vec<&str> = command.iter().chain(&common).copied().collect();
+            let out = run_to_string(&argv).unwrap();
+            assert!(out.contains("quarantined trials"), "{out}");
+            assert!(out.contains("wall-clock budget"), "{out}");
+            lists.push(quarantined(&out));
+        }
+        assert_eq!(lists[0].len(), 5, "{:?}", lists[0]);
+        assert!(lists[0].iter().all(|(_, trial)| trial == "1"));
+        assert_eq!(lists[0], lists[1]);
     }
 
     #[test]

@@ -84,12 +84,12 @@ impl MachineSet {
     }
 
     /// Iterates over the members in increasing machine id order.
-    pub fn iter(&self, m: usize) -> Box<dyn Iterator<Item = MachineId> + '_> {
+    pub fn iter(&self, m: usize) -> Members<'_> {
         match self {
-            MachineSet::One(id) => Box::new(std::iter::once(*id)),
-            MachineSet::Span { start, end } => Box::new((*start..*end).map(MachineId)),
-            MachineSet::All => Box::new((0..m as u32).map(MachineId)),
-            MachineSet::Mask(mask) => Box::new(mask.iter()),
+            MachineSet::One(id) => Members::One(std::iter::once(*id)),
+            MachineSet::Span { start, end } => Members::Range(*start..*end),
+            MachineSet::All => Members::Range(0..m as u32),
+            MachineSet::Mask(mask) => Members::Mask(mask.iter()),
         }
     }
 
@@ -117,6 +117,38 @@ impl MachineSet {
                 }
             }
             _ => Ok(()),
+        }
+    }
+}
+
+/// Iterator over a [`MachineSet`]'s members, from [`MachineSet::iter`].
+/// A concrete type, so iterating a set allocates nothing.
+pub enum Members<'a> {
+    /// The one member of a singleton.
+    One(std::iter::Once<MachineId>),
+    /// The contiguous ids of a span or everywhere set.
+    Range(std::ops::Range<u32>),
+    /// The members of an arbitrary subset.
+    Mask(crate::bitset::Iter<'a>),
+}
+
+impl Iterator for Members<'_> {
+    type Item = MachineId;
+
+    #[inline]
+    fn next(&mut self) -> Option<MachineId> {
+        match self {
+            Members::One(it) => it.next(),
+            Members::Range(r) => r.next().map(MachineId),
+            Members::Mask(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Members::One(it) => it.size_hint(),
+            Members::Range(r) => r.size_hint(),
+            Members::Mask(it) => it.size_hint(),
         }
     }
 }

@@ -41,6 +41,26 @@ impl ChainedReplication {
         self.k
     }
 
+    /// The placement that chains each task from its machine in
+    /// `primaries`. [`Strategy::place`] passes the LPT assignment on the
+    /// estimates; a caller that already holds it passes it here.
+    ///
+    /// # Errors
+    /// - [`Error::BadGroupCount`] when `k` exceeds the machine count;
+    /// - [`Placement::new`]'s errors.
+    pub fn chain(&self, instance: &Instance, primaries: &Assignment) -> Result<Placement> {
+        if self.k > instance.m() {
+            return Err(Error::BadGroupCount {
+                k: self.k,
+                m: instance.m(),
+            });
+        }
+        let sets = (0..instance.n())
+            .map(|j| self.chain_set(instance.m(), primaries.machine_of(rds_core::TaskId::new(j))))
+            .collect();
+        Placement::new(instance, sets)
+    }
+
     fn chain_set(&self, m: usize, primary: MachineId) -> MachineSet {
         let k = self.k.min(m);
         if k == m {
@@ -73,17 +93,7 @@ impl Strategy for ChainedReplication {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        if self.k > instance.m() {
-            return Err(Error::BadGroupCount {
-                k: self.k,
-                m: instance.m(),
-            });
-        }
-        let primaries = lpt_estimates(instance)?;
-        let sets = (0..instance.n())
-            .map(|j| self.chain_set(instance.m(), primaries.machine_of(rds_core::TaskId::new(j))))
-            .collect();
-        Placement::new(instance, sets)
+        self.chain(instance, &lpt_estimates(instance)?)
     }
 
     fn execute(

@@ -43,8 +43,8 @@ pub mod reliability;
 pub mod resilience;
 
 pub use campaign::{
-    open_shard_journal, quarantine_record, record_from_measurement, run_campaign_resumable,
-    CampaignConfig, CampaignReport, QuarantinedTrial, StallInjection, Trial,
+    run_campaign_resumable, run_supervised, run_sweep_trial, CampaignConfig, CampaignReport,
+    CellOrder, QuarantinedTrial, StallInjection, SweepRep, Trial,
 };
 pub use chained::ChainedReplication;
 pub use critical::CriticalTaskReplication;

@@ -17,8 +17,11 @@
 //! [`rds_sim::ResilienceMetrics`] into one row per policy.
 
 use crate::ChainedReplication;
+use rds_algs::list_scheduling::greedy_by_order;
 use rds_algs::{LptNoChoice, LptNoRestriction, LsGroup, Strategy};
-use rds_core::{Instance, MachineId, Placement, Realization, Result, Uncertainty};
+use rds_core::{
+    Assignment, Instance, MachineId, Placement, Realization, Result, TaskId, Uncertainty,
+};
 use rds_sim::faults::{FaultScript, ResilienceEngine, Speculation};
 use rds_sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher};
 use std::sync::{Arc, OnceLock};
@@ -28,27 +31,51 @@ use std::sync::{Arc, OnceLock};
 pub struct ResiliencePolicy {
     /// Display name (the strategy's own name).
     pub name: String,
-    /// The phase-1 placement. Dispatchers are built from it once, on the
-    /// first [`Self::dispatcher`] call, and every clone of the policy
-    /// shares that build: replace the whole policy, not this field.
-    pub placement: Placement,
+    /// The phase-1 placement, shared between clones of the policy.
+    /// Dispatchers are built from it once, on the first
+    /// [`Self::dispatcher`] call, and every clone of the policy shares
+    /// that build: replace the whole policy, not this field.
+    pub placement: Arc<Placement>,
     /// For single-replica strategies, the planned task→machine pinning
     /// the dispatcher replays; replicated strategies dispatch online.
-    pinned: Option<Vec<MachineId>>,
-    /// A never-run dispatcher, built lazily and shared between clones.
-    /// Building one sorts every task id and, for replicated placements,
-    /// indexes the placement per machine (~1 ms at n = 4096, m = 256);
-    /// cloning it costs microseconds and is the same as a fresh build.
-    prototype: Arc<OnceLock<Prototype>>,
+    pinned: Option<Arc<[MachineId]>>,
+    /// The instance the suite was built for and its LPT order, one
+    /// record shared by every policy of the suite.
+    suite: Arc<SuiteKey>,
+    /// A never-run dispatcher for the suite's instance, built lazily and
+    /// shared between clones. Building one indexes a replicated
+    /// placement per machine (~0.2–0.4 ms at n = 4096, m = 256); cloning
+    /// it costs microseconds and is the same as a fresh build.
+    prototype: Arc<OnceLock<Fresh>>,
 }
 
-/// A never-run dispatcher and the instance data it was built from.
+/// The instance a suite was built for: the key a policy checks before
+/// it hands out its prototype, and the dispatch order every prototype
+/// takes.
 #[derive(Debug)]
-struct Prototype {
+struct SuiteKey {
     m: usize,
     /// Estimate bit patterns, which fix the dispatch order.
     estimates: Vec<u64>,
-    dispatcher: Fresh,
+    /// Task ids by non-increasing estimate, ties by id
+    /// ([`Instance::ids_by_estimate_desc`]).
+    order: Vec<TaskId>,
+}
+
+impl SuiteKey {
+    fn new(instance: &Instance) -> Self {
+        SuiteKey {
+            m: instance.m(),
+            estimates: estimate_bits(instance).collect(),
+            order: instance.ids_by_estimate_desc(),
+        }
+    }
+
+    fn built_for(&self, instance: &Instance) -> bool {
+        self.m == instance.m()
+            && self.estimates.len() == instance.n()
+            && estimate_bits(instance).eq(self.estimates.iter().copied())
+    }
 }
 
 /// The dispatchers a policy hands out, in their never-run state.
@@ -71,75 +98,87 @@ fn estimate_bits(instance: &Instance) -> impl Iterator<Item = u64> + '_ {
     instance.tasks().iter().map(|t| t.estimate.get().to_bits())
 }
 
-impl Prototype {
-    fn built_for(&self, instance: &Instance) -> bool {
-        self.m == instance.m()
-            && self.estimates.len() == instance.n()
-            && estimate_bits(instance).eq(self.estimates.iter().copied())
-    }
-}
-
 impl ResiliencePolicy {
     /// A fresh dispatcher for one run (dispatchers are stateful): a
-    /// clone of the policy's never-run prototype, or a new build when
-    /// `instance` is not the one the prototype was built for.
+    /// clone of the policy's never-run prototype when `instance` is the
+    /// suite's, a new build otherwise.
     pub fn dispatcher(&self, instance: &Instance) -> Box<dyn Dispatcher> {
-        let proto = self.prototype.get_or_init(|| Prototype {
-            m: instance.m(),
-            estimates: estimate_bits(instance).collect(),
-            dispatcher: self.build(instance),
-        });
-        if proto.built_for(instance) {
-            proto.dispatcher.clone().boxed()
+        if self.suite.built_for(instance) {
+            self.prototype
+                .get_or_init(|| self.build(instance, self.suite.order.clone()))
+                .clone()
+                .boxed()
         } else {
-            self.build(instance).boxed()
+            self.build(instance, instance.ids_by_estimate_desc())
+                .boxed()
         }
     }
 
-    fn build(&self, instance: &Instance) -> Fresh {
+    /// The LPT dispatch order for `instance`: a copy of the suite's,
+    /// sorted once, when `instance` is the suite's, a fresh sort
+    /// otherwise.
+    pub(crate) fn order(&self, instance: &Instance) -> Vec<TaskId> {
+        if self.suite.built_for(instance) {
+            self.suite.order.clone()
+        } else {
+            instance.ids_by_estimate_desc()
+        }
+    }
+
+    fn build(&self, instance: &Instance, order: Vec<TaskId>) -> Fresh {
         match &self.pinned {
             Some(machines) => Fresh::Pinned(PinnedDispatcher::new(machines, instance.m())),
-            None => Fresh::Ordered(Box::new(OrderedDispatcher::auto(
-                instance.ids_by_estimate_desc(),
-                &self.placement,
-            ))),
+            None => Fresh::Ordered(Box::new(OrderedDispatcher::auto(order, &self.placement))),
         }
     }
 }
 
 /// Builds the standard five-policy suite for an instance.
 ///
+/// The estimates are sorted once, and one LPT assignment on that order
+/// gives LPT-No Choice its pinning and both chained placements their
+/// primaries.
+///
 /// # Errors
-/// Propagates placement/planning errors from the strategies.
+/// Propagates placement/planning errors from the strategies, the first
+/// in suite order.
 pub fn standard_suite(instance: &Instance, unc: Uncertainty) -> Result<Vec<ResiliencePolicy>> {
+    let suite = Arc::new(SuiteKey::new(instance));
+    let lpt = Assignment::new(
+        instance,
+        greedy_by_order(instance.n(), instance.m(), &suite.order, |t| {
+            instance.estimate(t)
+        }),
+    )?;
+    let [chained2, chained3] = [ChainedReplication::new(2)?, ChainedReplication::new(3)?];
     // `k` is the number of groups: aim for ~3 machines per group so an
     // in-group failure leaves surviving holders.
-    let groups = (instance.m() / 3).max(1);
-    let strategies: Vec<Box<dyn Strategy>> = vec![
-        Box::new(LptNoChoice),
-        Box::new(ChainedReplication::new(2)?),
-        Box::new(ChainedReplication::new(3)?),
-        Box::new(LsGroup::new_relaxed(groups)),
-        Box::new(LptNoRestriction),
+    let groups = LsGroup::new_relaxed((instance.m() / 3).max(1));
+    let planned = [
+        (
+            LptNoChoice.name(),
+            Placement::pinned(instance, lpt.machines())?,
+            Some(lpt.machines().into()),
+        ),
+        (chained2.name(), chained2.chain(instance, &lpt)?, None),
+        (chained3.name(), chained3.chain(instance, &lpt)?, None),
+        (groups.name(), groups.place(instance, unc)?, None),
+        (
+            LptNoRestriction.name(),
+            LptNoRestriction.place(instance, unc)?,
+            None,
+        ),
     ];
-    strategies
+    Ok(planned
         .into_iter()
-        .map(|s| {
-            let placement = s.place(instance, unc)?;
-            let pinned = if placement.max_replicas() == 1 {
-                let a = s.execute(instance, &placement, &Realization::exact(instance))?;
-                Some(a.machines().to_vec())
-            } else {
-                None
-            };
-            Ok(ResiliencePolicy {
-                name: s.name(),
-                placement,
-                pinned,
-                prototype: Arc::default(),
-            })
+        .map(|(name, placement, pinned)| ResiliencePolicy {
+            name,
+            placement: Arc::new(placement),
+            pinned,
+            suite: Arc::clone(&suite),
+            prototype: Arc::default(),
         })
-        .collect()
+        .collect())
 }
 
 /// Aggregated campaign results for one policy.
@@ -370,6 +409,82 @@ mod tests {
         assert_eq!(suite[1].placement.max_replicas(), 2);
         assert_eq!(suite[2].placement.max_replicas(), 3);
         assert_eq!(suite[4].placement.max_replicas(), inst.m());
+    }
+
+    /// A policy's name, placement and pinned machines.
+    type Planned = (String, Placement, Option<Vec<MachineId>>);
+
+    /// The suite as each strategy builds it alone: its `place`, and for
+    /// a single-replica placement the pinning its `execute` reads back
+    /// on the exact realization.
+    fn suite_by_strategy(inst: &Instance, unc: Uncertainty) -> Result<Vec<Planned>> {
+        let strategies: Vec<Box<dyn Strategy>> = vec![
+            Box::new(LptNoChoice),
+            Box::new(ChainedReplication::new(2)?),
+            Box::new(ChainedReplication::new(3)?),
+            Box::new(LsGroup::new_relaxed((inst.m() / 3).max(1))),
+            Box::new(LptNoRestriction),
+        ];
+        strategies
+            .iter()
+            .map(|s| {
+                let placement = s.place(inst, unc)?;
+                let pinned = if placement.max_replicas() == 1 {
+                    let a = s.execute(inst, &placement, &Realization::exact(inst))?;
+                    Some(a.machines().to_vec())
+                } else {
+                    None
+                };
+                Ok((s.name(), placement, pinned))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_lpt_suite_builds_what_each_strategy_builds() {
+        use rand::Rng;
+        use rds_workloads::EstimateDistribution;
+        let unc = Uncertainty::of(1.5);
+        let mut r = rng::rng(21);
+        for m in 1..=40usize {
+            let mut sizes = vec![1, m, m + 1, 300];
+            sizes.extend((0..3).map(|_| r.gen_range(1..=300usize)));
+            for (case, n) in sizes.into_iter().enumerate() {
+                // Reals, and small integers whose ties test the order's
+                // tie-break.
+                let mut est =
+                    EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
+                if case % 2 == 1 {
+                    est.iter_mut().for_each(|e| *e = e.ceil() % 4.0 + 1.0);
+                }
+                let inst = Instance::from_estimates(&est, m).unwrap();
+                let want = suite_by_strategy(&inst, unc);
+                let got = standard_suite(&inst, unc);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.len(), want.len());
+                        for (policy, (name, placement, pinned)) in got.iter().zip(&want) {
+                            assert_eq!(&policy.name, name, "m = {m}, n = {n}");
+                            assert_eq!(*policy.placement, *placement, "{name}, m = {m}, n = {n}");
+                            assert_eq!(
+                                policy.pinned.as_deref(),
+                                pinned.as_deref(),
+                                "{name}, m = {m}, n = {n}"
+                            );
+                        }
+                    }
+                    (Err(got), Err(want)) => {
+                        assert!(m <= 2, "m = {m}, n = {n}: {want}");
+                        assert_eq!(got, want, "m = {m}, n = {n}");
+                    }
+                    (got, want) => panic!(
+                        "m = {m}, n = {n}: suite {:?}, strategies {:?}",
+                        got.map(|s| s.len()),
+                        want.map(|s| s.len())
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

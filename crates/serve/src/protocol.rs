@@ -30,18 +30,34 @@ fn io_err(e: &std::io::Error) -> Error {
 }
 
 /// Runs the protocol until `drain`/`quit`/EOF (EOF drains gracefully —
-/// closing stdin is a clean shutdown).
+/// closing stdin is a clean shutdown). Lines end at `\n`, with a
+/// trailing `\r` stripped as [`BufRead::lines`] does; a line that is not
+/// UTF-8 gets an `err` reply like any other bad command.
 ///
 /// # Errors
 /// Stream I/O failures, journal failures, or daemon invariant errors.
 pub fn serve_lines<R: BufRead, W: Write>(
     daemon: &mut Daemon,
-    input: R,
+    mut input: R,
     mut out: W,
 ) -> Result<ServeReport> {
     daemon.external_arrivals();
-    for line in input.lines() {
-        let line = line.map_err(|e| io_err(&e))?;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if input.read_until(b'\n', &mut raw).map_err(|e| io_err(&e))? == 0 {
+            break;
+        }
+        if raw.last() == Some(&b'\n') {
+            raw.pop();
+            if raw.last() == Some(&b'\r') {
+                raw.pop();
+            }
+        }
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            writeln!(out, "err line is not valid UTF-8").map_err(|e| io_err(&e))?;
+            continue;
+        };
         let mut parts = line.split_whitespace();
         match parts.next() {
             None => {}
@@ -139,6 +155,20 @@ mod tests {
         let (report, out) = drive("task\ntask abc\nstep -1\nfoo\ntask -3\ndrain\n");
         assert_eq!(report.admitted, 0);
         assert_eq!(out.matches("err").count(), 5);
+    }
+
+    #[test]
+    fn non_utf8_line_gets_err_and_the_run_goes_on() {
+        let mut d = daemon();
+        let mut out = Vec::new();
+        let input: &[u8] = b"stat\r\n\xff\xfe\nstat\ndrain\n";
+        let report = serve_lines(&mut d, input, &mut out).unwrap();
+        assert!(!report.halted);
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "{out}");
+        assert_eq!(lines[1], "err line is not valid UTF-8");
+        assert!(lines[3].starts_with("drained"), "{out}");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use rds_core::{
     Error, Instance, MachineId, MachineSet, NetworkTopology, Placement, PlacementIndex, Result,
     TaskId, Time,
 };
+use std::sync::Arc;
 
 /// Started flag, stored in bit 31 of [`HotTask::hi`].
 const STARTED: u32 = 1 << 31;
@@ -616,7 +617,9 @@ pub struct LocalityDispatcher {
     order: Vec<TaskId>,
     /// Fast-forward cursor past known-started order positions.
     cursor: usize,
-    topology: NetworkTopology,
+    /// Shared, so dispatchers for many runs over one topology hold one
+    /// matrix.
+    topology: Arc<NetworkTopology>,
     /// `homes[j]` = primary machine of task `j`.
     homes: Vec<u32>,
 }
@@ -631,8 +634,9 @@ impl LocalityDispatcher {
     pub fn new(
         order: Vec<TaskId>,
         placement: &Placement,
-        topology: NetworkTopology,
+        topology: impl Into<Arc<NetworkTopology>>,
     ) -> Result<Self> {
+        let topology = topology.into();
         if topology.m() != placement.m() {
             return Err(Error::InvalidParameter {
                 what: "network topology covers a different machine count than the placement",
@@ -656,7 +660,7 @@ impl LocalityDispatcher {
     pub fn fifo(
         instance: &Instance,
         placement: &Placement,
-        topology: NetworkTopology,
+        topology: impl Into<Arc<NetworkTopology>>,
     ) -> Result<Self> {
         Self::new(instance.task_ids().collect(), placement, topology)
     }
@@ -669,7 +673,7 @@ impl LocalityDispatcher {
     pub fn lpt_by_estimate(
         instance: &Instance,
         placement: &Placement,
-        topology: NetworkTopology,
+        topology: impl Into<Arc<NetworkTopology>>,
     ) -> Result<Self> {
         Self::new(instance.ids_by_estimate_desc(), placement, topology)
     }
