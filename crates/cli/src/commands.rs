@@ -70,6 +70,7 @@ COMMANDS:
                               | random:<lo>,<hi>
             crash safety: [--journal <path>] [--resume] [--validate]
             [--shards <usize>] [--budget-ms <u64>] [--retries <u32>]
+            [--stall-ms <u64>] [--stall-trial <u64>]
   conformance
             differential/metamorphic oracle: run every strategy through
             the closed forms AND the event engine on a seeded case
