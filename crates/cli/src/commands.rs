@@ -264,6 +264,24 @@ fn bad_spec(key: &str, reason: String) -> ArgError {
     }
 }
 
+/// Reads the UTF-8 text file named by option `--{key}`. A file that
+/// cannot be read is a runtime failure; one that is not UTF-8 text is a
+/// malformed `--{key}`. Either way the message is `describe`'s.
+fn read_text(
+    key: &str,
+    path: &str,
+    describe: impl FnOnce(&std::io::Error) -> String,
+) -> Result<String, CmdError> {
+    std::fs::read_to_string(path).map_err(|e| {
+        let reason = describe(&e);
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            bad_spec(key, reason).into()
+        } else {
+            reason.into()
+        }
+    })
+}
+
 /// Parses `--model` (default `uniform`) into its name and model.
 fn realization_model(args: &Args) -> Result<(String, RealizationModel), ArgError> {
     let name: String = args.get_or("model", "uniform".to_string())?;
@@ -1154,7 +1172,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
             None => None,
         };
         let topology = match &topo_model {
-            Some(t) => Some(Arc::new(t.build(m, &mut tr)?)),
+            Some(t) => Some(t.build(m, &mut tr)?),
             None => None,
         };
         // The exact solver's certified lower bound on the offline
@@ -1253,20 +1271,15 @@ pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
     use std::path::PathBuf;
 
     if let Some(path) = args.get::<String>("replay")? {
-        // A file that cannot be read is a runtime failure; one that is
-        // not UTF-8 text or not an artifact is a malformed replay.
-        let text = std::fs::read_to_string(&path).map_err(|e| -> CmdError {
-            let err = rds_core::Error::Io {
+        let text = read_text("replay", &path, |e| {
+            rds_core::Error::Io {
                 op: "read",
                 path: path.clone(),
                 why: e.to_string(),
-            };
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                bad_spec("replay", err.to_string()).into()
-            } else {
-                err.into()
             }
+            .to_string()
         })?;
+        // Text that is not an artifact is a malformed replay too.
         let ce = Counterexample::parse(&text).map_err(|e| bad_spec("replay", e.to_string()))?;
         writeln!(
             out,
@@ -1414,15 +1427,8 @@ fn serve_config(args: &Args) -> Result<rds_serve::ServeConfig, CmdError> {
         }
         Some("trace") => {
             let path: String = args.require("trace-file")?;
-            // A file that cannot be read is a runtime failure; one that
-            // is not UTF-8 text is a malformed trace.
-            let text = std::fs::read_to_string(&path).map_err(|e| -> CmdError {
-                let reason = format!("cannot read --trace-file {path}: {e}");
-                if e.kind() == std::io::ErrorKind::InvalidData {
-                    bad_spec("trace-file", reason).into()
-                } else {
-                    reason.into()
-                }
+            let text = read_text("trace-file", &path, |e| {
+                format!("cannot read --trace-file {path}: {e}")
             })?;
             let times = text
                 .split(|c: char| c == ',' || c.is_whitespace())

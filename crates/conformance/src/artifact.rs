@@ -168,20 +168,6 @@ impl Counterexample {
             why: e.to_string(),
         })
     }
-
-    /// Reads and parses an artifact from `path`.
-    ///
-    /// # Errors
-    /// [`Error::Io`] on filesystem failures, [`Error::InvalidParameter`]
-    /// on malformed content.
-    pub fn read(path: &Path) -> Result<Counterexample> {
-        let s = std::fs::read_to_string(path).map_err(|e| Error::Io {
-            op: "read",
-            path: path.display().to_string(),
-            why: e.to_string(),
-        })?;
-        Counterexample::parse(&s)
-    }
 }
 
 /// Parses a single-level JSON object of string/number values into
@@ -320,7 +306,7 @@ mod tests {
         let path = dir.join("ce.json");
         let ce = sample();
         ce.write(&path).unwrap();
-        let back = Counterexample::read(&path).unwrap();
+        let back = Counterexample::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back.spec, ce.spec);
         std::fs::remove_file(&path).ok();
     }

@@ -370,7 +370,7 @@ mod tests {
 
         let solver = OptimalSolver::default();
         for path in &report.artifacts {
-            let ce = Counterexample::read(path).unwrap();
+            let ce = Counterexample::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
             let outcome = replay(&ce, &solver).unwrap();
             assert!(outcome.reproduced, "artifact {path:?} did not reproduce");
         }

@@ -117,7 +117,7 @@ fn drop_replica_mutant_shrinks_to_a_stable_replayable_minimum() {
 
     // Every artifact file parses back and replays too.
     for path in &report.artifacts {
-        let ce = Counterexample::read(path).unwrap();
+        let ce = Counterexample::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert!(replay(&ce, &solver).unwrap().reproduced);
     }
 

@@ -83,10 +83,11 @@ impl MachineSet {
         self.count(m) == 0
     }
 
-    /// Iterates over the members in increasing machine id order.
-    pub fn iter(&self, m: usize) -> Members<'_> {
+    /// Iterates over the members in increasing machine id order,
+    /// allocating nothing.
+    pub fn iter(&self, m: usize) -> impl Iterator<Item = MachineId> + '_ {
         match self {
-            MachineSet::One(id) => Members::One(std::iter::once(*id)),
+            MachineSet::One(id) => Members::Range(id.0..id.0 + 1),
             MachineSet::Span { start, end } => Members::Range(*start..*end),
             MachineSet::All => Members::Range(0..m as u32),
             MachineSet::Mask(mask) => Members::Mask(mask.iter()),
@@ -121,12 +122,9 @@ impl MachineSet {
     }
 }
 
-/// Iterator over a [`MachineSet`]'s members, from [`MachineSet::iter`].
-/// A concrete type, so iterating a set allocates nothing.
-pub enum Members<'a> {
-    /// The one member of a singleton.
-    One(std::iter::Once<MachineId>),
-    /// The contiguous ids of a span or everywhere set.
+/// [`MachineSet::iter`]'s iterator: a concrete type, not a box.
+enum Members<'a> {
+    /// The contiguous ids of a singleton, span or everywhere set.
     Range(std::ops::Range<u32>),
     /// The members of an arbitrary subset.
     Mask(crate::bitset::Iter<'a>),
@@ -138,7 +136,6 @@ impl Iterator for Members<'_> {
     #[inline]
     fn next(&mut self) -> Option<MachineId> {
         match self {
-            Members::One(it) => it.next(),
             Members::Range(r) => r.next().map(MachineId),
             Members::Mask(it) => it.next(),
         }
@@ -146,7 +143,6 @@ impl Iterator for Members<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            Members::One(it) => it.size_hint(),
             Members::Range(r) => r.size_hint(),
             Members::Mask(it) => it.size_hint(),
         }

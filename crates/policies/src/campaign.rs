@@ -60,7 +60,7 @@ pub struct SweepRep {
     pub speeds: Option<MachineSpeeds>,
     /// Transfer latencies; `None` means data access is free. Present,
     /// the locality-aware dispatcher runs every policy.
-    pub topology: Option<Arc<NetworkTopology>>,
+    pub topology: Option<NetworkTopology>,
     /// The ratio's denominator: a certified lower bound on this
     /// realization's optimal makespan.
     pub baseline: f64,
@@ -490,9 +490,9 @@ pub fn run_sweep_trial(
     // is present; otherwise each policy keeps its own dispatcher.
     let mut d: Box<dyn Dispatcher> = match &rep.topology {
         Some(t) => Box::new(LocalityDispatcher::new(
-            policy.order(instance),
+            instance.ids_by_estimate_desc(),
             &policy.placement,
-            Arc::clone(t),
+            t.clone(),
         )?),
         None => policy.dispatcher(instance),
     };
@@ -501,7 +501,7 @@ pub fn run_sweep_trial(
         &mut arena,
         d.as_mut(),
         rep.speeds.as_ref(),
-        rep.topology.as_deref(),
+        rep.topology.as_ref(),
     )?;
     // A fault-free run: everything survives, and the ratio's
     // denominator rides in the baseline.

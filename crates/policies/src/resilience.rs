@@ -114,17 +114,6 @@ impl ResiliencePolicy {
         }
     }
 
-    /// The LPT dispatch order for `instance`: a copy of the suite's,
-    /// sorted once, when `instance` is the suite's, a fresh sort
-    /// otherwise.
-    pub(crate) fn order(&self, instance: &Instance) -> Vec<TaskId> {
-        if self.suite.built_for(instance) {
-            self.suite.order.clone()
-        } else {
-            instance.ids_by_estimate_desc()
-        }
-    }
-
     fn build(&self, instance: &Instance, order: Vec<TaskId>) -> Fresh {
         match &self.pinned {
             Some(machines) => Fresh::Pinned(PinnedDispatcher::new(machines, instance.m())),

@@ -10,7 +10,6 @@ use rds_core::{
     Error, Instance, MachineId, MachineSet, NetworkTopology, Placement, PlacementIndex, Result,
     TaskId, Time,
 };
-use std::sync::Arc;
 
 /// Started flag, stored in bit 31 of [`HotTask::hi`].
 const STARTED: u32 = 1 << 31;
@@ -617,9 +616,7 @@ pub struct LocalityDispatcher {
     order: Vec<TaskId>,
     /// Fast-forward cursor past known-started order positions.
     cursor: usize,
-    /// Shared, so dispatchers for many runs over one topology hold one
-    /// matrix.
-    topology: Arc<NetworkTopology>,
+    topology: NetworkTopology,
     /// `homes[j]` = primary machine of task `j`.
     homes: Vec<u32>,
 }
@@ -634,9 +631,8 @@ impl LocalityDispatcher {
     pub fn new(
         order: Vec<TaskId>,
         placement: &Placement,
-        topology: impl Into<Arc<NetworkTopology>>,
+        topology: NetworkTopology,
     ) -> Result<Self> {
-        let topology = topology.into();
         if topology.m() != placement.m() {
             return Err(Error::InvalidParameter {
                 what: "network topology covers a different machine count than the placement",
@@ -660,7 +656,7 @@ impl LocalityDispatcher {
     pub fn fifo(
         instance: &Instance,
         placement: &Placement,
-        topology: impl Into<Arc<NetworkTopology>>,
+        topology: NetworkTopology,
     ) -> Result<Self> {
         Self::new(instance.task_ids().collect(), placement, topology)
     }
@@ -673,7 +669,7 @@ impl LocalityDispatcher {
     pub fn lpt_by_estimate(
         instance: &Instance,
         placement: &Placement,
-        topology: impl Into<Arc<NetworkTopology>>,
+        topology: NetworkTopology,
     ) -> Result<Self> {
         Self::new(instance.ids_by_estimate_desc(), placement, topology)
     }
