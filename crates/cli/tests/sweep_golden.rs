@@ -1,5 +1,5 @@
-//! Golden `rds sweep` and `rds resilience` runs: the printed table and
-//! the journal bytes of fixed seeded campaigns. The sweeps cover one or
+//! Golden `rds sweep`, `rds resilience` and `rds serve` runs: the
+//! printed table and the journal bytes of fixed seeded campaigns. The sweeps cover one or
 //! more routes the exact solver takes for the ratio denominator:
 //!
 //! - n = 12, m = 8: the subset DP proves the optimum;
@@ -9,7 +9,10 @@
 //!   realization models and with the reps split over two journal shards.
 //!
 //! The resilience campaigns cover a plain run, two journal shards, the
-//! validator and stragglers.
+//! validator and stragglers. The serve runs cover the CI stream, which
+//! sheds; injected failures, which write `done`, `shed` and `failed`
+//! records and retry; and bursty arrivals, which degrade, shed and
+//! reject.
 //!
 //! Every journal record stores the makespan and its baseline by value,
 //! so a digest mismatch means some ratio denominator (or makespan) moved
@@ -189,6 +192,67 @@ const RESILIENCE: Golden = &[
     ], 0xa8f47705f405fcbb),
 ];
 
+#[rustfmt::skip]
+const SERVE: Golden = &[
+    ("--m 6 --k 2 --tasks 4000 --rate 8.0 --alpha 1.6 --seed 11 --fsync-every 16", &[
+        "| outcome               | count |",
+        "| --------------------- | -----:|",
+        "| admitted              |  3980 |",
+        "| completed             |  3355 |",
+        "| shed (deadline)       |   625 |",
+        "| failed (retries)      |     0 |",
+        "| rejected: queue full  |     0 |",
+        "| rejected: deadline    |    20 |",
+        "| rejected: draining    |     0 |",
+        "| retries               |     0 |",
+        "| degraded-k admissions |     1 |",
+        "| overload transitions  |    12 |",
+        "| max queue depth       |   768 |",
+        "| metric    | count | mean   | p50    | p95     | p99     | max     |",
+        "| --------- | -----:| ------:| ------:| -------:| -------:| -------:|",
+        "| wait time |  3355 | 72.258 | 77.999 | 124.095 | 136.147 | 148.636 |",
+        "| flow time |  3355 | 73.378 | 79.070 | 125.109 | 137.575 | 149.852 |",
+    ], 0xf8e041eb2c9d5e01),
+    ("--m 4 --k 2 --tasks 3000 --rate 6 --fail-rate 0.2 --seed 9", &[
+        "| outcome               | count |",
+        "| --------------------- | -----:|",
+        "| admitted              |  2975 |",
+        "| completed             |  2201 |",
+        "| shed (deadline)       |   763 |",
+        "| failed (retries)      |    11 |",
+        "| rejected: queue full  |     0 |",
+        "| rejected: deadline    |    25 |",
+        "| rejected: draining    |     0 |",
+        "| retries               |   554 |",
+        "| degraded-k admissions |     1 |",
+        "| overload transitions  |    14 |",
+        "| max queue depth       |   768 |",
+        "| metric    | count | mean    | p50     | p95     | p99     | max     |",
+        "| --------- | -----:| -------:| -------:| -------:| -------:| -------:|",
+        "| wait time |  2290 | 101.553 |  96.753 | 194.610 | 208.074 | 214.094 |",
+        "| flow time |  2201 | 121.521 | 103.469 | 272.646 | 354.133 | 415.291 |",
+    ], 0x8364dfdb021ae877),
+    ("--m 8 --tasks 8000 --rate 12 --arrivals bursty --seed 5 --fsync-every 7", &[
+        "| outcome               | count |",
+        "| --------------------- | -----:|",
+        "| admitted              |  4919 |",
+        "| completed             |  3428 |",
+        "| shed (deadline)       |  1491 |",
+        "| failed (retries)      |     0 |",
+        "| rejected: queue full  |     0 |",
+        "| rejected: deadline    |  3081 |",
+        "| rejected: draining    |     0 |",
+        "| retries               |     0 |",
+        "| degraded-k admissions |     1 |",
+        "| overload transitions  |    34 |",
+        "| max queue depth       |   768 |",
+        "| metric    | count | mean   | p50    | p95    | p99    | max     |",
+        "| --------- | -----:| ------:| ------:| ------:| ------:| -------:|",
+        "| wait time |  3428 | 60.335 | 62.372 | 83.417 | 95.540 | 102.502 |",
+        "| flow time |  3428 | 61.482 | 63.579 | 84.406 | 96.755 | 103.248 |",
+    ], 0xcf27823c3faf802d),
+];
+
 #[test]
 fn sweep_tables_and_journals_are_byte_identical_to_golden() {
     let bad = mismatches("sweep", GOLDEN);
@@ -198,5 +262,11 @@ fn sweep_tables_and_journals_are_byte_identical_to_golden() {
 #[test]
 fn resilience_tables_and_journals_are_byte_identical_to_golden() {
     let bad = mismatches("resilience", RESILIENCE);
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn serve_tables_and_journals_are_byte_identical_to_golden() {
+    let bad = mismatches("serve", SERVE);
     assert!(bad.is_empty(), "{}", bad.join("\n"));
 }
