@@ -27,6 +27,7 @@
 use crate::wire::{push_f64, push_json_string, scan_log, Committed, LogNames, RecordLog, Value};
 use rds_core::{Error, Result};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Identity of a campaign; journals can only be resumed by the campaign
@@ -142,16 +143,18 @@ fn meta_line(meta: &CampaignMeta) -> String {
     s
 }
 
-fn trial_line(rec: &TrialRecord) -> String {
-    let mut s = String::from("{\"kind\":\"trial\",\"policy\":");
-    push_json_string(&mut s, &rec.policy);
-    s.push_str(&format!(
+/// Writes `rec` as one trial line (newline included) onto `out`.
+fn write_trial(out: &mut String, rec: &TrialRecord) {
+    out.push_str("{\"kind\":\"trial\",\"policy\":");
+    push_json_string(out, &rec.policy);
+    let _ = write!(
+        out,
         ",\"trial\":{},\"seed\":{},\"attempts\":{},\"status\":\"{}\"",
         rec.trial,
         rec.seed,
         rec.attempts,
         rec.status.as_str()
-    ));
+    );
     for (name, v) in [
         ("survival", rec.survival),
         ("restarts", rec.restarts),
@@ -162,21 +165,20 @@ fn trial_line(rec: &TrialRecord) -> String {
         ("wasted", rec.wasted),
         ("makespan", rec.makespan),
     ] {
-        s.push_str(&format!(",\"{name}\":"));
-        push_f64(&mut s, v);
+        let _ = write!(out, ",\"{name}\":");
+        push_f64(out, v);
     }
-    s.push_str(",\"baseline\":");
+    out.push_str(",\"baseline\":");
     match rec.baseline {
-        Some(b) => push_f64(&mut s, b),
-        None => s.push_str("null"),
+        Some(b) => push_f64(out, b),
+        None => out.push_str("null"),
     }
-    s.push_str(",\"error\":");
+    out.push_str(",\"error\":");
     match &rec.error {
-        Some(e) => push_json_string(&mut s, e),
-        None => s.push_str("null"),
+        Some(e) => push_json_string(out, e),
+        None => out.push_str("null"),
     }
-    s.push_str("}\n");
-    s
+    out.push_str("}\n");
 }
 
 fn meta_from_map(map: &BTreeMap<String, Value>) -> Option<CampaignMeta> {
@@ -205,7 +207,7 @@ fn trial_from_map(map: &BTreeMap<String, Value>) -> Option<TrialRecord> {
         policy: map.get("policy")?.as_str()?.to_string(),
         trial: map.get("trial")?.as_u64()?,
         seed: map.get("seed")?.as_u64()?,
-        attempts: map.get("attempts")?.as_u64()? as u32,
+        attempts: u32::try_from(map.get("attempts")?.as_u64()?).ok()?,
         status: TrialStatus::parse(map.get("status")?.as_str()?)?,
         survival: map.get("survival")?.as_f64()?,
         restarts: map.get("restarts")?.as_f64()?,
@@ -302,7 +304,7 @@ impl Journal {
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn append(&mut self, rec: &TrialRecord) -> Result<()> {
-        self.log.append(&trial_line(rec))
+        self.log.append_with(|buf| write_trial(buf, rec))
     }
 
     /// The journal's path.
@@ -467,7 +469,7 @@ mod tests {
         drop(j);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("not json at all\n");
-        text.push_str(&super::trial_line(&rec("lpt", 1)));
+        write_trial(&mut text, &rec("lpt", 1));
         std::fs::write(&path, text).unwrap();
         let err = Journal::read(&path).unwrap_err();
         assert!(matches!(err, Error::JournalCorrupt { line: 3, .. }));
@@ -509,5 +511,218 @@ mod tests {
         ));
         std::fs::write(&path, "{\"kind\":\"trial\"}\nmore\n").unwrap();
         assert!(Journal::read(&path).is_err());
+    }
+
+    #[test]
+    fn out_of_range_attempts_are_an_unparsable_record() {
+        let path = tmp("attempts.journal");
+        let mut j = Journal::create(&path, &meta()).unwrap();
+        j.append(&rec("lpt", 0)).unwrap();
+        j.append(&rec("lpt", 1)).unwrap();
+        drop(j);
+        // 2^32 + 1 would wrap to 1 under a truncating cast.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let text = text.replacen("\"attempts\":1,", "\"attempts\":4294967297,", 1);
+        std::fs::write(&path, text).unwrap();
+        assert!(matches!(
+            Journal::read(&path),
+            Err(Error::JournalCorrupt { line: 2, .. })
+        ));
+    }
+
+    /// The encoder that built an owned `String` per record, kept verbatim
+    /// as the byte reference for the in-place writer.
+    mod owned {
+        use super::super::{TrialRecord, TrialStatus};
+
+        pub fn push_json_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        pub fn push_f64(out: &mut String, v: f64) {
+            if v.is_finite() {
+                out.push_str(&format!("{v}"));
+            } else {
+                out.push_str("null");
+            }
+        }
+
+        pub fn trial_line(rec: &TrialRecord) -> String {
+            let mut s = String::from("{\"kind\":\"trial\",\"policy\":");
+            push_json_string(&mut s, &rec.policy);
+            s.push_str(&format!(
+                ",\"trial\":{},\"seed\":{},\"attempts\":{},\"status\":\"{}\"",
+                rec.trial,
+                rec.seed,
+                rec.attempts,
+                rec.status.as_str()
+            ));
+            for (name, v) in [
+                ("survival", rec.survival),
+                ("restarts", rec.restarts),
+                ("rejoins", rec.rejoins),
+                ("spec_started", rec.spec_started),
+                ("spec_wins", rec.spec_wins),
+                ("cancelled", rec.cancelled),
+                ("wasted", rec.wasted),
+                ("makespan", rec.makespan),
+            ] {
+                s.push_str(&format!(",\"{name}\":"));
+                push_f64(&mut s, v);
+            }
+            s.push_str(",\"baseline\":");
+            match rec.baseline {
+                Some(b) => push_f64(&mut s, b),
+                None => s.push_str("null"),
+            }
+            s.push_str(",\"error\":");
+            match &rec.error {
+                Some(e) => push_json_string(&mut s, e),
+                None => s.push_str("null"),
+            }
+            s.push_str("}\n");
+            s
+        }
+
+        pub const STATUSES: [TrialStatus; 4] = [
+            TrialStatus::Completed,
+            TrialStatus::Partial,
+            TrialStatus::Failed,
+            TrialStatus::Quarantined,
+        ];
+    }
+
+    mod props {
+        use super::super::{trial_from_map, write_trial, TrialRecord};
+        use super::owned;
+        use crate::wire::parse_flat_object;
+        use proptest::prelude::*;
+
+        /// Integers weighted toward both ends of the `u64` range.
+        fn int() -> impl Strategy<Value = u64> {
+            (0u8..4, any::<u64>()).prop_map(|(pick, x)| match pick {
+                0 => x,
+                1 => u64::MAX - x % 4,
+                2 => x % 1000,
+                _ => x >> (x % 64),
+            })
+        }
+
+        /// Floats from arbitrary bit patterns: NaN, ±∞, −0.0 and
+        /// subnormals included.
+        fn float() -> impl Strategy<Value = f64> {
+            (0u8..3, any::<u64>(), any::<f64>()).prop_map(|(pick, bits, edge)| match pick {
+                0 => f64::from_bits(bits),
+                // Exponent bits cleared: a subnormal or a signed zero.
+                1 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+                _ => edge,
+            })
+        }
+
+        /// Strings of quotes, backslashes, control characters and
+        /// non-ASCII text, mixed with arbitrary scalar values.
+        fn text() -> impl Strategy<Value = String> {
+            const CHARS: &[char] = &[
+                '"', '\\', '\n', '\r', '\t', '\0', '\u{1f}', '\u{7f}', '/', 'a', ' ', 'é', 'λ',
+                '复', '🦀', '\u{2028}', '\u{feff}',
+            ];
+            prop::collection::vec((any::<bool>(), any::<u32>()), 0..16).prop_map(|chars| {
+                chars
+                    .into_iter()
+                    .map(|(pick, x)| {
+                        if pick {
+                            CHARS[x as usize % CHARS.len()]
+                        } else {
+                            char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}')
+                        }
+                    })
+                    .collect()
+            })
+        }
+
+        fn record() -> impl Strategy<Value = TrialRecord> {
+            (
+                (text(), int(), int(), (0u8..3, any::<u32>()), 0usize..4),
+                prop::collection::vec(float(), 9),
+                (any::<bool>(), any::<bool>(), text()),
+            )
+                .prop_map(
+                    |((policy, trial, seed, (pick, a), status), f, (baseline, error, why))| {
+                        TrialRecord {
+                            policy,
+                            trial,
+                            seed,
+                            attempts: match pick {
+                                0 => u32::MAX - a % 4,
+                                1 => a % 8,
+                                _ => a,
+                            },
+                            status: owned::STATUSES[status],
+                            survival: f[0],
+                            restarts: f[1],
+                            rejoins: f[2],
+                            spec_started: f[3],
+                            spec_wins: f[4],
+                            cancelled: f[5],
+                            wasted: f[6],
+                            makespan: f[7],
+                            baseline: baseline.then_some(f[8]),
+                            error: error.then_some(why),
+                        }
+                    },
+                )
+        }
+
+        /// What a trial line decodes to under the `null` rule: a
+        /// non-finite number is written as `null`, so a required field
+        /// makes the line unparsable and the baseline reads back absent.
+        fn decoded(rec: &TrialRecord) -> Option<TrialRecord> {
+            let required = [
+                rec.survival,
+                rec.restarts,
+                rec.rejoins,
+                rec.spec_started,
+                rec.spec_wins,
+                rec.cancelled,
+                rec.wasted,
+                rec.makespan,
+            ];
+            required.iter().all(|v| v.is_finite()).then(|| TrialRecord {
+                baseline: rec.baseline.filter(|b| b.is_finite()),
+                ..rec.clone()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn trial_writer_matches_the_owned_encoder_and_round_trips(rec in record()) {
+                // The writer appends to a batch that already holds records.
+                let mut batch = String::from("{\"kind\":\"trial\"}\n");
+                let start = batch.len();
+                write_trial(&mut batch, &rec);
+                let line = &batch[start..];
+                prop_assert_eq!(line, owned::trial_line(&rec).as_str());
+                let got = parse_flat_object(line.strip_suffix('\n').unwrap())
+                    .and_then(|map| trial_from_map(&map));
+                // Debug output tells -0.0 from 0.0, so this is bit-exact.
+                prop_assert_eq!(format!("{got:?}"), format!("{:?}", decoded(&rec)));
+            }
+        }
     }
 }

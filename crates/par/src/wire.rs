@@ -19,10 +19,13 @@
 //!   line is real corruption and surfaces as [`Error::JournalCorrupt`];
 //! - writes are buffered and made durable with one write plus
 //!   `sync_data` every `sync_every` records, so a SIGKILL loses at most
-//!   the unsynced batch and never corrupts the committed prefix.
+//!   the unsynced batch and never corrupts the committed prefix;
+//! - a record is encoded straight into that batch buffer
+//!   ([`RecordLog::append_with`]), with no owned line per record.
 
 use rds_core::{Error, Result};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -38,7 +41,7 @@ pub fn push_json_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -53,7 +56,7 @@ pub fn push_json_string(out: &mut String, s: &str) {
 /// aggregates byte-identical.
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -407,16 +410,17 @@ impl RecordLog {
         }
     }
 
-    /// Appends one record `line` (newline included), syncing the batch
+    /// Appends one record, which `encode` writes (newline included)
+    /// straight onto the end of the batch buffer, and syncs the batch
     /// once it holds `sync_every` records.
     ///
     /// # Errors
     /// [`Error::Io`] if the batch sync fails.
-    pub fn append(&mut self, line: &str) -> Result<()> {
+    pub fn append_with(&mut self, encode: impl FnOnce(&mut String)) -> Result<()> {
         if rds_obs::enabled() {
             rds_obs::global().counter(self.names.appends).inc();
         }
-        self.buf.push_str(line);
+        encode(&mut self.buf);
         self.buffered += 1;
         if self.buffered >= self.sync_every {
             self.sync()?;

@@ -947,4 +947,58 @@ mod tests {
         assert!(r.degraded_entries >= 2, "no degrade/recover cycles: {r:?}");
         assert_eq!(r.admitted, r.completed + r.shed + r.failed);
     }
+
+    fn journal_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rds-serve-daemon-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    fn journaled(cfg: &ServeConfig, path: &Path, resume: bool, drain_at: u64) -> ServeReport {
+        let mut polls = 0u64;
+        Daemon::with_journal(cfg.clone(), path, resume)
+            .unwrap()
+            .run(&mut |_| {
+                polls += 1;
+                if polls == drain_at {
+                    Control::Drain
+                } else {
+                    Control::Continue
+                }
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn resuming_a_sealed_journal_leaves_its_bytes_unchanged() {
+        let mut cfg = ServeConfig::poisson(6, 2, 8.0, 600);
+        cfg.fsync_every = 16;
+        let path = journal_path("sealed.jsonl");
+        let first = journaled(&cfg, &path, false, 0);
+        let sealed = std::fs::read(&path).unwrap();
+        for _ in 0..2 {
+            assert_eq!(journaled(&cfg, &path, true, 0), first);
+            assert_eq!(std::fs::read(&path).unwrap(), sealed);
+        }
+    }
+
+    #[test]
+    fn resuming_an_early_drained_journal_appends_the_rest_and_a_new_drain() {
+        let mut cfg = ServeConfig::poisson(6, 2, 8.0, 600);
+        cfg.fsync_every = 16;
+        let path = journal_path("early.jsonl");
+        let early = journaled(&cfg, &path, false, 200);
+        let full = journaled(&cfg, &path, true, 0);
+        assert!(early.admitted < full.admitted);
+        let log = ServeJournal::read(&path).unwrap();
+        assert_eq!(log.records.len() as u64, full.admitted);
+        let drain = log.drain.unwrap();
+        assert_eq!((drain.admitted, drain.at), (full.admitted, full.makespan));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.matches("\"kind\":\"drain\"").count(), 2);
+        assert!(text.ends_with(&format!(
+            ",\"admitted\":{},\"completed\":{},\"shed\":{},\"failed\":{}}}\n",
+            full.admitted, full.completed, full.shed, full.failed
+        )));
+    }
 }

@@ -28,8 +28,15 @@
 //! whose seq is already on disk. The journal ends up with exactly one
 //! terminal record per admitted task — none lost, none doubled — which
 //! is the invariant the property tests and the CI SIGKILL smoke assert.
+//! The dedup set keeps one byte per seq, and resuming a sealed journal
+//! is idempotent: a run that appends nothing new does not write its
+//! drain line a second time.
+//!
+//! Each record is encoded straight into the log's batch buffer, so an
+//! append allocates nothing of its own.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use rds_core::{Error, Result};
@@ -143,29 +150,30 @@ fn meta_line(cfg: &ServeConfig) -> String {
     s
 }
 
-fn terminal_line(rec: &TerminalRecord) -> String {
-    let mut s = String::from("{\"kind\":");
-    push_json_string(&mut s, rec.kind.tag());
-    s.push_str(&format!(",\"seq\":{}", rec.seq));
-    s.push_str(",\"arrival\":");
-    push_f64(&mut s, rec.arrival);
-    s.push_str(",\"at\":");
-    push_f64(&mut s, rec.at);
-    s.push_str(&format!(",\"attempts\":{}", rec.attempts));
+/// Writes `rec` as one terminal line (newline included) onto `out`.
+fn write_terminal(out: &mut String, rec: &TerminalRecord) {
+    out.push_str("{\"kind\":");
+    push_json_string(out, rec.kind.tag());
+    let _ = write!(out, ",\"seq\":{}", rec.seq);
+    out.push_str(",\"arrival\":");
+    push_f64(out, rec.arrival);
+    out.push_str(",\"at\":");
+    push_f64(out, rec.at);
+    let _ = write!(out, ",\"attempts\":{}", rec.attempts);
     if let Some(m) = rec.machine {
-        s.push_str(&format!(",\"machine\":{m}"));
+        let _ = write!(out, ",\"machine\":{m}");
     }
-    s.push_str("}\n");
-    s
+    out.push_str("}\n");
 }
 
 fn drain_line(rec: &DrainRecord) -> String {
     let mut s = String::from("{\"kind\":\"drain\",\"at\":");
     push_f64(&mut s, rec.at);
-    s.push_str(&format!(
-        ",\"admitted\":{},\"completed\":{},\"shed\":{},\"failed\":{}}}\n",
+    let _ = writeln!(
+        s,
+        ",\"admitted\":{},\"completed\":{},\"shed\":{},\"failed\":{}}}",
         rec.admitted, rec.completed, rec.shed, rec.failed
-    ));
+    );
     s
 }
 
@@ -182,9 +190,9 @@ fn terminal_from_map(map: &std::collections::BTreeMap<String, Value>) -> Option<
         kind: TerminalKind::from_tag(map.get("kind")?.as_str()?)?,
         arrival: map.get("arrival")?.as_f64()?,
         at: map.get("at")?.as_f64()?,
-        attempts: map.get("attempts")?.as_u64()? as u32,
+        attempts: u32::try_from(map.get("attempts")?.as_u64()?).ok()?,
         machine: match map.get("machine") {
-            Some(v) => Some(v.as_u64()? as usize),
+            Some(v) => Some(usize::try_from(v.as_u64()?).ok()?),
             None => None,
         },
     })
@@ -204,6 +212,8 @@ struct Scan {
     digest: String,
     records: Vec<TerminalRecord>,
     drain: Option<DrainRecord>,
+    /// `true` when the last committed line is the drain line.
+    sealed: bool,
     committed: Committed,
 }
 
@@ -212,11 +222,14 @@ struct Scan {
 fn scan(path: &Path) -> Result<Scan> {
     let mut records = Vec::new();
     let mut drain = None;
+    let mut sealed = false;
     let (digest, committed) = scan_log(path, &NAMES, digest_from_map, |map| {
         if map.get("kind")?.as_str() == Some("drain") {
             drain = Some(drain_from_map(map)?);
+            sealed = true;
         } else {
             records.push(terminal_from_map(map)?);
+            sealed = false;
         }
         Some(())
     })?;
@@ -224,17 +237,74 @@ fn scan(path: &Path) -> Result<Scan> {
         digest,
         records,
         drain,
+        sealed,
         committed,
     })
+}
+
+/// How far past twice the known records the dense table may reach. The
+/// margin covers the daemon's seqs admitted but not yet terminal, at
+/// most the queue cap plus the machines: 1024 + m at the default cap.
+const DENSE_SLACK: u64 = 4096;
+
+/// Terminal kinds by seq: the dedup set replay consults before
+/// appending. The daemon's seqs are dense from 0, so a seq below the
+/// dense table's end costs one byte (an `Option<TerminalKind>`). A seq
+/// at or past twice the known records plus [`DENSE_SLACK`] goes to a
+/// sparse map instead, so a seq read from disk never sizes an
+/// allocation: only a foreign or hand-edited journal holds such seqs.
+#[derive(Debug, Default)]
+struct SeqKinds {
+    /// The kind of each seq below its length.
+    dense: Vec<Option<TerminalKind>>,
+    /// Kinds of the seqs that were out of the dense table's reach.
+    sparse: BTreeMap<u64, TerminalKind>,
+    /// Seqs with a kind, in either part.
+    count: usize,
+}
+
+impl SeqKinds {
+    fn get(&self, seq: u64) -> Option<TerminalKind> {
+        usize::try_from(seq)
+            .ok()
+            .and_then(|i| self.dense.get(i).copied().flatten())
+            .or_else(|| self.sparse.get(&seq).copied())
+    }
+
+    /// Records `kind` for `seq`. Returns `false`, and keeps the first
+    /// kind, when `seq` already has one.
+    fn insert(&mut self, seq: u64, kind: TerminalKind) -> bool {
+        if self.get(seq).is_some() {
+            return false;
+        }
+        self.count += 1;
+        let reach = (self.count as u64)
+            .saturating_mul(2)
+            .saturating_add(DENSE_SLACK);
+        match usize::try_from(seq) {
+            Ok(i) if seq < reach => {
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, None);
+                }
+                self.dense[i] = Some(kind);
+            }
+            _ => {
+                self.sparse.insert(seq, kind);
+            }
+        }
+        true
+    }
 }
 
 /// Buffered, batch-fsync'd writer over the serve journal.
 #[derive(Debug)]
 pub struct ServeJournal {
     log: RecordLog,
-    /// Terminal kinds already on disk, keyed by seq — the dedup set
-    /// replay consults before appending.
-    already: HashMap<u64, TerminalKind>,
+    /// Terminal kinds on disk or buffered, by seq.
+    already: SeqKinds,
+    /// The drain line the log ends with, while no record has been
+    /// appended after it.
+    sealed: Option<String>,
 }
 
 impl ServeJournal {
@@ -247,7 +317,8 @@ impl ServeJournal {
         let log = RecordLog::create(path.into(), &meta_line(cfg), &NAMES, cfg.fsync_every)?;
         Ok(ServeJournal {
             log,
-            already: HashMap::new(),
+            already: SeqKinds::default(),
+            sealed: None,
         })
     }
 
@@ -278,21 +349,29 @@ impl ServeJournal {
             });
         }
         let log = RecordLog::reopen(path, scanned.committed, &NAMES, cfg.fsync_every)?;
-        let mut already = HashMap::new();
+        let mut already = SeqKinds::default();
         for r in &scanned.records {
-            already.entry(r.seq).or_insert(r.kind);
+            already.insert(r.seq, r.kind);
         }
-        Ok(ServeJournal { log, already })
+        let sealed = scanned
+            .drain
+            .filter(|_| scanned.sealed)
+            .map(|d| drain_line(&d));
+        Ok(ServeJournal {
+            log,
+            already,
+            sealed,
+        })
     }
 
     /// The terminal kind already journaled for `seq`, if any.
     pub fn already(&self, seq: u64) -> Option<TerminalKind> {
-        self.already.get(&seq).copied()
+        self.already.get(seq)
     }
 
     /// Number of terminal records known (on disk + buffered).
     pub fn terminal_count(&self) -> usize {
-        self.already.len()
+        self.already.count
     }
 
     /// Appends a terminal record unless `seq` already has one (the
@@ -302,20 +381,29 @@ impl ServeJournal {
     /// # Errors
     /// [`Error::Io`] if the batch flush fails.
     pub fn append_terminal(&mut self, rec: &TerminalRecord) -> Result<bool> {
-        if self.already.contains_key(&rec.seq) {
+        if !self.already.insert(rec.seq, rec.kind) {
             return Ok(false);
         }
-        self.already.insert(rec.seq, rec.kind);
-        self.log.append(&terminal_line(rec))?;
+        self.sealed = None;
+        self.log.append_with(|buf| write_terminal(buf, rec))?;
         Ok(true)
     }
 
-    /// Appends the drain terminator and syncs everything to disk.
+    /// Appends the drain terminator and syncs everything to disk. Writes
+    /// nothing when the log already ends with this same drain line and
+    /// no record was appended since, so a resume that re-simulates a
+    /// sealed run leaves its journal's bytes unchanged.
     ///
     /// # Errors
     /// [`Error::Io`] on any filesystem failure.
     pub fn seal(&mut self, rec: &DrainRecord) -> Result<()> {
-        self.log.seal(&drain_line(rec))
+        let line = drain_line(rec);
+        if self.sealed.as_ref() == Some(&line) {
+            return Ok(());
+        }
+        self.log.seal(&line)?;
+        self.sealed = Some(line);
+        Ok(())
     }
 
     /// Flushes the buffered batch with one write + fsync.
@@ -491,11 +579,257 @@ mod tests {
         drop(j);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("garbage line\n");
-        text.push_str(&terminal_line(&rec(1, TerminalKind::Done)));
+        write_terminal(&mut text, &rec(1, TerminalKind::Done));
         std::fs::write(&path, text).unwrap();
         assert!(matches!(
             ServeJournal::read(&path),
             Err(Error::JournalCorrupt { line: 3, .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_attempts_are_an_unparsable_record() {
+        let path = tmp("attempts.jsonl");
+        let c = cfg();
+        let mut j = ServeJournal::create(&path, &c).unwrap();
+        j.append_terminal(&rec(0, TerminalKind::Done)).unwrap();
+        j.append_terminal(&rec(1, TerminalKind::Done)).unwrap();
+        j.sync().unwrap();
+        drop(j);
+        // 2^32 + 1 would wrap to 1 under a truncating cast.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let text = text.replacen("\"attempts\":1,", "\"attempts\":4294967297,", 1);
+        std::fs::write(&path, text).unwrap();
+        assert!(matches!(
+            ServeJournal::read(&path),
+            Err(Error::JournalCorrupt { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn far_seqs_from_a_resumed_journal_stay_out_of_the_dense_table() {
+        // A foreign journal: a table sized by its largest seq would
+        // abort the process.
+        let path = tmp("far.jsonl");
+        let c = cfg();
+        let seqs = [0, 1, 1 << 40, u64::MAX];
+        let kinds = [
+            TerminalKind::Done,
+            TerminalKind::Shed,
+            TerminalKind::Failed,
+            TerminalKind::Done,
+        ];
+        let mut j = ServeJournal::create(&path, &c).unwrap();
+        for (&seq, &kind) in seqs.iter().zip(&kinds) {
+            assert!(j.append_terminal(&rec(seq, kind)).unwrap());
+        }
+        j.sync().unwrap();
+        drop(j);
+        let mut j = ServeJournal::resume(&path, &c).unwrap();
+        for (&seq, &kind) in seqs.iter().zip(&kinds) {
+            assert_eq!(j.already(seq), Some(kind));
+        }
+        assert_eq!(j.already(2), None);
+        assert_eq!(j.already((1 << 40) + 1), None);
+        for (&seq, &kind) in seqs.iter().zip(&kinds) {
+            assert!(!j.append_terminal(&rec(seq, kind)).unwrap());
+        }
+        assert_eq!(j.terminal_count(), 4);
+        assert!(j.already.dense.len() <= 2);
+    }
+
+    /// The encoder that built an owned `String` per record, kept verbatim
+    /// as the byte reference for the in-place writer.
+    mod owned {
+        use super::super::{DrainRecord, TerminalRecord};
+
+        pub fn push_json_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        pub fn push_f64(out: &mut String, v: f64) {
+            if v.is_finite() {
+                out.push_str(&format!("{v}"));
+            } else {
+                out.push_str("null");
+            }
+        }
+
+        pub fn terminal_line(rec: &TerminalRecord) -> String {
+            let mut s = String::from("{\"kind\":");
+            push_json_string(&mut s, rec.kind.tag());
+            s.push_str(&format!(",\"seq\":{}", rec.seq));
+            s.push_str(",\"arrival\":");
+            push_f64(&mut s, rec.arrival);
+            s.push_str(",\"at\":");
+            push_f64(&mut s, rec.at);
+            s.push_str(&format!(",\"attempts\":{}", rec.attempts));
+            if let Some(m) = rec.machine {
+                s.push_str(&format!(",\"machine\":{m}"));
+            }
+            s.push_str("}\n");
+            s
+        }
+
+        pub fn drain_line(rec: &DrainRecord) -> String {
+            let mut s = String::from("{\"kind\":\"drain\",\"at\":");
+            push_f64(&mut s, rec.at);
+            s.push_str(&format!(
+                ",\"admitted\":{},\"completed\":{},\"shed\":{},\"failed\":{}}}\n",
+                rec.admitted, rec.completed, rec.shed, rec.failed
+            ));
+            s
+        }
+    }
+
+    mod props {
+        use super::super::{
+            drain_from_map, drain_line, terminal_from_map, write_terminal, DrainRecord, SeqKinds,
+            TerminalKind, TerminalRecord, DENSE_SLACK,
+        };
+        use super::owned;
+        use proptest::prelude::*;
+        use rds_par::wire::parse_flat_object;
+        use std::collections::HashMap;
+
+        const KINDS: [TerminalKind; 3] =
+            [TerminalKind::Done, TerminalKind::Shed, TerminalKind::Failed];
+
+        /// Integers weighted toward both ends of the `u64` range.
+        fn int() -> impl Strategy<Value = u64> {
+            (0u8..4, any::<u64>()).prop_map(|(pick, x)| match pick {
+                0 => x,
+                1 => u64::MAX - x % 4,
+                2 => x % 1000,
+                _ => x >> (x % 64),
+            })
+        }
+
+        /// Floats from arbitrary bit patterns: NaN, ±∞, −0.0 and
+        /// subnormals included.
+        fn float() -> impl Strategy<Value = f64> {
+            (0u8..3, any::<u64>(), any::<f64>()).prop_map(|(pick, bits, edge)| match pick {
+                0 => f64::from_bits(bits),
+                // Exponent bits cleared: a subnormal or a signed zero.
+                1 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+                _ => edge,
+            })
+        }
+
+        fn terminal() -> impl Strategy<Value = TerminalRecord> {
+            (
+                (int(), 0usize..3, (0u8..3, any::<u32>())),
+                (float(), float()),
+                (any::<bool>(), any::<usize>()),
+            )
+                .prop_map(
+                    |((seq, kind, (pick, a)), (arrival, at), (on_machine, machine))| {
+                        TerminalRecord {
+                            seq,
+                            kind: KINDS[kind],
+                            arrival,
+                            at,
+                            attempts: match pick {
+                                0 => u32::MAX - a % 4,
+                                1 => a % 8,
+                                _ => a,
+                            },
+                            machine: on_machine.then_some(machine),
+                        }
+                    },
+                )
+        }
+
+        fn drain() -> impl Strategy<Value = DrainRecord> {
+            (float(), int(), int(), int(), int()).prop_map(
+                |(at, admitted, completed, shed, failed)| DrainRecord {
+                    at,
+                    admitted,
+                    completed,
+                    shed,
+                    failed,
+                },
+            )
+        }
+
+        /// Seqs the way the daemon writes them (dense from 0), with far
+        /// ones mixed in.
+        fn seq() -> impl Strategy<Value = u64> {
+            (0u8..5, any::<u64>()).prop_map(|(pick, x)| match pick {
+                0 | 1 => x % 64,
+                2 => x % (2 * DENSE_SLACK + 256),
+                3 => u64::MAX - x % 4,
+                _ => x,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn terminal_writer_matches_the_owned_encoder_and_round_trips(
+                rec in terminal(),
+                end in drain(),
+            ) {
+                // The writer appends to a batch that already holds records.
+                let mut batch = String::from("{\"kind\":\"done\"}\n");
+                let start = batch.len();
+                write_terminal(&mut batch, &rec);
+                let line = &batch[start..];
+                prop_assert_eq!(line, owned::terminal_line(&rec).as_str());
+                prop_assert_eq!(drain_line(&end), owned::drain_line(&end));
+
+                // Under the `null` rule a non-finite time makes the line
+                // unparsable; Debug output tells -0.0 from 0.0, so these
+                // comparisons are bit-exact.
+                let parse = |line: &str| parse_flat_object(line.strip_suffix('\n').unwrap());
+                let got = parse(line).and_then(|map| terminal_from_map(&map));
+                let want = (rec.arrival.is_finite() && rec.at.is_finite()).then_some(&rec);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                let got = parse(&drain_line(&end)).and_then(|map| drain_from_map(&map));
+                let want = end.at.is_finite().then_some(&end);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn seq_table_answers_as_a_map_would(
+                ops in prop::collection::vec((seq(), 0usize..3), 0..400),
+            ) {
+                let mut table = SeqKinds::default();
+                let mut model: HashMap<u64, TerminalKind> = HashMap::new();
+                for &(seq, kind) in &ops {
+                    let kind = KINDS[kind];
+                    let fresh = !model.contains_key(&seq);
+                    model.entry(seq).or_insert(kind);
+                    prop_assert_eq!(table.insert(seq, kind), fresh);
+                    prop_assert_eq!(table.count, model.len());
+                    // The dense part never outgrows the records it holds.
+                    prop_assert!(table.dense.len() as u64 <= 2 * model.len() as u64 + DENSE_SLACK);
+                }
+                for &(seq, _) in &ops {
+                    for probe in [seq, seq.wrapping_add(1), seq.wrapping_sub(1)] {
+                        prop_assert_eq!(table.get(probe), model.get(&probe).copied());
+                    }
+                }
+            }
+        }
     }
 }
