@@ -954,6 +954,8 @@ mod tests {
         dir.join(name)
     }
 
+    /// Runs a journaled daemon to the end, draining at poll `drain_at`
+    /// (polls count from 1, so 0 never drains).
     fn journaled(cfg: &ServeConfig, path: &Path, resume: bool, drain_at: u64) -> ServeReport {
         let mut polls = 0u64;
         Daemon::with_journal(cfg.clone(), path, resume)
