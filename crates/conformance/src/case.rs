@@ -187,4 +187,10 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.digest(), spec().digest());
     }
+
+    #[test]
+    fn digest_is_pinned() {
+        // Case permutations and artifacts derive from this value.
+        assert_eq!(spec().digest(), 0x1011_bfcb_a209_46ad);
+    }
 }

@@ -485,4 +485,13 @@ mod tests {
         let outcome = replay(&ce, &OptimalSolver::default()).unwrap();
         assert!(!outcome.reproduced);
     }
+
+    #[test]
+    fn campaign_digest_is_pinned() {
+        // Conformance journals record this value; a change breaks resume.
+        assert_eq!(
+            campaign_meta(&ConformanceConfig::default()).digest,
+            0x8d94_004a_b433_785f
+        );
+    }
 }

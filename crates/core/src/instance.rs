@@ -255,6 +255,14 @@ mod tests {
     }
 
     #[test]
+    fn digest_is_pinned() {
+        // Campaign journals record this value; a change breaks resume.
+        let inst =
+            Instance::from_estimates_and_sizes(&[(3.0, 1.0), (1.0, 0.5), (2.0, 0.0)], 2).unwrap();
+        assert_eq!(inst.digest(), 0x3aa6_3317_f8ba_e781);
+    }
+
+    #[test]
     fn size_order() {
         let inst =
             Instance::from_estimates_and_sizes(&[(1.0, 2.0), (1.0, 9.0), (1.0, 2.0)], 2).unwrap();

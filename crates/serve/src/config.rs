@@ -201,4 +201,13 @@ mod tests {
         c.fail_rate = 0.01;
         assert_ne!(a.digest(), c.digest());
     }
+
+    #[test]
+    fn digest_is_pinned() {
+        // Serve journals record this value; a change breaks resume.
+        assert_eq!(
+            ServeConfig::poisson(8, 2, 4.0, 1000).digest(),
+            0x8d59_e40f_6d75_d342
+        );
+    }
 }
