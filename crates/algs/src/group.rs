@@ -16,7 +16,8 @@
 use crate::balancer::LoadBalancer;
 use crate::strategy::Strategy;
 use rds_core::{
-    Assignment, GroupPartition, Instance, MachineId, Placement, Realization, Result, Uncertainty,
+    Assignment, GroupPartition, Instance, MachineId, Placement, Realization, Result, TaskId,
+    Uncertainty,
 };
 
 /// The `LS-Group` strategy with a fixed group count `k`.
@@ -44,24 +45,6 @@ impl LsGroup {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    fn partition(&self, m: usize) -> Result<GroupPartition> {
-        if self.strict {
-            GroupPartition::new_exact(m, self.k)
-        } else {
-            GroupPartition::new(m, self.k)
-        }
-    }
-
-    /// Phase-1 task→group assignment: List Scheduling over group loads
-    /// using the estimates, in task-id order.
-    fn assign_groups(&self, instance: &Instance, partition: &GroupPartition) -> Vec<usize> {
-        let mut balancer = LoadBalancer::new(partition.k());
-        instance
-            .task_ids()
-            .map(|t| balancer.assign(instance.estimate(t)).index())
-            .collect()
-    }
 }
 
 impl Strategy for LsGroup {
@@ -75,10 +58,15 @@ impl Strategy for LsGroup {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        let partition = self.partition(instance.m())?;
-        let group_of = self.assign_groups(instance, &partition);
-        let sets = group_of.iter().map(|&g| partition.group_set(g)).collect();
-        Placement::new(instance, sets)
+        let partition = partition(instance.m(), self.k, self.strict)?;
+        // List Scheduling over the group loads on the estimates, in
+        // task-id order.
+        let mut balancer = LoadBalancer::new(partition.k());
+        let group_of: Vec<usize> = instance
+            .task_ids()
+            .map(|t| balancer.assign(instance.estimate(t)).index())
+            .collect();
+        place_in_groups(instance, &partition, &group_of)
     }
 
     fn execute(
@@ -87,27 +75,67 @@ impl Strategy for LsGroup {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        let partition = self.partition(instance.m())?;
-        // Recover each task's group from its placement span (the span's
-        // first machine identifies the group), so execution works even on
-        // placements built elsewhere, as long as they are group-shaped.
-        let mut balancers: Vec<LoadBalancer> = (0..partition.k())
-            .map(|g| LoadBalancer::new(partition.group_size(g)))
-            .collect();
-        let mut machines = vec![MachineId::new(0); instance.n()];
-        for task in instance.task_ids() {
-            let first = placement
-                .set(task)
-                .iter(instance.m())
-                .next()
-                .ok_or(rds_core::Error::EmptyPlacement { task: task.index() })?;
-            let g = partition.group_of(first);
-            let offset = partition.group_range(g).start;
-            let local = balancers[g].assign(realization.actual(task));
-            machines[task.index()] = MachineId::new(offset + local.index());
-        }
-        Assignment::new(instance, machines)
+        let partition = partition(instance.m(), self.k, self.strict)?;
+        execute_in_groups(
+            instance,
+            placement,
+            realization,
+            &partition,
+            instance.task_ids(),
+        )
     }
+}
+
+/// The machine groups of a grouped strategy: `k | m` exactly when
+/// `strict`, near-equal groups (sizes differing by one) otherwise.
+pub(crate) fn partition(m: usize, k: usize, strict: bool) -> Result<GroupPartition> {
+    if strict {
+        GroupPartition::new_exact(m, k)
+    } else {
+        GroupPartition::new(m, k)
+    }
+}
+
+/// Phase 1's output for a grouped strategy: each task's data on every
+/// machine of its group `group_of[j]`.
+pub(crate) fn place_in_groups(
+    instance: &Instance,
+    partition: &GroupPartition,
+    group_of: &[usize],
+) -> Result<Placement> {
+    let sets = group_of.iter().map(|&g| partition.group_set(g)).collect();
+    Placement::new(instance, sets)
+}
+
+/// Phase 2 of every grouped strategy: online List Scheduling inside each
+/// group on the actual times, taking the tasks in `order`.
+///
+/// Each task's group is recovered from its placement (the set's first
+/// machine identifies the group), so execution works even on placements
+/// built elsewhere, as long as they are group-shaped.
+pub(crate) fn execute_in_groups(
+    instance: &Instance,
+    placement: &Placement,
+    realization: &Realization,
+    partition: &GroupPartition,
+    order: impl IntoIterator<Item = TaskId>,
+) -> Result<Assignment> {
+    let mut balancers: Vec<LoadBalancer> = (0..partition.k())
+        .map(|g| LoadBalancer::new(partition.group_size(g)))
+        .collect();
+    let mut machines = vec![MachineId::new(0); instance.n()];
+    for task in order {
+        let first = placement
+            .set(task)
+            .iter(instance.m())
+            .next()
+            .ok_or(rds_core::Error::EmptyPlacement { task: task.index() })?;
+        let g = partition.group_of(first);
+        let offset = partition.group_range(g).start;
+        let local = balancers[g].assign(realization.actual(task));
+        machines[task.index()] = MachineId::new(offset + local.index());
+    }
+    Assignment::new(instance, machines)
 }
 
 #[cfg(test)]

@@ -11,10 +11,9 @@
 //! measures whether the *empirical* ratios improve.
 
 use crate::balancer::LoadBalancer;
+use crate::group::{execute_in_groups, partition, place_in_groups};
 use crate::strategy::Strategy;
-use rds_core::{
-    Assignment, GroupPartition, Instance, MachineId, Placement, Realization, Result, Uncertainty,
-};
+use rds_core::{Assignment, Instance, Placement, Realization, Result, Uncertainty};
 
 /// The `LPT-Group` strategy with a fixed group count `k`.
 #[derive(Debug, Clone, Copy)]
@@ -38,14 +37,6 @@ impl LptGroup {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    fn partition(&self, m: usize) -> Result<GroupPartition> {
-        if self.strict {
-            GroupPartition::new_exact(m, self.k)
-        } else {
-            GroupPartition::new(m, self.k)
-        }
-    }
 }
 
 impl Strategy for LptGroup {
@@ -58,14 +49,13 @@ impl Strategy for LptGroup {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        let partition = self.partition(instance.m())?;
+        let partition = partition(instance.m(), self.k, self.strict)?;
         let mut balancer = LoadBalancer::new(partition.k());
         let mut group_of = vec![0usize; instance.n()];
         for t in instance.ids_by_estimate_desc() {
             group_of[t.index()] = balancer.assign(instance.estimate(t)).index();
         }
-        let sets = group_of.iter().map(|&g| partition.group_set(g)).collect();
-        Placement::new(instance, sets)
+        place_in_groups(instance, &partition, &group_of)
     }
 
     fn execute(
@@ -74,25 +64,9 @@ impl Strategy for LptGroup {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        let partition = self.partition(instance.m())?;
-        let mut balancers: Vec<LoadBalancer> = (0..partition.k())
-            .map(|g| LoadBalancer::new(partition.group_size(g)))
-            .collect();
-        let mut machines = vec![MachineId::new(0); instance.n()];
-        // LPT dispatch order within the whole system; eligibility per
-        // group keeps each dispatch inside the right balancer.
-        for t in instance.ids_by_estimate_desc() {
-            let first = placement
-                .set(t)
-                .iter(instance.m())
-                .next()
-                .ok_or(rds_core::Error::EmptyPlacement { task: t.index() })?;
-            let g = partition.group_of(first);
-            let offset = partition.group_range(g).start;
-            let local = balancers[g].assign(realization.actual(t));
-            machines[t.index()] = MachineId::new(offset + local.index());
-        }
-        Assignment::new(instance, machines)
+        let partition = partition(instance.m(), self.k, self.strict)?;
+        let order = instance.ids_by_estimate_desc();
+        execute_in_groups(instance, placement, realization, &partition, order)
     }
 }
 

@@ -17,6 +17,7 @@
 //! adversary and conformance arms exercise.
 
 use crate::balancer::LoadBalancer;
+use crate::group::{execute_in_groups, partition, place_in_groups};
 use crate::strategy::Strategy;
 use rds_core::{
     Assignment, GroupPartition, Instance, MachineId, MachineSpeeds, Placement, Realization, Result,
@@ -79,10 +80,9 @@ impl Strategy for SpeedRobustBags {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        let partition = GroupPartition::new(instance.m(), self.k)?;
+        let partition = partition(instance.m(), self.k, false)?;
         let group_of = self.group_of_task(instance, &partition);
-        let sets = group_of.iter().map(|&g| partition.group_set(g)).collect();
-        Placement::new(instance, sets)
+        place_in_groups(instance, &partition, &group_of)
     }
 
     fn execute(
@@ -91,23 +91,9 @@ impl Strategy for SpeedRobustBags {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        let partition = GroupPartition::new(instance.m(), self.k)?;
-        let mut balancers: Vec<LoadBalancer> = (0..partition.k())
-            .map(|g| LoadBalancer::new(partition.group_size(g)))
-            .collect();
-        let mut machines = vec![MachineId::new(0); instance.n()];
-        for t in instance.ids_by_estimate_desc() {
-            let first = placement
-                .set(t)
-                .iter(instance.m())
-                .next()
-                .ok_or(rds_core::Error::EmptyPlacement { task: t.index() })?;
-            let g = partition.group_of(first);
-            let offset = partition.group_range(g).start;
-            let local = balancers[g].assign(realization.actual(t));
-            machines[t.index()] = MachineId::new(offset + local.index());
-        }
-        Assignment::new(instance, machines)
+        let partition = partition(instance.m(), self.k, false)?;
+        let order = instance.ids_by_estimate_desc();
+        execute_in_groups(instance, placement, realization, &partition, order)
     }
 }
 

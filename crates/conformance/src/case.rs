@@ -1,7 +1,7 @@
 //! The serializable unit of conformance testing: one complete
 //! (instance, uncertainty, realization) triple as plain numbers.
 
-use rds_core::{Error, Instance, Realization, Result, Uncertainty};
+use rds_core::{fnv1a, Error, Instance, Realization, Result, Uncertainty};
 
 /// A self-contained conformance case: estimates, machine count, the
 /// uncertainty factor, and the per-task deviation factors that define
@@ -92,26 +92,17 @@ impl CaseSpec {
     /// FNV-1a digest over the full case content, used to derive
     /// deterministic permutations and campaign identities.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(mut h: u64, v: u64) -> u64 {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-            h
-        }
-        let mut h = OFFSET;
-        h = eat(h, self.m as u64);
-        h = eat(h, self.alpha.to_bits());
-        h = eat(h, self.estimates.len() as u64);
-        for e in &self.estimates {
-            h = eat(h, e.to_bits());
-        }
-        for f in &self.factors {
-            h = eat(h, f.to_bits());
-        }
-        h
+        let head = [
+            self.m as u64,
+            self.alpha.to_bits(),
+            self.estimates.len() as u64,
+        ];
+        let values = self
+            .estimates
+            .iter()
+            .chain(&self.factors)
+            .map(|x| x.to_bits());
+        fnv1a(head.into_iter().chain(values).flat_map(u64::to_le_bytes))
     }
 }
 

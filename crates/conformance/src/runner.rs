@@ -9,7 +9,7 @@ use crate::checks::{check_case, CaseReport};
 use crate::generator::generate_case;
 use crate::registry::{Mutation, StrategyId};
 use crate::shrink::shrink;
-use rds_core::Result;
+use rds_core::{fnv1a, Result};
 use rds_exact::OptimalSolver;
 use rds_par::journal::{CampaignMeta, Journal, TrialRecord, TrialStatus};
 use rds_workloads::rng::child_seed;
@@ -96,15 +96,6 @@ pub struct ReplayOutcome {
     pub report: CaseReport,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn campaign_meta(config: &ConformanceConfig) -> CampaignMeta {
     // Budgets (cases, seconds) are deliberately excluded from the params
     // identity so a resumed campaign may extend them.
@@ -116,7 +107,7 @@ fn campaign_meta(config: &ConformanceConfig) -> CampaignMeta {
     );
     CampaignMeta {
         campaign: "conformance".into(),
-        digest: fnv1a(params.as_bytes()),
+        digest: fnv1a(params.bytes()),
         seed: config.seed,
         params,
     }

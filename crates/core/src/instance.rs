@@ -1,6 +1,7 @@
 //! Problem instances: a set of tasks plus the machine count.
 
 use crate::error::{Error, Result};
+use crate::fnv::fnv1a;
 use crate::ids::{MachineId, TaskId};
 use crate::scalar::{Size, Time};
 use crate::task::Task;
@@ -152,23 +153,12 @@ impl Instance {
     /// *different* instance is detected instead of silently mixing
     /// results from two experiments.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(mut h: u64, v: u64) -> u64 {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-            h
-        }
-        let mut h = OFFSET;
-        h = eat(h, self.machines as u64);
-        h = eat(h, self.tasks.len() as u64);
-        for t in &self.tasks {
-            h = eat(h, t.estimate.get().to_bits());
-            h = eat(h, t.size.get().to_bits());
-        }
-        h
+        let head = [self.machines as u64, self.tasks.len() as u64];
+        let tasks = self
+            .tasks
+            .iter()
+            .flat_map(|t| [t.estimate.get().to_bits(), t.size.get().to_bits()]);
+        fnv1a(head.into_iter().chain(tasks).flat_map(u64::to_le_bytes))
     }
 
     /// Task ids sorted by non-increasing estimate (LPT order), ties broken

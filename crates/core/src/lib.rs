@@ -10,9 +10,8 @@
 //! - [`Realization`]: actual processing times, validated against the model;
 //! - [`Placement`]/[`MachineSet`]/[`GroupPartition`]: the phase-1 output —
 //!   where data is replicated;
-//! - [`PlacementIndex`]: the CSR-inverted per-machine eligibility lists
-//!   the dispatch hot path runs on;
 //! - [`Assignment`]/[`Schedule`]: the phase-2 output — who ran what, when;
+//! - [`fnv1a`]: the 64-bit hash behind every journal digest;
 //! - [`metrics`], [`memory`]: makespan, competitive ratios, and memory
 //!   occupation.
 //!
@@ -41,13 +40,13 @@
 
 pub mod bitset;
 pub mod error;
+pub mod fnv;
 pub mod hetero;
 pub mod ids;
 pub mod instance;
 pub mod memory;
 pub mod metrics;
 pub mod placement;
-pub mod placement_index;
 pub mod realization;
 pub mod reliability;
 pub mod scalar;
@@ -57,11 +56,11 @@ pub mod uncertainty;
 
 pub use bitset::MachineMask;
 pub use error::{Error, Result};
+pub use fnv::fnv1a;
 pub use hetero::{MachineSpeeds, NetworkTopology};
 pub use ids::{MachineId, TaskId};
 pub use instance::Instance;
 pub use placement::{GroupPartition, MachineSet, Placement};
-pub use placement_index::PlacementIndex;
 pub use realization::Realization;
 pub use reliability::ReliabilityModel;
 pub use scalar::{Size, Time};
@@ -79,7 +78,6 @@ pub mod prelude {
     pub use crate::memory;
     pub use crate::metrics;
     pub use crate::placement::{GroupPartition, MachineSet, Placement};
-    pub use crate::placement_index::PlacementIndex;
     pub use crate::realization::Realization;
     pub use crate::reliability::ReliabilityModel;
     pub use crate::scalar::{Size, Time};

@@ -245,52 +245,6 @@ impl Schedule {
             .collect::<Result<Vec<_>>>()?;
         Assignment::new(instance, machine_of)
     }
-
-    /// Validates internal consistency: slots on each machine are
-    /// non-overlapping, ordered, and have `end = start + p_task`; each
-    /// task appears exactly once overall.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidParameter`] describing the first violation.
-    pub fn validate(&self, instance: &Instance, realization: &Realization) -> Result<()> {
-        let mut seen = vec![false; instance.n()];
-        for slots in &self.per_machine {
-            let mut prev_end = Time::ZERO;
-            for slot in slots {
-                if slot.task.index() >= instance.n() {
-                    return Err(Error::TaskOutOfRange {
-                        task: slot.task.index(),
-                        n: instance.n(),
-                    });
-                }
-                if seen[slot.task.index()] {
-                    return Err(Error::InvalidParameter {
-                        what: "task scheduled more than once",
-                    });
-                }
-                seen[slot.task.index()] = true;
-                if slot.start < prev_end {
-                    return Err(Error::InvalidParameter {
-                        what: "overlapping slots on a machine",
-                    });
-                }
-                let expected = slot.start + realization.actual(slot.task);
-                if !slot.end.approx_eq(expected, 1e-9) {
-                    return Err(Error::InvalidParameter {
-                        what: "slot duration disagrees with realization",
-                    });
-                }
-                prev_end = slot.end;
-            }
-        }
-        if let Some(j) = seen.iter().position(|&s| !s) {
-            return Err(Error::TaskOutOfRange {
-                task: j,
-                n: instance.n(),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -372,14 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn sequence_and_validate() {
+    fn sequence_is_back_to_back() {
         let i = inst();
         let r = Realization::exact(&i);
         let a = Assignment::new(&i, vec![mid(0), mid(1), mid(1), mid(0)]).unwrap();
         let s = Schedule::sequence(&a.tasks_per_machine(), &r);
         assert_eq!(s.makespan(), Time::of(7.0));
         assert_eq!(s.makespan(), a.makespan(&r));
-        s.validate(&i, &r).unwrap();
         // Slots are back-to-back.
         let slots = s.slots(mid(0));
         assert_eq!(slots[0].start, Time::ZERO);
@@ -389,94 +342,6 @@ mod tests {
         // Round-trip to assignment.
         let back = s.to_assignment(&i).unwrap();
         assert_eq!(back, a);
-    }
-
-    #[test]
-    fn validate_catches_duplicates_and_gaps() {
-        let i = inst();
-        let r = Realization::exact(&i);
-        // Task 0 appears twice, task 1 missing.
-        let s = Schedule::from_slots(vec![
-            vec![
-                Slot {
-                    task: TaskId::new(0),
-                    start: Time::ZERO,
-                    end: Time::of(4.0),
-                },
-                Slot {
-                    task: TaskId::new(0),
-                    start: Time::of(4.0),
-                    end: Time::of(8.0),
-                },
-            ],
-            vec![
-                Slot {
-                    task: TaskId::new(2),
-                    start: Time::ZERO,
-                    end: Time::of(1.0),
-                },
-                Slot {
-                    task: TaskId::new(3),
-                    start: Time::of(1.0),
-                    end: Time::of(4.0),
-                },
-            ],
-        ]);
-        assert!(s.validate(&i, &r).is_err());
-    }
-
-    #[test]
-    fn validate_catches_overlap_and_wrong_duration() {
-        let i = Instance::from_estimates(&[2.0, 2.0], 1).unwrap();
-        let r = Realization::exact(&i);
-        let overlap = Schedule::from_slots(vec![vec![
-            Slot {
-                task: TaskId::new(0),
-                start: Time::ZERO,
-                end: Time::of(2.0),
-            },
-            Slot {
-                task: TaskId::new(1),
-                start: Time::of(1.0),
-                end: Time::of(3.0),
-            },
-        ]]);
-        assert!(overlap.validate(&i, &r).is_err());
-
-        let wrong_dur = Schedule::from_slots(vec![vec![
-            Slot {
-                task: TaskId::new(0),
-                start: Time::ZERO,
-                end: Time::of(2.0),
-            },
-            Slot {
-                task: TaskId::new(1),
-                start: Time::of(2.0),
-                end: Time::of(3.0),
-            },
-        ]]);
-        assert!(wrong_dur.validate(&i, &r).is_err());
-    }
-
-    #[test]
-    fn idle_gaps_are_allowed() {
-        // A schedule may contain idle time (start > prev end): valid.
-        let i = Instance::from_estimates(&[1.0, 1.0], 1).unwrap();
-        let r = Realization::exact(&i);
-        let s = Schedule::from_slots(vec![vec![
-            Slot {
-                task: TaskId::new(0),
-                start: Time::ZERO,
-                end: Time::of(1.0),
-            },
-            Slot {
-                task: TaskId::new(1),
-                start: Time::of(5.0),
-                end: Time::of(6.0),
-            },
-        ]]);
-        s.validate(&i, &r).unwrap();
-        assert_eq!(s.makespan(), Time::of(6.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! grouped replication, the eligibility sets *overlap*, so load can
 //! spill gradually around the ring instead of being confined to a group.
 
-use crate::executor::{execute_online, lpt_order};
+use crate::executor::execute_online;
 use rds_algs::list_scheduling::lpt_estimates;
 use rds_algs::Strategy;
 use rds_core::{
@@ -102,7 +102,7 @@ impl Strategy for ChainedReplication {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        execute_online(instance, placement, lpt_order(instance), realization)
+        execute_online(instance, placement, realization)
     }
 }
 

@@ -7,7 +7,7 @@
 //! `fraction` of the total estimated work (the tasks whose inflation can
 //! single-handedly wreck a machine) and pins the rest with LPT.
 
-use crate::executor::{execute_online, lpt_order};
+use crate::executor::execute_online;
 use rds_algs::list_scheduling::lpt_estimates;
 use rds_algs::Strategy;
 use rds_core::{
@@ -93,7 +93,7 @@ impl Strategy for CriticalTaskReplication {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        execute_online(instance, placement, lpt_order(instance), realization)
+        execute_online(instance, placement, realization)
     }
 }
 

@@ -9,11 +9,13 @@
 //! is allowed to run. These policies therefore execute through the
 //! `rds-sim` engine directly.
 
-use rds_core::{Assignment, Instance, Placement, Realization, Result, TaskId};
+use rds_core::{Assignment, Instance, Placement, Realization, Result};
 use rds_sim::{Engine, OrderedDispatcher};
 
-/// Executes a placement online with the given priority order via the
-/// discrete-event engine and returns the resulting assignment.
+/// Executes a placement online via the discrete-event engine and returns
+/// the resulting assignment. The priority order is the one every policy
+/// in this crate uses: non-increasing estimate, ties by task id (online
+/// LPT, consistent with the paper's phase-2 choices).
 ///
 /// # Errors
 /// Propagates engine errors — notably
@@ -22,25 +24,17 @@ use rds_sim::{Engine, OrderedDispatcher};
 pub fn execute_online(
     instance: &Instance,
     placement: &Placement,
-    order: Vec<TaskId>,
     realization: &Realization,
 ) -> Result<Assignment> {
     let engine = Engine::new(instance, placement, realization)?;
-    let result = engine.run(&mut OrderedDispatcher::new(order))?;
+    let result = engine.run(&mut OrderedDispatcher::lpt_by_estimate(instance))?;
     result.schedule.to_assignment(instance)
-}
-
-/// Priority order used by all policies in this crate: non-increasing
-/// estimate, ties by task id (online LPT — consistent with the paper's
-/// phase-2 choices).
-pub fn lpt_order(instance: &Instance) -> Vec<TaskId> {
-    instance.ids_by_estimate_desc()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rds_core::{MachineId, MachineSet, Time};
+    use rds_core::{MachineId, MachineSet, TaskId, Time};
 
     #[test]
     fn online_execution_respects_overlapping_sets() {
@@ -57,17 +51,9 @@ mod tests {
         )
         .unwrap();
         let real = Realization::exact(&inst);
-        let a = execute_online(&inst, &placement, lpt_order(&inst), &real).unwrap();
+        let a = execute_online(&inst, &placement, &real).unwrap();
         a.check_feasible(&placement).unwrap();
         assert_eq!(a.machine_of(TaskId::new(2)), MachineId::new(1));
         assert_eq!(a.makespan(&real), Time::of(6.0));
-    }
-
-    #[test]
-    fn order_is_lpt_with_id_ties() {
-        let inst = rds_core::Instance::from_estimates(&[2.0, 5.0, 2.0], 2).unwrap();
-        let order = lpt_order(&inst);
-        let idx: Vec<usize> = order.iter().map(|t| t.index()).collect();
-        assert_eq!(idx, vec![1, 0, 2]);
     }
 }

@@ -6,7 +6,7 @@
 //! size `k`? Each task draws `k` distinct machines uniformly; phase 2 is
 //! the same online LPT dispatch as the other policies.
 
-use crate::executor::{execute_online, lpt_order};
+use crate::executor::execute_online;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rds_algs::Strategy;
@@ -77,7 +77,7 @@ impl Strategy for RandomKReplication {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        execute_online(instance, placement, lpt_order(instance), realization)
+        execute_online(instance, placement, realization)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Configuration for the streaming scheduler daemon.
 
-use rds_core::{Error, Result};
+use rds_core::{fnv1a, Error, Result};
 use rds_workloads::{ArrivalProcess, EstimateDistribution};
 
 /// Full configuration of one serve run. The daemon is a pure function
@@ -150,12 +150,7 @@ impl ServeConfig {
 
     /// FNV-1a digest of [`Self::params`], the journal's config identity.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.params().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(self.params().bytes())
     }
 }
 

@@ -7,8 +7,7 @@
 //! which is how the engine enforces the semi-clairvoyant model.
 
 use rds_core::{
-    Error, Instance, MachineId, MachineSet, NetworkTopology, Placement, PlacementIndex, Result,
-    TaskId, Time,
+    Error, Instance, MachineId, MachineSet, NetworkTopology, Placement, Result, TaskId, Time,
 };
 
 /// Started flag, stored in bit 31 of [`HotTask::hi`].
@@ -243,7 +242,7 @@ pub trait Dispatcher {
 ///   per idle event under restricted placements;
 /// - **indexed** ([`OrderedDispatcher::indexed`] /
 ///   [`OrderedDispatcher::auto`]): the priority order pre-restricted per
-///   machine from a [`PlacementIndex`], with one fast-forward cursor per
+///   machine from the placement, with one fast-forward cursor per
 ///   machine — amortized O(1) for k-replica and grouped placements too,
 ///   the paper's main workloads.
 #[derive(Debug, Clone)]
@@ -315,27 +314,51 @@ struct IndexedOrder {
 }
 
 impl IndexedOrder {
-    fn build(order: &[TaskId], pos_in_order: &[u32], index: &PlacementIndex) -> Self {
-        let m = index.m();
+    fn build(order: &[TaskId], pos_in_order: &[u32], placement: &Placement) -> Self {
+        let m = placement.m();
+        // Every machine's order positions, CSR over `all`: a counting
+        // pass and a fill pass over the tasks in id order, which reads
+        // the placement sequentially (walking `order` instead reads it
+        // at random and took twice as long at n = 10^6).
+        let ranked = || {
+            (0..placement.n()).filter_map(|j| {
+                let r = pos_in_order.get(j).copied().unwrap_or(ABSENT);
+                (r != ABSENT).then(|| (r, placement.set(TaskId::new(j)).iter(m)))
+            })
+        };
+        let mut starts = vec![0u32; m + 1];
+        for (_, machines) in ranked() {
+            for machine in machines {
+                starts[machine.index() + 1] += 1;
+            }
+        }
+        for i in 0..m {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts[..m].to_vec();
+        let mut all = vec![0u32; starts[m] as usize];
+        for (r, machines) in ranked() {
+            for machine in machines {
+                let w = &mut fill[machine.index()];
+                all[*w as usize] = r;
+                *w += 1;
+            }
+        }
+        // Sort each row by rank so it replays `order` restricted to its
+        // machine, then keep one copy of each distinct row.
+        let range = |i: usize| starts[i] as usize..starts[i + 1] as usize;
+        for i in 0..m {
+            all[range(i)].sort_unstable();
+        }
         let mut row = Vec::with_capacity(m);
         let mut offsets = vec![0u32];
         let mut ranks: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut seen: std::collections::HashMap<Vec<u32>, u32> = std::collections::HashMap::new();
+        let mut seen: std::collections::HashMap<&[u32], u32> = std::collections::HashMap::new();
         for i in 0..m {
-            scratch.clear();
-            scratch.extend(
-                index
-                    .tasks_on(MachineId::new(i))
-                    .map(|t| pos_in_order.get(t.index()).copied().unwrap_or(ABSENT))
-                    .filter(|&r| r != ABSENT),
-            );
-            // The CSR row is ascending by task id; re-sort by priority
-            // rank so each row replays `order` restricted to the machine.
-            scratch.sort_unstable();
+            let slice = &all[range(i)];
             let next = offsets.len() as u32 - 1;
-            let r = *seen.entry(scratch.clone()).or_insert_with(|| {
-                ranks.extend_from_slice(&scratch);
+            let r = *seen.entry(slice).or_insert_with(|| {
+                ranks.extend_from_slice(slice);
                 offsets.push(ranks.len() as u32);
                 next
             });
@@ -394,13 +417,13 @@ impl OrderedDispatcher {
         Self::new(instance.ids_by_estimate_desc())
     }
 
-    /// Dispatcher on the indexed path: `order` restricted per machine
-    /// from the placement's eligibility index. Must be driven against
-    /// the same placement the index was built from — the engine's
-    /// feasibility check rejects anything else.
-    pub fn indexed(order: Vec<TaskId>, index: &PlacementIndex) -> Self {
+    /// Dispatcher on the indexed path: `order` restricted to each
+    /// machine's eligible tasks under `placement`. Must be driven
+    /// against that same placement — the engine's feasibility check
+    /// rejects anything else.
+    pub fn indexed(order: Vec<TaskId>, placement: &Placement) -> Self {
         let mut d = Self::new(order);
-        let idx = IndexedOrder::build(&d.order, &d.pos_in_order, index);
+        let idx = IndexedOrder::build(&d.order, &d.pos_in_order, placement);
         // The CSR layout is valid when the deduplicated rows cover each
         // task exactly once (then `tasks` is a permutation of the ids).
         if d.layout_ok && idx.tasks.len() == d.order.len() {
@@ -419,11 +442,10 @@ impl OrderedDispatcher {
 
     /// Picks the execution path for `placement`: indexed when the
     /// placement is restricted enough that per-machine lists pay for
-    /// themselves ([`PlacementIndex::worth_indexing`]), the plain scan
-    /// otherwise (dense placements are already amortized O(1)).
+    /// themselves, the plain scan otherwise.
     pub fn auto(order: Vec<TaskId>, placement: &Placement) -> Self {
-        if PlacementIndex::worth_indexing(placement) {
-            Self::indexed(order, &PlacementIndex::build(placement))
+        if worth_indexing(placement) {
+            Self::indexed(order, placement)
         } else {
             Self::new(order)
         }
@@ -449,6 +471,16 @@ impl OrderedDispatcher {
             }
         }
     }
+}
+
+/// `true` when eligibility is restricted enough that per-machine rows
+/// are substantially shorter than the task list. Dense placements
+/// (everywhere, or near it) dispatch in amortized O(1) through the scan
+/// already, and rows would only add cache pressure.
+fn worth_indexing(placement: &Placement) -> bool {
+    let n = placement.n();
+    let m = placement.m();
+    m > 1 && n > 0 && placement.total_replicas() * 2 <= n * m
 }
 
 impl Dispatcher for OrderedDispatcher {
@@ -734,18 +766,30 @@ pub struct PinnedDispatcher {
 
 impl PinnedDispatcher {
     /// Builds per-machine queues from a per-task machine vector, running
-    /// each machine's tasks in task-id order. A counting pass sizes each
-    /// queue exactly, so no queue ever reallocates while filling.
+    /// each machine's tasks in task-id order.
     pub fn new(machine_of: &[MachineId], m: usize) -> Self {
+        Self::from_pins(machine_of.iter().map(|&id| Some(id)), m)
+    }
+
+    /// Queues for the pinned tasks (`pins[j]` is task `j`'s machine,
+    /// `None` when it is not pinned), each machine's in task-id order. A
+    /// counting pass sizes each queue exactly, so no queue ever
+    /// reallocates while filling.
+    fn from_pins<I>(pins: I, m: usize) -> Self
+    where
+        I: Clone + DoubleEndedIterator<Item = Option<MachineId>> + ExactSizeIterator,
+    {
         let mut counts = vec![0usize; m];
-        for id in machine_of {
+        for id in pins.clone().flatten() {
             counts[id.index()] += 1;
         }
         let mut queues: Vec<Vec<TaskId>> = counts.into_iter().map(Vec::with_capacity).collect();
         // Filling in reverse task-id order means popping from the back
         // yields task-id order, with no post-hoc reverse pass.
-        for (j, id) in machine_of.iter().enumerate().rev() {
-            queues[id.index()].push(TaskId::new(j));
+        for (j, id) in pins.enumerate().rev() {
+            if let Some(id) = id {
+                queues[id.index()].push(TaskId::new(j));
+            }
         }
         PinnedDispatcher { queues }
     }
@@ -781,18 +825,8 @@ impl StagedDispatcher {
     /// `pinned_of[j] = Some(machine)` for stage-1 tasks; stage-2 tasks
     /// (the `None`s) are served in `order` afterwards.
     pub fn new(pinned_of: &[Option<MachineId>], m: usize, order: Vec<TaskId>) -> Self {
-        let mut counts = vec![0usize; m];
-        for id in pinned_of.iter().flatten() {
-            counts[id.index()] += 1;
-        }
-        let mut queues: Vec<Vec<TaskId>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for (j, id) in pinned_of.iter().enumerate().rev() {
-            if let Some(id) = id {
-                queues[id.index()].push(TaskId::new(j));
-            }
-        }
         StagedDispatcher {
-            pinned: PinnedDispatcher { queues },
+            pinned: PinnedDispatcher::from_pins(pinned_of.iter().copied(), m),
             ordered: OrderedDispatcher::new(order),
         }
     }
@@ -1038,6 +1072,136 @@ mod tests {
         assert_eq!(
             d.next_task(MachineId::new(1), Time::ZERO, &view),
             Some(TaskId::new(3))
+        );
+    }
+
+    /// Checks `indexed`'s rows against `order` restricted to each
+    /// machine, where a task listed twice keeps its last position.
+    fn assert_rows_restrict_order(p: &Placement, order: &[TaskId]) {
+        let d = OrderedDispatcher::indexed(order.to_vec(), p);
+        let idx = d.index.as_ref().unwrap();
+        let want: Vec<Vec<u32>> = (0..p.m())
+            .map(|i| {
+                (0..order.len())
+                    .filter(|&pos| {
+                        let t = order[pos];
+                        p.allows(t, MachineId::new(i)) && !order[pos + 1..].contains(&t)
+                    })
+                    .map(|pos| pos as u32)
+                    .collect()
+            })
+            .collect();
+        let row = |r: u32| idx.offsets[r as usize] as usize..idx.offsets[r as usize + 1] as usize;
+        for (i, want_i) in want.iter().enumerate() {
+            let r = row(idx.row[i]);
+            assert_eq!(
+                &idx.ranks[r.clone()],
+                want_i.as_slice(),
+                "machine {i} ranks"
+            );
+            let tasks: Vec<u32> = want_i
+                .iter()
+                .map(|&pos| order[pos as usize].index() as u32)
+                .collect();
+            assert_eq!(idx.tasks[r], tasks, "machine {i} tasks");
+            for (h, want_h) in want.iter().enumerate() {
+                assert_eq!(
+                    idx.row[i] == idx.row[h],
+                    want_i == want_h,
+                    "machines {i} and {h} share a row iff their rows are equal"
+                );
+            }
+        }
+        // The CSR layout exists exactly when the distinct rows hold every
+        // task of a full permutation once.
+        let mut distinct = want.clone();
+        distinct.sort();
+        distinct.dedup();
+        let mut covered: Vec<u32> = distinct
+            .iter()
+            .flatten()
+            .map(|&pos| order[pos as usize].index() as u32)
+            .collect();
+        covered.sort_unstable();
+        let partition = d.layout_ok && covered == (0..p.n() as u32).collect::<Vec<_>>();
+        assert_eq!(d.csr_layout.is_some(), partition);
+    }
+
+    #[test]
+    fn indexed_rows_restrict_the_order_per_machine() {
+        use rds_core::{MachineMask, MachineSet};
+        let est = [1.0, 5.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0];
+        let inst = Instance::from_estimates(&est, 5).unwrap();
+        let mask = |ids: &[usize]| {
+            MachineSet::Mask(MachineMask::from_iter_with_capacity(
+                5,
+                ids.iter().map(|&i| MachineId::new(i)),
+            ))
+        };
+        let mixed = Placement::new(
+            &inst,
+            vec![
+                MachineSet::One(MachineId::new(3)),
+                MachineSet::Span { start: 0, end: 2 },
+                mask(&[0, 1, 4]),
+                MachineSet::All,
+                MachineSet::Span { start: 0, end: 2 },
+                MachineSet::One(MachineId::new(3)),
+                MachineSet::Span { start: 2, end: 5 },
+                mask(&[2, 4]),
+            ],
+        )
+        .unwrap();
+        let groups = Placement::new(
+            &inst,
+            (0..8)
+                .map(|j| match j % 3 {
+                    0 => MachineSet::Span { start: 0, end: 2 },
+                    1 => MachineSet::Span { start: 2, end: 4 },
+                    _ => MachineSet::One(MachineId::new(4)),
+                })
+                .collect(),
+        )
+        .unwrap();
+        let lpt = inst.ids_by_estimate_desc();
+        let ids = |v: &[usize]| v.iter().map(|&j| TaskId::new(j)).collect::<Vec<_>>();
+        let omits = ids(&[7, 3, 0, 6, 4, 1]);
+        let twice = ids(&[3, 5, 7, 1, 6, 3, 4, 2, 0, 5]);
+        for p in [&mixed, &groups] {
+            for order in [&lpt, &omits, &twice] {
+                assert_rows_restrict_order(p, order);
+            }
+        }
+        // The group placement under a full order is the partition case.
+        assert!(OrderedDispatcher::indexed(lpt, &groups)
+            .csr_layout
+            .is_some());
+    }
+
+    #[test]
+    fn auto_indexes_only_restricted_placements() {
+        let inst = Instance::from_estimates(&[1.0; 10], 6).unwrap();
+        // Everywhere: dense, never worth it.
+        assert!(!worth_indexing(&Placement::everywhere(&inst)));
+        // Pinned (1 replica on 6 machines): sparse.
+        let pins: Vec<MachineId> = (0..10).map(|j| MachineId::new(j % 6)).collect();
+        assert!(worth_indexing(&Placement::pinned(&inst, &pins).unwrap()));
+        // k=3 groups on m=6: exactly at the threshold — indexed.
+        let sets = (0..10)
+            .map(|j| rds_core::MachineSet::Span {
+                start: if j % 2 == 0 { 0 } else { 3 },
+                end: if j % 2 == 0 { 3 } else { 6 },
+            })
+            .collect();
+        let groups = Placement::new(&inst, sets).unwrap();
+        assert!(worth_indexing(&groups));
+        assert!(OrderedDispatcher::auto(inst.task_ids().collect(), &groups).is_indexed());
+        // Single machine: nothing to restrict.
+        let one = Instance::from_estimates(&[1.0; 4], 1).unwrap();
+        assert!(!worth_indexing(&Placement::everywhere(&one)));
+        assert!(
+            !OrderedDispatcher::auto(one.task_ids().collect(), &Placement::everywhere(&one))
+                .is_indexed()
         );
     }
 

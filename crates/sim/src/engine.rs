@@ -638,7 +638,7 @@ mod tests {
         // t0→p0, t1→p1, first idle is p1@3? both idle at 3, tie → p0:
         // actually p0 idle at 3 (tie, machine 0 first) takes t2 → ends 5.
         assert_eq!(res.makespan, Time::of(5.0));
-        res.schedule.validate(&inst, &r).unwrap();
+        crate::check_schedule(&inst, &p, &r, &res.schedule, &crate::Checks::engine()).unwrap();
         assert_eq!(res.trace.starts(), 3);
     }
 

@@ -111,7 +111,8 @@ mod tests {
         let real = Realization::from_factors(&inst, unc, &[1.5, 1.0, 0.8, 1.2]).unwrap();
         let res = simulate_no_restriction(&inst, &real).unwrap();
         assert_eq!(res.trace.starts(), 4);
-        res.schedule.validate(&inst, &real).unwrap();
+        let p = Placement::everywhere(&inst);
+        crate::check_schedule(&inst, &p, &real, &res.schedule, &crate::Checks::engine()).unwrap();
     }
 
     #[test]

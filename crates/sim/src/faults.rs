@@ -1187,7 +1187,7 @@ mod tests {
         assert_eq!(rep.outcome, Outcome::Completed);
         assert!(rep.metrics.restarts >= 1);
         assert!(rep.metrics.makespan >= Time::of(7.0));
-        rep.schedule.validate(&inst, &r).unwrap();
+        crate::check_schedule(&inst, &p, &r, &rep.schedule, &crate::Checks::engine()).unwrap();
     }
 
     #[test]

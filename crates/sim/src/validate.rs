@@ -473,6 +473,13 @@ mod tests {
         let checks = Checks::full(Uncertainty::of(2.0), 2);
         assert!(validate_schedule(&inst, &p, &r, &s, &checks).is_empty());
         check_schedule(&inst, &p, &r, &s, &checks).unwrap();
+        // Idle time between two slots is allowed: t1 starts at 5, not 2.
+        let mut slots = s.all_slots().to_vec();
+        slots[0][1].start = Time::of(5.0);
+        slots[0][1].end = Time::of(6.0);
+        let gap = Schedule::from_slots(slots);
+        check_schedule(&inst, &p, &r, &gap, &checks).unwrap();
+        assert_eq!(gap.makespan(), Time::of(6.0));
     }
 
     #[test]

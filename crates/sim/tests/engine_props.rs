@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rds_core::{
     Instance, MachineId, MachineMask, MachineSet, Placement, Realization, TaskId, Time, Uncertainty,
 };
-use rds_sim::{Engine, OrderedDispatcher, TraceEvent};
+use rds_sim::{check_schedule, Checks, Engine, OrderedDispatcher, TraceEvent};
 
 /// Builds a random placement where each task gets a nonempty subset.
 fn placement_strategy(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
@@ -52,7 +52,7 @@ proptest! {
         let result = engine.run(&mut OrderedDispatcher::fifo(&inst)).unwrap();
 
         // Valid (no overlap, every task once, right durations).
-        result.schedule.validate(&inst, &real).unwrap();
+        check_schedule(&inst, &placement, &real, &result.schedule, &Checks::engine()).unwrap();
         // Feasible (every task on an allowed machine).
         let a = result.schedule.to_assignment(&inst).unwrap();
         a.check_feasible(&placement).unwrap();

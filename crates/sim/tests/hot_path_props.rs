@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use rds_core::{
-    Instance, MachineId, MachineMask, MachineSet, Placement, PlacementIndex, Realization, TaskId,
-    Uncertainty,
+    Instance, MachineId, MachineMask, MachineSet, Placement, Realization, TaskId, Uncertainty,
 };
 use rds_sim::{
     Engine, FaultEvent, FaultScript, OrderedDispatcher, PinnedDispatcher, QueueMode,
@@ -121,8 +120,7 @@ proptest! {
         // Under test: indexed dispatcher through a dirty, reused arena.
         let mut arena = SimArena::new();
         dirty(&mut arena);
-        let mut indexed =
-            OrderedDispatcher::indexed(order, &PlacementIndex::build(&placement));
+        let mut indexed = OrderedDispatcher::indexed(order, &placement);
         let got = engine.run_in(&mut arena, &mut indexed);
         rds_obs::set_enabled(false);
 

@@ -3,7 +3,7 @@
 //! scenario runs end to end through both paths.
 
 use replicated_placement::prelude::*;
-use replicated_placement::sim::executors;
+use replicated_placement::sim::{check_schedule, executors, Checks};
 use replicated_placement::workloads::{realize::RealizationModel, rng, scenarios};
 
 /// The engine and the closed form must agree task-by-task, not just on
@@ -38,7 +38,8 @@ fn no_restriction_engine_equivalence() {
         let sim = executors::simulate_no_restriction(&inst, &real).unwrap();
         assert_close(closed.makespan, sim.makespan, &format!("seed {seed}"));
         assert_same_assignment(&closed.assignment, &sim.schedule, &inst);
-        sim.schedule.validate(&inst, &real).unwrap();
+        let everywhere = Placement::everywhere(&inst);
+        check_schedule(&inst, &everywhere, &real, &sim.schedule, &Checks::engine()).unwrap();
     }
 }
 

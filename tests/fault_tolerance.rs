@@ -6,7 +6,9 @@ use replicated_placement::prelude::*;
 use replicated_placement::sim::faults::{
     FaultEvent, FaultScript, Outcome, ResilienceEngine, ResilienceReport,
 };
-use replicated_placement::sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher};
+use replicated_placement::sim::{
+    check_schedule, Checks, Dispatcher, OrderedDispatcher, PinnedDispatcher,
+};
 use replicated_placement::workloads::{realize::RealizationModel, rng, EstimateDistribution};
 
 /// A permanent crash of `machine` at `at`.
@@ -52,24 +54,14 @@ fn everywhere_placement_survives_any_single_failure() {
                 &[failure(target, at)],
             );
             assert_eq!(res.outcome, Outcome::Completed, "machine {target} at {at}");
-            res.schedule.validate_completed(&inst, &real);
+            // Every task once, with its actual duration: lost attempts
+            // are not slots.
+            check_schedule(&inst, &placement, &real, &res.schedule, &Checks::engine()).unwrap();
             // The dead machine contributes nothing after `at`.
             for slot in res.schedule.slots(MachineId::new(target)) {
                 assert!(slot.start.get() < at || at == 0.0);
             }
         }
-    }
-}
-
-/// Validation helper for schedules where every task appears exactly once
-/// (failure runs satisfy this: lost attempts are not slots).
-trait ValidateCompleted {
-    fn validate_completed(&self, inst: &Instance, real: &Realization);
-}
-
-impl ValidateCompleted for rds_core::Schedule {
-    fn validate_completed(&self, inst: &Instance, real: &Realization) {
-        self.validate(inst, real).unwrap();
     }
 }
 
@@ -183,6 +175,6 @@ proptest! {
         prop_assert_eq!(&res.outcome, &Outcome::Completed);
         let completed: usize = res.schedule.all_slots().iter().map(|s| s.len()).sum();
         prop_assert_eq!(completed, inst.n());
-        res.schedule.validate(&inst, &real).unwrap();
+        check_schedule(&inst, &placement, &real, &res.schedule, &Checks::engine()).unwrap();
     }
 }

@@ -6,6 +6,7 @@ use replicated_placement::prelude::*;
 // trait under the glob imports above.
 use rds_algs::Strategy as SchedulingStrategy;
 use rds_exact::lower_bounds;
+use replicated_placement::sim::{check_schedule, Checks};
 
 /// Strategy for a vector of 1..=n positive estimates.
 fn estimates(max_n: usize) -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
@@ -197,7 +198,8 @@ proptest! {
         let real = Realization::exact(&inst);
         let a = rds_algs::list_scheduling::list_schedule_estimates(&inst).unwrap();
         let s = Schedule::sequence(&a.tasks_per_machine(), &real);
-        s.validate(&inst, &real).unwrap();
+        let everywhere = Placement::everywhere(&inst);
+        check_schedule(&inst, &everywhere, &real, &s, &Checks::engine()).unwrap();
         prop_assert_eq!(s.to_assignment(&inst).unwrap(), a.clone());
         prop_assert_eq!(s.makespan(), a.makespan(&real));
     }
