@@ -22,7 +22,9 @@ def load(path):
                 drain = r
                 continue
             # First record per seq wins (replay dedup); a second
-            # one would be a double-run.
+            # one would be a double-run. A drain that terminal records
+            # follow is not the run's terminator.
+            drain = None
             assert r["seq"] not in recs, f"seq {r['seq']} doubled"
             recs[r["seq"]] = (k, r.get("machine"), r["attempts"])
     return recs, drain

@@ -1640,6 +1640,10 @@ pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), CmdErro
         return Ok(());
     };
     let args = Args::parse(rest)?;
+    if args.flag("help") {
+        writeln!(out, "{USAGE}")?;
+        return Ok(());
+    }
     obs_setup(&args)?;
     match cmd.as_ref() {
         "bounds" => cmd_bounds(&args, out),
@@ -2571,6 +2575,12 @@ mod tests {
         assert!(help.contains("USAGE"));
         let empty = run_to_string(&[]).unwrap();
         assert!(empty.contains("USAGE"));
+        // `--help` after a command prints the usage and runs nothing.
+        for argv in [&["conformance", "--help"][..], &["sweep", "--help"]] {
+            let out = run_to_string(argv).unwrap();
+            assert_eq!(out, help, "{argv:?}");
+            assert!(!out.contains("conformance:"), "{argv:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the same min-heap the batch engine runs on), and retry timers — and
 //! keeps **bounded state**: a task table capped by the admission queue
 //! bound, per-machine FIFO queues with lazy deletion and periodic
-//! compaction (the streaming analogue of the `PlacementIndex` cursor
-//! discipline from PR 4), and fixed-size reservoirs for statistics.
+//! compaction (the streaming analogue of the indexed dispatcher's
+//! per-machine cursors), and fixed-size reservoirs for statistics.
 //! Nothing in the loop grows with the length of the stream.
 //!
 //! Placement is incremental chained declustering: each admitted task is
@@ -1002,5 +1002,35 @@ mod tests {
             ",\"admitted\":{},\"completed\":{},\"shed\":{},\"failed\":{}}}\n",
             full.admitted, full.completed, full.shed, full.failed
         )));
+    }
+
+    #[test]
+    fn a_drain_that_terminal_records_follow_is_not_reported() {
+        let mut cfg = ServeConfig::poisson(6, 2, 8.0, 600);
+        cfg.fsync_every = 16;
+        let path = journal_path("halted-after-drain.jsonl");
+        let early = journaled(&cfg, &path, false, 200);
+        let drain = ServeJournal::read(&path).unwrap().drain.unwrap();
+        assert_eq!(drain.admitted, early.admitted);
+        // Resume, then halt before the run drains again: terminal
+        // records now follow the first drain line, so the run did not
+        // quiesce.
+        let mut polls = 0u64;
+        Daemon::with_journal(cfg, &path, true)
+            .unwrap()
+            .run(&mut |_| {
+                polls += 1;
+                if polls == 900 {
+                    Control::Halt
+                } else {
+                    Control::Continue
+                }
+            })
+            .unwrap();
+        let log = ServeJournal::read(&path).unwrap();
+        assert!(log.records.len() as u64 > early.admitted);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.matches("\"kind\":\"drain\"").count(), 1);
+        assert_eq!(log.drain, None);
     }
 }

@@ -443,7 +443,7 @@ impl ServeJournal {
         Ok(ServeLog {
             duplicates: raw - records.len(),
             records,
-            drain: scanned.drain,
+            drain: scanned.drain.filter(|_| scanned.sealed),
         })
     }
 }
