@@ -58,7 +58,7 @@ impl Strategy for LsGroup {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        let partition = partition(instance.m(), self.k, self.strict)?;
+        let partition = machine_groups(instance.m(), self.k, self.strict)?;
         // List Scheduling over the group loads on the estimates, in
         // task-id order.
         let mut balancer = LoadBalancer::new(partition.k());
@@ -75,7 +75,7 @@ impl Strategy for LsGroup {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        let partition = partition(instance.m(), self.k, self.strict)?;
+        let partition = machine_groups(instance.m(), self.k, self.strict)?;
         execute_in_groups(
             instance,
             placement,
@@ -88,7 +88,7 @@ impl Strategy for LsGroup {
 
 /// The machine groups of a grouped strategy: `k | m` exactly when
 /// `strict`, near-equal groups (sizes differing by one) otherwise.
-pub(crate) fn partition(m: usize, k: usize, strict: bool) -> Result<GroupPartition> {
+pub(crate) fn machine_groups(m: usize, k: usize, strict: bool) -> Result<GroupPartition> {
     if strict {
         GroupPartition::new_exact(m, k)
     } else {

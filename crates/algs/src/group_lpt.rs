@@ -11,7 +11,7 @@
 //! measures whether the *empirical* ratios improve.
 
 use crate::balancer::LoadBalancer;
-use crate::group::{execute_in_groups, partition, place_in_groups};
+use crate::group::{execute_in_groups, machine_groups, place_in_groups};
 use crate::strategy::Strategy;
 use rds_core::{Assignment, Instance, Placement, Realization, Result, Uncertainty};
 
@@ -49,7 +49,7 @@ impl Strategy for LptGroup {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        let partition = partition(instance.m(), self.k, self.strict)?;
+        let partition = machine_groups(instance.m(), self.k, self.strict)?;
         let mut balancer = LoadBalancer::new(partition.k());
         let mut group_of = vec![0usize; instance.n()];
         for t in instance.ids_by_estimate_desc() {
@@ -64,7 +64,7 @@ impl Strategy for LptGroup {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        let partition = partition(instance.m(), self.k, self.strict)?;
+        let partition = machine_groups(instance.m(), self.k, self.strict)?;
         let order = instance.ids_by_estimate_desc();
         execute_in_groups(instance, placement, realization, &partition, order)
     }

@@ -17,7 +17,7 @@
 //! adversary and conformance arms exercise.
 
 use crate::balancer::LoadBalancer;
-use crate::group::{execute_in_groups, partition, place_in_groups};
+use crate::group::{execute_in_groups, machine_groups, place_in_groups};
 use crate::strategy::Strategy;
 use rds_core::{
     Assignment, GroupPartition, Instance, MachineId, MachineSpeeds, Placement, Realization, Result,
@@ -80,7 +80,7 @@ impl Strategy for SpeedRobustBags {
     }
 
     fn place(&self, instance: &Instance, _uncertainty: Uncertainty) -> Result<Placement> {
-        let partition = partition(instance.m(), self.k, false)?;
+        let partition = machine_groups(instance.m(), self.k, false)?;
         let group_of = self.group_of_task(instance, &partition);
         place_in_groups(instance, &partition, &group_of)
     }
@@ -91,7 +91,7 @@ impl Strategy for SpeedRobustBags {
         placement: &Placement,
         realization: &Realization,
     ) -> Result<Assignment> {
-        let partition = partition(instance.m(), self.k, false)?;
+        let partition = machine_groups(instance.m(), self.k, false)?;
         let order = instance.ids_by_estimate_desc();
         execute_in_groups(instance, placement, realization, &partition, order)
     }

@@ -331,7 +331,7 @@ pub struct ResilienceReport {
     /// Completed work only (lost and cancelled attempts are not slots).
     /// Under slowdowns/stragglers a slot's duration may exceed the
     /// realization's actual time, so this schedule is not expected to
-    /// pass `Schedule::validate`.
+    /// pass [`crate::Checks::engine`]'s duration check.
     pub schedule: Schedule,
     /// Chronological trace including fault, recovery, speculation, and
     /// cancellation events.
