@@ -1639,30 +1639,32 @@ pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), CmdErro
         writeln!(out, "{USAGE}")?;
         return Ok(());
     };
+    type Command = fn(&Args, &mut dyn Write) -> Result<(), CmdError>;
+    let command: Command = match cmd.as_ref() {
+        "bounds" => cmd_bounds,
+        "plan" => cmd_plan,
+        "simulate" => cmd_simulate,
+        "envelope" => cmd_envelope,
+        "memory" => cmd_memory,
+        "resilience" => cmd_resilience,
+        "reliability" => cmd_reliability,
+        "frontier" => cmd_frontier,
+        "sweep" => cmd_sweep,
+        "conformance" => cmd_conformance,
+        "serve" => cmd_serve,
+        "help" | "--help" | "-h" => {
+            writeln!(out, "{USAGE}")?;
+            return Ok(());
+        }
+        other => return Err(format!("unknown command {other:?}; try `rds help`").into()),
+    };
     let args = Args::parse(rest)?;
     if args.flag("help") {
         writeln!(out, "{USAGE}")?;
         return Ok(());
     }
     obs_setup(&args)?;
-    match cmd.as_ref() {
-        "bounds" => cmd_bounds(&args, out),
-        "plan" => cmd_plan(&args, out),
-        "simulate" => cmd_simulate(&args, out),
-        "envelope" => cmd_envelope(&args, out),
-        "memory" => cmd_memory(&args, out),
-        "resilience" => cmd_resilience(&args, out),
-        "reliability" => cmd_reliability(&args, out),
-        "frontier" => cmd_frontier(&args, out),
-        "sweep" => cmd_sweep(&args, out),
-        "conformance" => cmd_conformance(&args, out),
-        "serve" => cmd_serve(&args, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{USAGE}")?;
-            return Ok(());
-        }
-        other => return Err(format!("unknown command {other:?}; try `rds help`").into()),
-    }?;
+    command(&args, out)?;
     obs_finish(&args, out)
 }
 
@@ -2575,12 +2577,14 @@ mod tests {
         assert!(help.contains("USAGE"));
         let empty = run_to_string(&[]).unwrap();
         assert!(empty.contains("USAGE"));
-        // `--help` after a command prints the usage and runs nothing.
+        // `--help` after a command prints the usage and runs nothing;
+        // an unknown command stays an error.
         for argv in [&["conformance", "--help"][..], &["sweep", "--help"]] {
             let out = run_to_string(argv).unwrap();
             assert_eq!(out, help, "{argv:?}");
             assert!(!out.contains("conformance:"), "{argv:?}");
         }
+        assert!(run_to_string(&["frobnicate", "--help"]).is_err());
     }
 
     #[test]
