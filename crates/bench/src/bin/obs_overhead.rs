@@ -117,7 +117,7 @@ fn main() {
     let events = events_ctr.get() - before;
     let enabled_med = time_runs(reps, &inst, &real);
     rds_obs::set_enabled(false);
-    let _ = rds_obs::take_spans();
+    let _ = rds_obs::global().take_spans();
 
     // Residual per-event guard cost via paired subtraction. The const
     // `false` gate matches the engine's disabled instantiation, so the

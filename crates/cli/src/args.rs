@@ -21,17 +21,19 @@ pub enum ArgError {
     MissingValue(String),
     /// A required option was absent.
     MissingOption(String),
-    /// A value failed to parse into the requested type.
+    /// A value failed to parse into the requested type, or parsed to a
+    /// value outside the option's domain.
     BadValue {
         /// The option name.
         key: String,
-        /// The unparsable text.
+        /// The offending text.
         value: String,
     },
-    /// A spec (`--model`, `--speeds`, `--topology`, or `rds serve`'s
-    /// arrival process and `--trace-file`) that breaks its grammar or
-    /// names a parameter outside its domain; also an `rds serve`
-    /// configuration its flags put outside its domain.
+    /// A spec (`--model`, `--speeds`, `--topology`, `--ks`, or `rds
+    /// serve`'s arrival process and `--trace-file`) that breaks its
+    /// grammar or names a parameter outside its domain; also an `rds
+    /// serve` configuration its flags put outside its domain, and a
+    /// `--min-survival` outside `[0, 1]`.
     BadSpec {
         /// The option name, or `serve` for a configuration check that
         /// spans several flags.
@@ -48,7 +50,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::MissingOption(k) => write!(f, "missing required option --{k}"),
             ArgError::BadValue { key, value } => {
-                write!(f, "cannot parse --{key} value {value:?}")
+                write!(f, "invalid --{key} value {value:?}")
             }
             ArgError::BadSpec { reason, .. } => f.write_str(reason),
         }

@@ -203,11 +203,15 @@ fn obs_finish(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         writeln!(out, "metrics written to {path}")?;
     }
     if let Some(path) = args.get::<String>("trace-out")? {
-        let spans = rds_obs::take_spans();
+        let spans = rds_obs::global().take_spans();
         rds_report::write_atomic_str(&path, &rds_obs::spans_to_jsonl(&spans))?;
-        let dropped = rds_obs::dropped_spans();
+        let dropped = rds_obs::global().dropped_spans();
         if dropped > 0 {
-            writeln!(out, "trace: {dropped} span(s) dropped at the shard cap")?;
+            writeln!(
+                out,
+                "trace: {dropped} span(s) dropped past the {}-span cap",
+                rds_obs::MAX_SPANS
+            )?;
         }
         writeln!(out, "trace: {} span(s) written to {path}", spans.len())?;
     }
@@ -254,6 +258,14 @@ fn build_realization(
     let mut r = rng::rng(seed);
     let (_, model) = realization_model(args)?;
     Ok(model.realize(inst, unc, &mut r)?)
+}
+
+/// A usage error for a `--key` value outside its domain.
+fn bad_value(key: &str, value: impl ToString) -> ArgError {
+    ArgError::BadValue {
+        key: key.to_string(),
+        value: value.to_string(),
+    }
 }
 
 /// A spec-string usage error for `--key`.
@@ -304,6 +316,17 @@ fn realization_model(args: &Args) -> Result<(String, RealizationModel), ArgError
 pub fn cmd_bounds(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let alpha: f64 = args.require("alpha")?;
     let m: usize = args.require("m")?;
+    let k: Option<usize> = args.get("k")?;
+    // The bounds assert their domain; a flag outside it is a usage error.
+    if !(alpha.is_finite() && alpha >= 1.0) {
+        return Err(bad_value("alpha", alpha).into());
+    }
+    if m == 0 {
+        return Err(bad_value("m", m).into());
+    }
+    if let Some(k) = k.filter(|&k| k == 0 || k > m) {
+        return Err(bad_value("k", k).into());
+    }
     let mut t = Table::new(vec!["result", "value"]).align(vec![Align::Left, Align::Right]);
     t.row(vec![
         "Th.1 lower bound (|M_j| = 1)".to_string(),
@@ -321,7 +344,7 @@ pub fn cmd_bounds(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
         "Graham List Scheduling".to_string(),
         fmt(rb::graham_list_scheduling(m), 4),
     ]);
-    if let Some(k) = args.get::<usize>("k")? {
+    if let Some(k) = k {
         t.row(vec![
             format!("Th.4 LS-Group(k={k})"),
             fmt(rb::ls_group(alpha, m, k), 4),
@@ -502,11 +525,7 @@ fn campaign_config(
     config.resume = args.flag("resume");
     config.shards = args.get_or("shards", 1usize)?;
     if config.shards == 0 {
-        return Err(crate::args::ArgError::BadValue {
-            key: "shards".into(),
-            value: "0".into(),
-        }
-        .into());
+        return Err(bad_value("shards", 0).into());
     }
     if let Some(ms) = args.get::<u64>("budget-ms")? {
         config.watchdog.budget = Some(Duration::from_millis(ms));
@@ -572,11 +591,11 @@ pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> 
     // Speculation's patience must be positive and finite; reject any
     // other value here as a usage error instead of panicking later.
     if !(beta > 0.0 && beta.is_finite()) {
-        return Err(crate::args::ArgError::BadValue {
-            key: "beta".into(),
-            value: beta.to_string(),
-        }
-        .into());
+        return Err(bad_value("beta", beta).into());
+    }
+    let min_survival: Option<f64> = args.get("min-survival")?;
+    if min_survival.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
+        return Err(bad_spec("min-survival", "--min-survival must be in [0, 1]".into()).into());
     }
     let reps: usize = args.get_or("reps", 10)?;
     let stragglers: f64 = args.get_or("stragglers", 0.0)?;
@@ -704,10 +723,7 @@ pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> 
         }
     }
     report_campaign_health(&report, config.journal.as_deref(), out)?;
-    if let Some(threshold) = args.get::<f64>("min-survival")? {
-        if !(0.0..=1.0).contains(&threshold) {
-            return Err("--min-survival must be in [0, 1]".into());
-        }
+    if let Some(threshold) = min_survival {
         let best = rows
             .iter()
             .filter(|row| !row.mean_survival.is_nan())
@@ -738,6 +754,26 @@ pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> 
     Ok(())
 }
 
+/// Parses `--ks`, a comma-separated list of group counts in `1..=m`;
+/// without the flag, `1..=default_max` (capped at `m`).
+fn parse_ks(args: &Args, m: usize, default_max: usize) -> Result<Vec<usize>, ArgError> {
+    let Some(raw) = args.get::<String>("ks")? else {
+        return Ok((1..=default_max.min(m)).collect());
+    };
+    let ks = raw
+        .split(',')
+        .map(|p| {
+            p.trim()
+                .parse::<usize>()
+                .map_err(|_| bad_spec("ks", format!("cannot parse --ks entry {p:?}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if ks.iter().any(|&k| k < 1 || k > m) {
+        return Err(bad_spec("ks", "--ks entries must be in 1..=m".into()));
+    }
+    Ok(ks)
+}
+
 /// `rds reliability`: the resilience-vs-memory frontier on a seeded
 /// heterogeneous cluster. Fixed-k chained replication and survival-target
 /// placement run under *identical* scripted fault campaigns, so the
@@ -759,20 +795,7 @@ pub fn cmd_reliability(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
         Some(t) => t,
         None => vec![0.9, 0.97, 0.995],
     };
-    let ks: Vec<usize> = match args.get::<String>("ks")? {
-        Some(raw) => raw
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("cannot parse --ks entry {p:?}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        None => (1..=3.min(m)).collect(),
-    };
-    if ks.iter().any(|&k| k < 1 || k > m) {
-        return Err("--ks entries must be in 1..=m".into());
-    }
+    let ks = parse_ks(args, m, 3)?;
 
     // Seeded heterogeneous cluster: per-machine MTBFs spread over an
     // order of magnitude (some flaky, some solid) and mildly unreliable
@@ -1000,20 +1023,7 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let unc = Uncertainty::new(alpha)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let steps: usize = args.get_or("budget-steps", 5usize)?;
-    let ks: Vec<usize> = match args.get::<String>("ks")? {
-        Some(raw) => raw
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("cannot parse --ks entry {p:?}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        None => (1..=2.min(m)).collect(),
-    };
-    if ks.iter().any(|&k| k < 1 || k > m) {
-        return Err("--ks entries must be in 1..=m".into());
-    }
+    let ks = parse_ks(args, m, 2)?;
 
     // Seeded sized instance: sizes drawn independently of the times, so
     // the load-optimal and memory-optimal placements genuinely differ
@@ -2105,6 +2115,81 @@ mod tests {
         err.downcast_ref::<ArgError>()
             .unwrap_or_else(|| panic!("{argv:?}: not a usage error: {err}"))
             .clone()
+    }
+
+    #[test]
+    fn bounds_flags_outside_their_domain_are_usage_errors() {
+        let cases: [(&[&str], &str); 6] = [
+            (&["--alpha", "0.5", "--m", "3"], "alpha"),
+            (&["--alpha", "nan", "--m", "3"], "alpha"),
+            (&["--alpha", "inf", "--m", "3"], "alpha"),
+            (&["--alpha", "2", "--m", "0"], "m"),
+            (&["--alpha", "2", "--m", "3", "--k", "0"], "k"),
+            (&["--alpha", "2", "--m", "3", "--k", "9"], "k"),
+        ];
+        for (flags, flag) in cases {
+            let mut argv = vec!["bounds"];
+            argv.extend_from_slice(flags);
+            let err = usage_error(&argv);
+            assert!(
+                matches!(&err, ArgError::BadValue { key, .. } if key == flag),
+                "{argv:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn ks_and_min_survival_are_usage_errors_checked_before_any_work() {
+        let cases: [(&[&str], &str, &str); 4] = [
+            (
+                &["frontier", "--m", "3", "--ks", "1,x"],
+                "ks",
+                "cannot parse --ks entry \"x\"",
+            ),
+            (
+                &["frontier", "--m", "3", "--ks", "5"],
+                "ks",
+                "--ks entries must be in 1..=m",
+            ),
+            (
+                &["reliability", "--m", "3", "--ks", "0"],
+                "ks",
+                "--ks entries must be in 1..=m",
+            ),
+            (
+                &[
+                    "resilience",
+                    "--m",
+                    "4",
+                    "--mtbf",
+                    "20",
+                    "--reps",
+                    "1",
+                    "--min-survival",
+                    "2",
+                ],
+                "min-survival",
+                "--min-survival must be in [0, 1]",
+            ),
+        ];
+        for (argv, flag, message) in cases {
+            let mut out = Vec::new();
+            let err = run(argv, &mut out).unwrap_err();
+            // An `ArgError` is what `main` maps to exit code 2.
+            let err = err
+                .downcast_ref::<ArgError>()
+                .unwrap_or_else(|| panic!("{argv:?}: not a usage error: {err}"));
+            assert!(
+                matches!(err, ArgError::BadSpec { key, .. } if key == flag),
+                "{argv:?}: {err:?}"
+            );
+            assert_eq!(err.to_string(), message, "{argv:?}");
+            assert!(
+                out.is_empty(),
+                "{argv:?} printed before failing:\n{}",
+                String::from_utf8_lossy(&out)
+            );
+        }
     }
 
     #[test]

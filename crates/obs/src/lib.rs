@@ -2,15 +2,17 @@
 //!
 //! Three primitives, all zero-cost when disabled:
 //!
-//! - **Spans** ([`span`]): scoped wall-clock timings with per-thread
-//!   nesting depth, exported as JSONL via [`take_spans`] +
+//! - **Spans** ([`span`], [`Registry::span`]): scoped wall-clock timings
+//!   with per-thread nesting depth, drained from the registry that opened
+//!   them by [`Registry::take_spans`] and exported as JSONL by
 //!   [`spans_to_jsonl`]. Use them to see *where* a run spends time.
 //! - **Counters and histograms** ([`Counter`], [`LatencyHistogram`]):
 //!   lock-free atomics for event counts and log-scale latency
 //!   distributions. Use them to see *how often* and *how slow*.
 //! - **Registry** ([`Registry`], [`MetricsSnapshot`]): a name → metric
 //!   map whose snapshots merge associatively, so per-worker registries
-//!   aggregate without any shared-lock contention.
+//!   aggregate without any shared-lock contention. It also keeps the
+//!   spans opened on it.
 //!
 //! ## The enabled guard
 //!
@@ -43,9 +45,7 @@ mod span;
 
 pub use metrics::{Counter, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use registry::{MetricsSnapshot, Registry};
-pub use span::{
-    dropped_spans, now_ns, spans_to_jsonl, take_spans, SpanGuard, SpanRecord, MAX_SHARD_SPANS,
-};
+pub use span::{now_ns, spans_to_jsonl, SpanGuard, SpanRecord, MAX_SPANS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -72,19 +72,20 @@ pub fn enabled() -> bool {
 
 /// The process-wide default registry.
 ///
-/// Library code records here; the CLI snapshots it at exit for
-/// `--metrics`. Code needing isolation (tests, per-worker aggregation
+/// Library code records here, and [`span`] opens its spans here; the
+/// CLI snapshots it at exit for `--metrics` and drains its spans for
+/// `--trace-out`. Code needing isolation (tests, per-worker aggregation
 /// experiments) can build private [`Registry`] values instead.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Opens a scoped span named `name`; the returned guard records the
-/// span into the calling thread's shard when dropped. Inert (no clock
+/// Opens a scoped span named `name` on the [`global`] registry; the
+/// returned guard records the span there when dropped. Inert (no clock
 /// read, no allocation) while instrumentation is disabled.
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard {
+pub fn span(name: &'static str) -> SpanGuard<'static> {
     span_if(enabled(), name)
 }
 
@@ -93,9 +94,9 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// result in a local, and pay only a register-resident branch per span
 /// site afterwards — no atomic load in the hot path.
 #[inline]
-pub fn span_if(on: bool, name: &'static str) -> SpanGuard {
+pub fn span_if(on: bool, name: &'static str) -> SpanGuard<'static> {
     if on {
-        SpanGuard::open(name)
+        global().span(name)
     } else {
         SpanGuard::disabled()
     }
@@ -114,31 +115,25 @@ mod tests {
         assert_eq!(global().counter("lib.test.shared").get(), 2);
     }
 
+    /// The only test in this binary that flips the global flag or
+    /// drains the global registry's spans.
     #[test]
-    fn span_if_ignores_the_global_flag() {
-        set_enabled(false);
-        {
-            let _g = span_if(true, "lib.test.span_if");
-        }
-        let spans = take_spans();
-        assert!(spans.iter().any(|s| s.name == "lib.test.span_if"));
-    }
-
-    #[test]
-    fn span_respects_enabled_flag() {
-        // Run both phases in one test to avoid racing the global flag
-        // against other tests in this binary.
+    fn span_follows_the_global_flag_and_span_if_its_own() {
         set_enabled(false);
         {
             let _g = span("lib.test.disabled");
+        }
+        {
+            let _g = span_if(true, "lib.test.span_if");
         }
         set_enabled(true);
         {
             let _g = span("lib.test.enabled");
         }
         set_enabled(false);
-        let spans = take_spans();
+        let spans = global().take_spans();
         assert!(spans.iter().any(|s| s.name == "lib.test.enabled"));
+        assert!(spans.iter().any(|s| s.name == "lib.test.span_if"));
         assert!(!spans.iter().any(|s| s.name == "lib.test.disabled"));
     }
 }

@@ -1,4 +1,5 @@
-//! Named metric registry with snapshot/merge aggregation.
+//! Named metric registry with snapshot/merge aggregation, and the sink
+//! for the spans opened on it.
 //!
 //! A [`Registry`] maps names to shared [`Counter`]s and
 //! [`LatencyHistogram`]s. Lookup takes a lock, so hot paths resolve
@@ -7,14 +8,19 @@
 //! [`MetricsSnapshot::merge`]-ing, never by sharing locks.
 
 use crate::metrics::{Counter, HistogramSnapshot, LatencyHistogram};
+use crate::span::{SpanGuard, SpanRecord, MAX_SPANS};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// A named collection of counters and histograms.
+/// A named collection of counters and histograms, and the spans closed
+/// on it.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<LatencyHistogram>>>,
+    spans: Mutex<Vec<SpanRecord>>,
+    dropped_spans: AtomicU64,
 }
 
 impl Registry {
@@ -41,6 +47,43 @@ impl Registry {
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(LatencyHistogram::new())),
         )
+    }
+
+    /// Opens a scoped span named `name`; the returned guard records it
+    /// into this registry when dropped. Unlike [`crate::span`], it
+    /// records whatever [`crate::enabled`] says.
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        SpanGuard::open(self, name)
+    }
+
+    /// Drains the spans closed on this registry, ordered by start time
+    /// (then end time, then thread).
+    pub fn take_spans(&self) -> Vec<SpanRecord> {
+        let mut out = std::mem::take(&mut *self.span_sink());
+        out.sort_by_key(|s| (s.start_ns, s.end_ns, s.thread));
+        out
+    }
+
+    /// Spans dropped because this registry already held [`MAX_SPANS`]
+    /// (cumulative).
+    pub fn dropped_spans(&self) -> u64 {
+        self.dropped_spans.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn record_span(&self, span: SpanRecord) {
+        let mut spans = self.span_sink();
+        if spans.len() < MAX_SPANS {
+            spans.push(span);
+        } else {
+            self.dropped_spans.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The span buffer. A holder only pushes or takes, so the buffer is
+    /// whole even after a holder panicked; recovering it keeps a span
+    /// guard's `Drop` from panicking.
+    fn span_sink(&self) -> MutexGuard<'_, Vec<SpanRecord>> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A point-in-time copy of every metric.

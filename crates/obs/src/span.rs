@@ -1,24 +1,25 @@
 //! Scoped tracing spans with monotonic timestamps and JSONL export.
 //!
-//! A span is opened with [`crate::span`] and closed when its guard
-//! drops; nesting depth is tracked per thread. Timestamps are
-//! nanoseconds since a process-wide monotonic epoch, so spans from
-//! different threads order consistently.
+//! A span is opened with [`Registry::span`] (or [`crate::span`], which
+//! opens it on [`crate::global`]) and closed when its guard drops;
+//! nesting depth is tracked per thread. Timestamps are nanoseconds since
+//! a process-wide monotonic epoch, so spans from different threads order
+//! consistently.
 //!
-//! Completed spans land in a per-thread shard (an uncontended mutex —
-//! only the owning thread pushes; the exporter locks it briefly on
-//! drain), so the hot path never touches a shared lock. Shards are
-//! bounded: past [`MAX_SHARD_SPANS`] records new spans are counted as
-//! dropped rather than growing memory without limit.
+//! A closed span lands in the registry that opened it, never in another,
+//! so code that drains a private registry sees only its own spans. Each
+//! registry keeps at most [`MAX_SPANS`] records; past that, new spans are
+//! counted as dropped rather than growing memory without limit.
 
-use std::cell::RefCell;
+use crate::Registry;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Per-thread retained-span bound; beyond it spans are dropped (and
+/// Per-registry retained-span bound; beyond it spans are dropped (and
 /// counted) instead of exhausting memory on multi-million-event sweeps.
-pub const MAX_SHARD_SPANS: usize = 1 << 20;
+pub const MAX_SPANS: usize = 1 << 20;
 
 /// One completed span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,11 +43,7 @@ impl SpanRecord {
     }
 }
 
-type Shard = Arc<Mutex<Vec<SpanRecord>>>;
-
-static SHARDS: Mutex<Vec<Shard>> = Mutex::new(Vec::new());
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -58,114 +55,58 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-struct Local {
-    depth: u32,
-    thread: u64,
-    shard: Shard,
-}
-
+// Neither thread-local needs dropping, so `with` never finds one torn
+// down, not even from a guard's `Drop`.
 thread_local! {
-    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
+    /// How many spans this thread has open.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// This thread's id in span records, assigned when it first opens one.
+    static THREAD: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
-fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> Option<R> {
-    LOCAL
-        .try_with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let local = slot.get_or_insert_with(|| {
-                let shard: Shard = Arc::new(Mutex::new(Vec::new()));
-                SHARDS.lock().expect("shards poisoned").push(shard.clone());
-                Local {
-                    depth: 0,
-                    thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-                    shard,
-                }
-            });
-            f(local)
-        })
-        .ok()
-}
-
-/// An open span; records itself into the thread's shard on drop.
+/// An open span; records itself into the registry that opened it on
+/// drop. Spans opened by [`crate::span`] borrow the `'static` global
+/// registry.
 ///
 /// A disabled-at-open guard holds nothing and its drop is a no-op —
 /// that is the entire cost of compiled-in-but-disabled tracing.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is bound to; dropping it immediately records nothing useful"]
-pub struct SpanGuard(Option<OpenSpan>);
+pub struct SpanGuard<'r>(Option<(&'r Registry, SpanRecord)>);
 
-#[derive(Debug)]
-struct OpenSpan {
-    name: &'static str,
-    start_ns: u64,
-    depth: u32,
-    thread: u64,
-}
-
-impl SpanGuard {
+impl<'r> SpanGuard<'r> {
     /// A guard that records nothing (the disabled path).
     #[inline]
     pub fn disabled() -> Self {
         SpanGuard(None)
     }
 
-    pub(crate) fn open(name: &'static str) -> Self {
-        let open = with_local(|local| {
-            let depth = local.depth;
-            local.depth += 1;
-            OpenSpan {
-                name,
-                start_ns: now_ns(),
-                depth,
-                thread: local.thread,
-            }
-        });
-        SpanGuard(open)
+    pub(crate) fn open(sink: &'r Registry, name: &'static str) -> Self {
+        let depth = DEPTH.with(|d| d.replace(d.get() + 1));
+        let span = SpanRecord {
+            name,
+            start_ns: now_ns(),
+            end_ns: 0, // set when the guard drops
+            depth,
+            thread: THREAD.with(|t| *t),
+        };
+        SpanGuard(Some((sink, span)))
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     // `#[inline]` matters: without it a *disabled* guard's drop is a
     // cross-crate function call per span site, which is exactly the
     // overhead the disabled path promises not to have.
     #[inline]
     fn drop(&mut self) {
-        let Some(open) = self.0.take() else {
+        let Some((sink, mut span)) = self.0.take() else {
             return;
         };
-        let end_ns = now_ns();
-        with_local(|local| {
-            local.depth = local.depth.saturating_sub(1);
-            let mut shard = local.shard.lock().expect("shard poisoned");
-            if shard.len() < MAX_SHARD_SPANS {
-                shard.push(SpanRecord {
-                    name: open.name,
-                    start_ns: open.start_ns,
-                    end_ns,
-                    depth: open.depth,
-                    thread: open.thread,
-                });
-            } else {
-                DROPPED.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        span.end_ns = now_ns();
+        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        sink.record_span(span);
     }
-}
-
-/// Drains every thread's completed spans, ordered by start time.
-pub fn take_spans() -> Vec<SpanRecord> {
-    let shards = SHARDS.lock().expect("shards poisoned").clone();
-    let mut out = Vec::new();
-    for shard in shards {
-        out.append(&mut shard.lock().expect("shard poisoned"));
-    }
-    out.sort_by_key(|s| (s.start_ns, s.end_ns, s.thread));
-    out
-}
-
-/// Spans dropped because a shard hit [`MAX_SHARD_SPANS`] (cumulative).
-pub fn dropped_spans() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
 }
 
 /// Serializes spans as JSONL, one object per line:
@@ -193,27 +134,29 @@ mod tests {
 
     #[test]
     fn disabled_guard_records_nothing() {
-        let before = take_spans().len();
+        let r = Registry::new();
         {
-            let _g = SpanGuard::disabled();
+            let _off = SpanGuard::disabled();
+            let _on = r.span("inside");
         }
-        // Drain only what this test's thread could have added.
-        assert!(take_spans().len() <= before);
+        // The disabled guard neither recorded itself nor opened a level.
+        let spans = r.take_spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!((spans[0].name, spans[0].depth), ("inside", 0));
     }
 
     #[test]
     fn nested_spans_track_depth_and_order() {
-        // This test owns its thread's shard; drain it first.
-        let _ = take_spans();
+        let r = Registry::new();
         {
-            let _outer = SpanGuard::open("outer");
+            let _outer = r.span("outer");
             std::thread::sleep(std::time::Duration::from_millis(1));
             {
-                let _inner = SpanGuard::open("inner");
+                let _inner = r.span("inner");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        let spans = take_spans();
+        let spans = r.take_spans();
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         let inner = spans.iter().find(|s| s.name == "inner").unwrap();
         assert_eq!(outer.depth, 0);
@@ -242,18 +185,15 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_are_collected() {
-        let _ = take_spans();
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let _g = SpanGuard::open("worker");
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let spans = take_spans();
+        let r = Registry::new();
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let _g = r.span("worker");
+                });
+            }
+        });
+        let spans = r.take_spans();
         assert!(spans.iter().filter(|s| s.name == "worker").count() >= 3);
         // Distinct threads got distinct ids.
         let mut threads: Vec<u64> = spans
@@ -264,5 +204,38 @@ mod tests {
         threads.sort_unstable();
         threads.dedup();
         assert!(threads.len() >= 3);
+    }
+
+    #[test]
+    fn registries_keep_their_own_spans() {
+        let (a, b) = (Registry::new(), Registry::new());
+        let all_open = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let _in_a = a.span("a");
+                    let _in_b = b.span("b");
+                    // Every thread holds a span open on each registry at once.
+                    all_open.wait();
+                });
+            }
+        });
+        let (in_a, in_b) = (a.take_spans(), b.take_spans());
+        assert_eq!(in_a.len(), 4);
+        assert!(in_a.iter().all(|s| s.name == "a" && s.depth == 0));
+        // Depth is per thread, not per registry.
+        assert_eq!(in_b.len(), 4);
+        assert!(in_b.iter().all(|s| s.name == "b" && s.depth == 1));
+        assert!(a.take_spans().is_empty() && b.take_spans().is_empty());
+    }
+
+    #[test]
+    fn a_full_registry_counts_the_spans_it_drops() {
+        let r = Registry::new();
+        for _ in 0..MAX_SPANS + 5 {
+            let _g = r.span("capped");
+        }
+        assert_eq!(r.dropped_spans(), 5);
+        assert_eq!(r.take_spans().len(), MAX_SPANS);
     }
 }

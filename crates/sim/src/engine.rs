@@ -129,8 +129,9 @@ impl<'a> Engine<'a> {
     /// entry point for Monte-Carlo campaigns: reusing one arena across
     /// runs of the same instance shape performs zero heap allocations per
     /// run. Returns the makespan; the executed slots and the trace stay
-    /// readable in the arena until the next run ([`SimArena::slots`],
-    /// [`SimArena::trace`], [`SimArena::to_sim_result`]).
+    /// readable in the arena until the next run
+    /// ([`SimArena::per_machine_slots`], [`SimArena::trace`],
+    /// [`SimArena::to_sim_result`]).
     ///
     /// Generic over the dispatcher type so concrete dispatchers get a
     /// devirtualized, inlinable dispatch call in the event loop (`&mut

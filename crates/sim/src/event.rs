@@ -407,14 +407,14 @@ pub struct EventQueue {
 
 impl EventQueue {
     /// Largest task or machine count whose ids stay clear of every
-    /// `u32` sentinel in the calendar's columns ([`NIL`], [`FREE`],
-    /// [`NO_TASK`]): ids must stay strictly below `u32::MAX - 1`, the
+    /// `u32` sentinel in the calendar's columns (`NIL`, `FREE`,
+    /// `NO_TASK`): ids must stay strictly below `u32::MAX - 1`, the
     /// smallest sentinel value.
     pub const MAX_IDS: usize = FREE as usize;
 
     /// Guards the calendar's `u32` id columns against sentinel
     /// aliasing: a task index `≥ u32::MAX - 1` (or such a machine
-    /// index) would be indistinguishable from [`FREE`]/[`NO_TASK`] once
+    /// index) would be indistinguishable from `FREE`/`NO_TASK` once
     /// stored, silently corrupting the wheel. The engine calls this at
     /// construction so the impossible ids are rejected with a typed
     /// error instead.

@@ -50,7 +50,7 @@
 //!   a useless backup (completion processes first).
 //!
 //! Equal-time events of one kind then process by machine (faults by
-//! script index), exactly as the event ids of [`FaultArm`] sort.
+//! script index), exactly as the event ids of `FaultArm` sort.
 
 use crate::arena::SimArena;
 use crate::dispatcher::Dispatcher;

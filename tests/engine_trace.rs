@@ -89,8 +89,8 @@ proptest! {
         // this binary may add more — monotonicity keeps `>=` safe).
         let events_after = rds_obs::global().counter("engine.events").get();
         prop_assert!(events_after >= events_before + inst.n() as u64);
-        // Keep the global span shards from accumulating across cases.
-        let _ = rds_obs::take_spans();
+        // Keep the global registry's spans from accumulating across cases.
+        let _ = rds_obs::global().take_spans();
     }
 
     #[test]
@@ -110,6 +110,6 @@ proptest! {
             .unwrap();
         let result = simulate_grouped(&inst, &placement, &real).unwrap();
         check_invariants(&result, inst.n());
-        let _ = rds_obs::take_spans();
+        let _ = rds_obs::global().take_spans();
     }
 }
