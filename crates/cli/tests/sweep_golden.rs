@@ -6,10 +6,10 @@
 //! - n = 30, m = 8: branch-and-bound, whose node budget runs out, so an
 //!   unproven incumbent caps the dual-approximation lower bound;
 //! - n = 41 and up: the MULTIFIT / dual-approximation bracket, under two
-//!   realization models and with the reps split over two journal shards.
+//!   realization models.
 //!
-//! The resilience campaigns cover a plain run, two journal shards, the
-//! validator and stragglers. The serve runs cover the CI stream, which
+//! The resilience campaigns cover two plain runs, the validator and
+//! stragglers. The serve runs cover the CI stream, which
 //! sheds; injected failures, which write `done`, `shed` and `failed`
 //! records and retry; and bursty arrivals, which degrade, shed and
 //! reject.
@@ -20,10 +20,9 @@
 //! they must not be re-recorded to absorb a change that was meant to be
 //! behavior-preserving.
 
-use std::path::{Path, PathBuf};
-
 /// FNV-1a over bytes.
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
@@ -31,22 +30,8 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     h
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// The journal files a sweep with `shards` shards writes at `journal`,
-/// in shard order.
-fn journal_files(journal: &Path, shards: usize) -> Vec<PathBuf> {
-    if shards == 1 {
-        return vec![journal.to_path_buf()];
-    }
-    (0..shards)
-        .map(|i| PathBuf::from(format!("{}.shard-{i}-of-{shards}", journal.display())))
-        .collect()
-}
-
 /// Runs `rds <command> <args> --journal <tmp>` in process and returns
-/// the table lines and the FNV-1a digest of the journal bytes (all
-/// segments, in shard order).
+/// the table lines and the FNV-1a digest of the journal bytes.
 fn campaign(command: &str, tag: &str, args: &str) -> (Vec<String>, u64) {
     let dir =
         std::env::temp_dir().join(format!("rds-golden-{}-{command}-{tag}", std::process::id()));
@@ -65,14 +50,7 @@ fn campaign(command: &str, tag: &str, args: &str) -> (Vec<String>, u64) {
         .filter(|l| l.starts_with('|'))
         .map(str::to_string)
         .collect();
-    let shards = args
-        .split_whitespace()
-        .skip_while(|w| *w != "--shards")
-        .nth(1)
-        .map_or(1, |v| v.parse().unwrap());
-    let digest = journal_files(&journal, shards)
-        .iter()
-        .fold(FNV_OFFSET, |h, f| fnv1a(&std::fs::read(f).unwrap(), h));
+    let digest = fnv1a(&std::fs::read(&journal).unwrap());
     std::fs::remove_dir_all(&dir).unwrap();
     (table, digest)
 }
@@ -141,7 +119,7 @@ const GOLDEN: Golden = &[
         "| LS-Group(k=21)     |        4 |    4 |     1.0000 |      1.0000 |",
         "| LPT-No Restriction |       64 |    4 |     1.0000 |      1.0000 |",
     ], 0xa398486335cf9a71),
-    ("--m 64 --n 1000 --reps 5 --seed 7 --shards 2", &[
+    ("--m 64 --n 1000 --reps 5 --seed 7", &[
         "| policy             | replicas | runs | mean ratio | worst ratio |",
         "| ------------------ | --------:| ----:| ----------:| -----------:|",
         "| LPT-No Choice      |        1 |    5 |     1.1499 |      1.1664 |",
@@ -149,7 +127,7 @@ const GOLDEN: Golden = &[
         "| Chained(k=3)       |        3 |    5 |     1.0257 |      1.0320 |",
         "| LS-Group(k=21)     |        4 |    5 |     1.0831 |      1.1180 |",
         "| LPT-No Restriction |       64 |    5 |     1.0086 |      1.0100 |",
-    ], 0xfa21cbe3f0757924),
+    ], 0x450cc70fc93582c4),
 ];
 
 #[rustfmt::skip]
@@ -163,7 +141,7 @@ const RESILIENCE: Golden = &[
         "| LS-Group(k=2)      |        4 |         1.000 |            4/4 |          7.75 |            36.09 |      0.00 |            2.909 |             3.894 |",
         "| LPT-No Restriction |        8 |         1.000 |            4/4 |          8.25 |            33.22 |      0.00 |            1.768 |             2.067 |",
     ], 0xb198c04f423a87fb),
-    ("--m 8 --n 40 --mtbf 30 --reps 5 --seed 7 --shards 2", &[
+    ("--m 8 --n 40 --mtbf 30 --reps 5 --seed 7", &[
         "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
         "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
         "| LPT-No Choice      |        1 |         0.920 |            1/5 |          4.00 |            14.92 |      0.00 |            1.532 |             1.532 |",
@@ -171,7 +149,7 @@ const RESILIENCE: Golden = &[
         "| Chained(k=3)       |        3 |         1.000 |            5/5 |          5.60 |            20.53 |      0.00 |            1.432 |             1.774 |",
         "| LS-Group(k=2)      |        4 |         1.000 |            5/5 |          5.20 |            18.53 |      0.00 |            1.569 |             2.184 |",
         "| LPT-No Restriction |        8 |         1.000 |            5/5 |          5.40 |            20.95 |      0.00 |            1.338 |             1.623 |",
-    ], 0xe441b52abb45572f),
+    ], 0xcc5300c155af8457),
     ("--m 6 --n 30 --mtbf 20 --reps 3 --seed 9 --validate", &[
         "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
         "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
