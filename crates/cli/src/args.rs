@@ -21,6 +21,8 @@ pub enum ArgError {
     MissingValue(String),
     /// A required option was absent.
     MissingOption(String),
+    /// The same option or flag was given more than once.
+    Duplicate(String),
     /// A value failed to parse into the requested type, or parsed to a
     /// value outside the option's domain.
     BadValue {
@@ -49,6 +51,7 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
             ArgError::MissingOption(k) => write!(f, "missing required option --{k}"),
+            ArgError::Duplicate(k) => write!(f, "option --{k} given more than once"),
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid --{key} value {value:?}")
             }
@@ -66,29 +69,31 @@ const FLAGS: &[&str] = &[
 
 impl Args {
     /// Parses a raw argument list (without the program/subcommand name).
+    /// A key given twice, in any form, is an [`ArgError::Duplicate`].
     pub fn parse<S: AsRef<str>>(raw: &[S]) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut it = raw.iter().map(|s| s.as_ref().to_string()).peekable();
         while let Some(tok) = it.next() {
-            if let Some(stripped) = tok.strip_prefix("--") {
-                if let Some((k, v)) = stripped.split_once('=') {
-                    args.options.insert(k.to_string(), v.to_string());
-                } else if FLAGS.contains(&stripped) {
-                    args.flags.push(stripped.to_string());
-                } else {
-                    let value = match it.peek() {
-                        Some(next) if !next.starts_with("--") => it.next(),
-                        _ => None,
-                    };
-                    match value {
-                        Some(v) => {
-                            args.options.insert(stripped.to_string(), v);
-                        }
-                        None => return Err(ArgError::MissingValue(stripped.to_string())),
-                    }
-                }
-            } else {
+            let Some(stripped) = tok.strip_prefix("--") else {
                 args.positional.push(tok);
+                continue;
+            };
+            let (key, value) = match stripped.split_once('=') {
+                Some((k, v)) => (k, Some(v.to_string())),
+                None if FLAGS.contains(&stripped) => (stripped, None),
+                None => match it.peek() {
+                    Some(next) if !next.starts_with("--") => (stripped, it.next()),
+                    _ => return Err(ArgError::MissingValue(stripped.to_string())),
+                },
+            };
+            if args.options.contains_key(key) || args.flag(key) {
+                return Err(ArgError::Duplicate(key.to_string()));
+            }
+            match value {
+                Some(v) => {
+                    args.options.insert(key.to_string(), v);
+                }
+                None => args.flags.push(key.to_string()),
             }
         }
         Ok(args)
@@ -174,6 +179,21 @@ mod tests {
             Args::parse(&["--m", "--alpha", "2"]).unwrap_err(),
             ArgError::MissingValue("m".into())
         );
+    }
+
+    #[test]
+    fn a_key_given_twice_is_rejected_in_any_form() {
+        for (raw, key) in [
+            (&["--m", "4", "--m", "8"][..], "m"),
+            (&["--m=4", "--m", "8"][..], "m"),
+            (&["--resume", "--n", "3", "--resume"][..], "resume"),
+        ] {
+            assert_eq!(
+                Args::parse(raw).unwrap_err(),
+                ArgError::Duplicate(key.into()),
+                "{raw:?}"
+            );
+        }
     }
 
     #[test]

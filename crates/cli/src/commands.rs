@@ -43,7 +43,7 @@ COMMANDS:
             [--min-survival <p>]  exit non-zero when even the best
             policy's mean survival rate falls below p
             crash safety: [--journal <path>] [--resume] [--validate]
-            [--shards <usize>] [--budget-ms <u64>] [--retries <u32>]
+            [--budget-ms <u64>] [--retries <u32>]
             [--stall-ms <u64>] [--stall-trial <u64>]
   reliability
             resilience-vs-memory frontier on a seeded heterogeneous
@@ -69,7 +69,7 @@ COMMANDS:
                               | clustered:<zones>,<local>,<remote>
                               | random:<lo>,<hi>
             crash safety: [--journal <path>] [--resume] [--validate]
-            [--shards <usize>] [--budget-ms <u64>] [--retries <u32>]
+            [--budget-ms <u64>] [--retries <u32>]
             [--stall-ms <u64>] [--stall-trial <u64>]
   conformance
             differential/metamorphic oracle: run every strategy through
@@ -123,12 +123,6 @@ Crash safety options (resilience, sweep):
   --budget-ms <ms>  per-trial wall-clock budget enforced by a watchdog;
                     a hung trial is cancelled, retried with backoff, and
                     quarantined after --retries attempts
-  --shards <k>      split the campaign into k independent journal
-                    segments named <journal>.shard-<i>-of-<k>; trial t
-                    belongs to shard t % k, any shard can crash and
-                    resume on its own, and the merged aggregates are
-                    bit-identical to an unsharded run (default 1; shard
-                    count is independent of worker-thread count)
 ";
 
 /// The metric series every instrumented run is expected to expose.
@@ -523,10 +517,6 @@ fn campaign_config(
     let mut config = rds_policies::CampaignConfig::new(campaign, seed, params);
     config.journal = args.get::<String>("journal")?.map(std::path::PathBuf::from);
     config.resume = args.flag("resume");
-    config.shards = args.get_or("shards", 1usize)?;
-    if config.shards == 0 {
-        return Err(bad_value("shards", 0).into());
-    }
     if let Some(ms) = args.get::<u64>("budget-ms")? {
         config.watchdog.budget = Some(Duration::from_millis(ms));
     }
@@ -1157,7 +1147,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
     let inst = Arc::new(Instance::from_estimates(&est, m)?);
     let suite = rds_policies::standard_suite(&inst, unc)?;
-    // Hetero specs join the journal params so a resumed shard refuses to
+    // Hetero specs join the journal params so a resumed journal refuses to
     // mix homogeneous and heterogeneous records; absent flags leave the
     // historical params string untouched.
     let mut params = format!("n={n} m={m} alpha={alpha} reps={reps} model={model_name}");
@@ -2014,70 +2004,6 @@ mod tests {
         assert_eq!(table(&full), table(&resumed));
         assert!(resumed.contains("0 trial(s) executed"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_sweep_matches_unsharded_table() {
-        let table = |s: &str| {
-            s.lines()
-                .filter(|l| l.starts_with('|'))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let plain = run_to_string(&[
-            "sweep", "--m", "3", "--n", "9", "--reps", "3", "--seed", "5",
-        ])
-        .unwrap();
-        let base = std::env::temp_dir().join(format!("rds-cli-shardsweep-{}", std::process::id()));
-        let base_str = base.to_string_lossy().into_owned();
-        let sharded = run_to_string(&[
-            "sweep",
-            "--m",
-            "3",
-            "--n",
-            "9",
-            "--reps",
-            "3",
-            "--seed",
-            "5",
-            "--journal",
-            &base_str,
-            "--shards",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(table(&plain), table(&sharded));
-        for shard in 0..2usize {
-            let seg = rds_par::journal::shard_segment_path(&base, shard, 2);
-            assert!(seg.exists(), "missing journal segment {}", seg.display());
-            std::fs::remove_file(&seg).ok();
-        }
-        assert!(!base.exists());
-    }
-
-    #[test]
-    fn zero_shards_is_rejected_with_a_typed_error() {
-        for cmd in [
-            &["sweep", "--m", "3", "--reps", "1", "--shards", "0"][..],
-            &[
-                "resilience",
-                "--m",
-                "3",
-                "--mtbf",
-                "0",
-                "--reps",
-                "1",
-                "--shards",
-                "0",
-            ][..],
-        ] {
-            let err = run_to_string(cmd).unwrap_err();
-            let msg = err.to_string();
-            assert!(
-                msg.contains("--shards") && msg.contains("0"),
-                "unexpected error: {msg}"
-            );
-        }
     }
 
     #[test]

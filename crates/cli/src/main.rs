@@ -4,6 +4,12 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut stdout = std::io::stdout();
     if let Err(e) = rds_cli::run(&argv, &mut stdout) {
+        // A reader that closed stdout (`rds plan ... | head -1`) ended
+        // the output, not the run: stop quietly with success.
+        let io_kind = e.downcast_ref::<std::io::Error>().map(std::io::Error::kind);
+        if io_kind == Some(std::io::ErrorKind::BrokenPipe) {
+            return;
+        }
         // Usage mistakes get a friendly pointer and their own exit code;
         // everything else is a runtime failure.
         if let Some(arg_err) = e.downcast_ref::<rds_cli::ArgError>() {

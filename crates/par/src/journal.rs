@@ -322,45 +322,11 @@ impl Journal {
     }
 }
 
-/// The journal segment path for shard `shard` of a `shards`-way
-/// campaign: `<base>.shard-<k>-of-<n>`.
-///
-/// Sharded campaigns split their trial set across independent journal
-/// segments so any shard can crash, resume, and even run in a separate
-/// process without touching the others. The naming is part of the
-/// on-disk contract: a resume must find each shard's records under
-/// exactly this path, and each segment's meta carries a `shard=k/n` tag
-/// so segments from a differently-sharded run are rejected rather than
-/// silently merged.
-pub fn shard_segment_path(base: &Path, shard: usize, shards: usize) -> PathBuf {
-    let mut name = base
-        .file_name()
-        .map(std::ffi::OsStr::to_os_string)
-        .unwrap_or_default();
-    name.push(format!(".shard-{shard}-of-{shards}"));
-    base.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::io::Write;
-
-    #[test]
-    fn shard_segment_paths_are_distinct_and_stable() {
-        let base = Path::new("/tmp/sweeps/campaign.journal");
-        let p0 = shard_segment_path(base, 0, 4);
-        let p3 = shard_segment_path(base, 3, 4);
-        assert_eq!(p0, Path::new("/tmp/sweeps/campaign.journal.shard-0-of-4"));
-        assert_eq!(p3, Path::new("/tmp/sweeps/campaign.journal.shard-3-of-4"));
-        assert_ne!(p0, p3);
-        // A different shard count names different segments entirely.
-        assert_ne!(
-            shard_segment_path(base, 0, 4),
-            shard_segment_path(base, 0, 8)
-        );
-    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rds-journal-{}", std::process::id()));

@@ -31,7 +31,6 @@ pub mod pool;
 pub mod sweep;
 pub mod wire;
 
-pub use journal::shard_segment_path;
 pub use journal::{CampaignMeta, Journal, TrialRecord, TrialStatus};
 pub use pool::{supervise, CancelToken, Supervised, WatchdogPolicy};
 pub use sweep::{parallel_map, plan_workers};

@@ -1,14 +1,8 @@
 //! Order-preserving parallel map for experiment sweeps.
 //!
-//! **Workers are not shards.** The `threads` argument here is an
-//! execution-resource knob: how many OS threads drain the work queue of
-//! one process, capped at the item count by [`plan_workers`] because an
-//! idle worker is pure overhead. Journal *shards*
-//! ([`crate::journal::shard_segment_path`]) are a durability and
-//! partitioning knob: how a campaign's trial set is split across
-//! independent resumable segments, possibly across processes. The two
-//! vary independently — a 4-shard campaign can run on 1 thread, and a
-//! 32-thread sweep can write a single journal.
+//! The `threads` argument is an execution-resource knob: how many OS
+//! threads drain the work queue of one process, capped at the item
+//! count by [`plan_workers`] because an idle worker is pure overhead.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};

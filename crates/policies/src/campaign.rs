@@ -31,7 +31,7 @@ use crate::resilience::{
     aggregate_row, run_trial, CampaignRow, ResiliencePolicy, TrialMeasurement,
 };
 use rds_core::{Error, Instance, MachineSpeeds, NetworkTopology, Realization, Result};
-use rds_par::journal::{shard_segment_path, CampaignMeta, Journal, TrialRecord, TrialStatus};
+use rds_par::journal::{CampaignMeta, Journal, TrialRecord, TrialStatus};
 use rds_par::pool::{supervise, CancelToken, Supervised, WatchdogPolicy};
 use rds_sim::faults::{FaultScript, Speculation};
 use rds_sim::{Dispatcher, Engine, LocalityDispatcher, SimArena};
@@ -115,17 +115,10 @@ pub struct CampaignConfig {
     pub speculation: Option<Speculation>,
     /// Harness fault injection: deliberately stall trial bodies.
     pub stall: Option<StallInjection>,
-    /// Journal shard count (default 1 — one journal, the historical
-    /// layout). With `shards > 1`, trial `t` belongs to shard
-    /// `t % shards` and each shard checkpoints into its own segment
-    /// `<journal>.shard-<k>-of-<n>` ([`shard_segment_path`]), so any
-    /// shard can crash and resume independently of the others.
-    pub shards: usize,
 }
 
 impl CampaignConfig {
-    /// A plain configuration: no journal, default watchdog, no stall,
-    /// a single shard.
+    /// A plain configuration: no journal, default watchdog, no stall.
     pub fn new(campaign: impl Into<String>, seed: u64, params: impl Into<String>) -> Self {
         CampaignConfig {
             campaign: campaign.into(),
@@ -136,7 +129,6 @@ impl CampaignConfig {
             watchdog: WatchdogPolicy::default(),
             speculation: None,
             stall: None,
-            shards: 1,
         }
     }
 }
@@ -261,42 +253,26 @@ fn cancellable_stall(delay: Duration, token: &CancelToken) -> bool {
     !token.is_cancelled()
 }
 
-/// Opens shard `shard`'s journal segment for the campaign `config`
-/// describes over an instance with `digest`: `None` without a journal,
-/// otherwise the segment resumed (with the records already on it) or
-/// created fresh, as `config.resume` says.
-///
-/// This is the one place that fixes a sharded campaign's on-disk
-/// contract: the segment path ([`shard_segment_path`]; the base path
-/// itself when `config.shards == 1`) and the `shard=k/n` tag folded
-/// into the meta params, so a segment written under a different
-/// sharding is rejected on resume (its trial subset would not match)
-/// instead of being merged.
+/// Opens the journal of the campaign `config` describes over an
+/// instance with `digest`: `None` without a journal, otherwise the
+/// journal resumed (with the records already on it) or created fresh,
+/// as `config.resume` says.
 ///
 /// # Errors
 /// Journal I/O, corruption and meta-mismatch errors, as in
 /// [`Journal::resume`].
-fn open_shard_journal(
+fn open_journal(
     config: &CampaignConfig,
     digest: u64,
-    shard: usize,
 ) -> Result<(Option<Journal>, Vec<TrialRecord>)> {
-    let Some(base) = &config.journal else {
+    let Some(path) = &config.journal else {
         return Ok((None, Vec::new()));
-    };
-    let (path, params) = if config.shards == 1 {
-        (base.clone(), config.params.clone())
-    } else {
-        (
-            shard_segment_path(base, shard, config.shards),
-            format!("{};shard={}/{}", config.params, shard, config.shards),
-        )
     };
     let meta = CampaignMeta {
         campaign: config.campaign.clone(),
         digest,
         seed: config.seed,
-        params,
+        params: config.params.clone(),
     };
     if config.resume {
         let (journal, records) = Journal::resume(path, &meta)?;
@@ -306,12 +282,9 @@ fn open_shard_journal(
     }
 }
 
-/// Runs a campaign crash-safely: journaled, resumable, supervised, and,
-/// with `config.shards > 1`, split across independent journal segments
-/// that are merged before aggregation.
+/// Runs a campaign crash-safely: journaled, resumable and supervised.
 ///
-/// The campaign has `trials` trials per policy of `suite`; trial `t`
-/// belongs to shard `t % config.shards`. Within each shard the loop
+/// The campaign has `trials` trials per policy of `suite`. The loop
 /// visits the cells in `order` and skips those its journal already
 /// holds. For a pending cell it calls `input(t)`, which returns the
 /// trial's derived seed and the inputs its cells share; the loop keeps
@@ -325,13 +298,12 @@ fn open_shard_journal(
 /// forever) and reported in [`CampaignReport::quarantined`] while being
 /// excluded from the aggregate rows. Aggregation sorts each policy's
 /// records by trial index, so the report is bit-identical however the
-/// trials were sharded or interleaved across invocations.
+/// trials were interleaved across invocations.
 ///
 /// # Errors
 /// - Journal I/O, corruption, and meta-mismatch errors
 ///   ([`Error::Io`] / [`Error::JournalCorrupt`] /
 ///   [`Error::InvalidInstance`]);
-/// - [`Error::InvalidParameter`] when `config.shards == 0`;
 /// - whatever `input` returns;
 /// - engine errors never surface here: a failing trial is retried and
 ///   ultimately quarantined by the watchdog.
@@ -350,12 +322,6 @@ where
     E: From<Error>,
 {
     let _span = rds_obs::span("campaign.run");
-    if config.shards == 0 {
-        return Err(Error::InvalidParameter {
-            what: "shard count must be >= 1",
-        }
-        .into());
-    }
     let obs_trials = rds_obs::enabled().then(|| rds_obs::global().counter("campaign.trials"));
     // The supervised body must own everything it touches (a budgeted
     // attempt runs on a dedicated thread the watchdog may abandon), but
@@ -364,73 +330,67 @@ where
     let suite: Arc<[ResiliencePolicy]> = suite.into();
     let body = Arc::new(body);
 
-    let mut records = Vec::new();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    for shard in 0..config.shards {
-        let (mut journal, resumed) = open_shard_journal(config, instance.digest(), shard)?;
-        if !resumed.is_empty() && rds_obs::enabled() {
-            rds_obs::global()
-                .counter("campaign.skipped")
-                .add(resumed.len() as u64);
-        }
-        skipped += resumed.len();
-        let have: HashSet<(String, u64)> = resumed.iter().map(TrialRecord::key).collect();
-        records.extend(resumed);
+    let (mut journal, mut records) = open_journal(config, instance.digest())?;
+    let skipped = records.len();
+    if skipped > 0 && rds_obs::enabled() {
+        rds_obs::global()
+            .counter("campaign.skipped")
+            .add(skipped as u64);
+    }
+    let have: HashSet<(String, u64)> = records.iter().map(TrialRecord::key).collect();
 
-        let mine = (shard as u64..trials).step_by(config.shards);
-        let cells: Vec<(u64, usize)> = match order {
-            CellOrder::PolicyMajor => (0..suite.len())
-                .flat_map(|p| mine.clone().map(move |t| (t, p)))
-                .collect(),
-            CellOrder::TrialMajor => mine
-                .flat_map(|t| (0..suite.len()).map(move |p| (t, p)))
-                .collect(),
+    let cells: Vec<(u64, usize)> = match order {
+        CellOrder::PolicyMajor => (0..suite.len())
+            .flat_map(|p| (0..trials).map(move |t| (t, p)))
+            .collect(),
+        CellOrder::TrialMajor => (0..trials)
+            .flat_map(|t| (0..suite.len()).map(move |p| (t, p)))
+            .collect(),
+    };
+    let mut executed = 0usize;
+    let mut built: Option<(u64, u64, Arc<T>)> = None;
+    for (trial, p) in cells {
+        let policy = &suite[p];
+        if have.contains(&(policy.name.clone(), trial)) {
+            continue;
+        }
+        if built.as_ref().is_none_or(|b| b.0 != trial) {
+            let (seed, shared) = input(trial)?;
+            built = Some((trial, seed, shared));
+        }
+        let (_, seed, shared) = built.as_ref().expect("built above");
+        let (cell_instance, cell_suite, cell_input, cell_body) = (
+            Arc::clone(&instance),
+            Arc::clone(&suite),
+            Arc::clone(shared),
+            Arc::clone(&body),
+        );
+        let stall = config.stall.filter(|s| s.applies_to(trial));
+        let outcome = supervise(&config.watchdog, *seed, move |token| {
+            if let Some(stall) = stall {
+                if !cancellable_stall(stall.delay, token) {
+                    return Err(Error::TrialTimeout {
+                        millis: stall.delay.as_millis() as u64,
+                    });
+                }
+            }
+            cell_body(&cell_instance, &cell_suite[p], &cell_input)
+        });
+        let record = match outcome {
+            Supervised::Done { value, attempts } => {
+                record_from_measurement(&policy.name, trial, *seed, attempts, &value)
+            }
+            Supervised::Quarantined { attempts, error } => {
+                quarantine_record(&policy.name, trial, *seed, attempts, &error)
+            }
         };
-        let mut built: Option<(u64, u64, Arc<T>)> = None;
-        for (trial, p) in cells {
-            let policy = &suite[p];
-            if have.contains(&(policy.name.clone(), trial)) {
-                continue;
-            }
-            if built.as_ref().is_none_or(|b| b.0 != trial) {
-                let (seed, shared) = input(trial)?;
-                built = Some((trial, seed, shared));
-            }
-            let (_, seed, shared) = built.as_ref().expect("built above");
-            let (cell_instance, cell_suite, cell_input, cell_body) = (
-                Arc::clone(&instance),
-                Arc::clone(&suite),
-                Arc::clone(shared),
-                Arc::clone(&body),
-            );
-            let stall = config.stall.filter(|s| s.applies_to(trial));
-            let outcome = supervise(&config.watchdog, *seed, move |token| {
-                if let Some(stall) = stall {
-                    if !cancellable_stall(stall.delay, token) {
-                        return Err(Error::TrialTimeout {
-                            millis: stall.delay.as_millis() as u64,
-                        });
-                    }
-                }
-                cell_body(&cell_instance, &cell_suite[p], &cell_input)
-            });
-            let record = match outcome {
-                Supervised::Done { value, attempts } => {
-                    record_from_measurement(&policy.name, trial, *seed, attempts, &value)
-                }
-                Supervised::Quarantined { attempts, error } => {
-                    quarantine_record(&policy.name, trial, *seed, attempts, &error)
-                }
-            };
-            if let Some(j) = journal.as_mut() {
-                j.append(&record)?;
-            }
-            records.push(record);
-            executed += 1;
-            if let Some(trials_counter) = &obs_trials {
-                trials_counter.inc();
-            }
+        if let Some(j) = journal.as_mut() {
+            j.append(&record)?;
+        }
+        records.push(record);
+        executed += 1;
+        if let Some(trials_counter) = &obs_trials {
+            trials_counter.inc();
         }
     }
     Ok(CampaignReport::from_records(
@@ -517,8 +477,8 @@ pub fn run_sweep_trial(
 impl CampaignReport {
     /// Aggregates journal records into one row per policy and the poison
     /// list. Rows follow suite order and each policy's records are taken
-    /// in trial order, regardless of which invocation or shard produced
-    /// them — the resume-identity invariant. Quarantined records go to
+    /// in trial order, regardless of which invocation produced them —
+    /// the resume-identity invariant. Quarantined records go to
     /// [`Self::quarantined`] and are excluded from the rows.
     fn from_records(
         suite: &[ResiliencePolicy],
@@ -663,104 +623,6 @@ mod tests {
             std::fs::remove_file(&prefix_path).ok();
         }
         std::fs::remove_file(&full_path).ok();
-    }
-
-    #[test]
-    fn sharded_campaign_is_bit_identical_to_single_journal() {
-        let (inst, suite, trials) = setup();
-        let single = CampaignConfig::new("resilience", 42, "m=6 n=18");
-        let expected = run_campaign_resumable(&inst, &suite, &trials, &single).unwrap();
-
-        let base = temp_path("sharded");
-        let mut config = single.clone();
-        config.journal = Some(base.clone());
-        config.shards = 2;
-        let sharded = run_campaign_resumable(&inst, &suite, &trials, &config).unwrap();
-        rows_bitwise_equal(&expected.rows, &sharded.rows);
-        assert_eq!(sharded.executed, suite.len() * trials.len());
-
-        // Each shard checkpointed into its own named segment holding
-        // exactly its residue class of trials.
-        for shard in 0..2usize {
-            let seg = rds_par::journal::shard_segment_path(&base, shard, 2);
-            let (_, recs) = rds_par::journal::Journal::read(&seg).unwrap();
-            assert!(!recs.is_empty(), "segment {shard} is empty");
-            assert!(recs.iter().all(|r| r.trial as usize % 2 == shard));
-            std::fs::remove_file(&seg).ok();
-        }
-        assert!(!base.exists(), "sharded run must not write the base path");
-    }
-
-    #[test]
-    fn shard_journal_opener_tags_each_segment() {
-        let base = temp_path("opener");
-        let mut config = CampaignConfig::new("sweep", 7, "n=8 m=2");
-        assert!(open_shard_journal(&config, 0xabc, 0).unwrap().0.is_none());
-        config.journal = Some(base.clone());
-        config.shards = 2;
-        drop(open_shard_journal(&config, 0xabc, 1).unwrap());
-        let seg = rds_par::journal::shard_segment_path(&base, 1, 2);
-        let (meta, _) = rds_par::journal::Journal::read(&seg).unwrap();
-        assert_eq!(meta.params, "n=8 m=2;shard=1/2");
-        assert_eq!((meta.digest, meta.seed), (0xabc, 7));
-        // The same sharding resumes the segment; a campaign that
-        // reaches it under another sharding (no tag) is refused.
-        config.resume = true;
-        assert!(open_shard_journal(&config, 0xabc, 1).unwrap().1.is_empty());
-        config.shards = 1;
-        config.journal = Some(seg.clone());
-        assert!(open_shard_journal(&config, 0xabc, 0).is_err());
-        std::fs::remove_file(&seg).ok();
-    }
-
-    #[test]
-    fn killed_shard_resumes_independently() {
-        let (inst, suite, trials) = setup();
-        let base = temp_path("kill-shard");
-        let mut config = CampaignConfig::new("resilience", 42, "m=6 n=18");
-        config.journal = Some(base.clone());
-        config.shards = 2;
-        let full = run_campaign_resumable(&inst, &suite, &trials, &config).unwrap();
-
-        // Simulate a SIGKILL mid-shard: truncate shard 1's segment to
-        // its meta line plus one record; leave shard 0 untouched.
-        let seg0 = rds_par::journal::shard_segment_path(&base, 0, 2);
-        let seg1 = rds_par::journal::shard_segment_path(&base, 1, 2);
-        let seg0_before = std::fs::read(&seg0).unwrap();
-        let text = std::fs::read_to_string(&seg1).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() > 2);
-        let mut prefix = lines[..2].join("\n");
-        prefix.push('\n');
-        std::fs::write(&seg1, prefix).unwrap();
-
-        let mut resume = config.clone();
-        resume.resume = true;
-        let resumed = run_campaign_resumable(&inst, &suite, &trials, &resume).unwrap();
-        // Shard 0 was complete (skipped wholesale); shard 1 re-ran only
-        // its lost trials; the merged aggregates are bit-identical.
-        assert_eq!(resumed.executed, lines.len() - 2);
-        assert_eq!(
-            resumed.skipped + resumed.executed,
-            suite.len() * trials.len()
-        );
-        rows_bitwise_equal(&full.rows, &resumed.rows);
-        assert_eq!(
-            std::fs::read(&seg0).unwrap(),
-            seg0_before,
-            "resume must not rewrite the healthy shard"
-        );
-        std::fs::remove_file(&seg0).ok();
-        std::fs::remove_file(&seg1).ok();
-    }
-
-    #[test]
-    fn zero_shards_is_a_typed_error() {
-        let (inst, suite, trials) = setup();
-        let mut config = CampaignConfig::new("resilience", 42, "m=6 n=18");
-        config.shards = 0;
-        let err = run_campaign_resumable(&inst, &suite, &trials, &config).unwrap_err();
-        assert!(matches!(err, Error::InvalidParameter { .. }));
     }
 
     #[test]

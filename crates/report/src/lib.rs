@@ -22,7 +22,6 @@
 
 pub mod csv;
 pub mod gantt;
-pub mod histogram;
 pub mod marks;
 pub mod metrics;
 pub mod output;
@@ -32,7 +31,6 @@ pub mod svg;
 pub mod table;
 
 pub use csv::Csv;
-pub use histogram::Histogram;
 pub use marks::{Mark, MarkKind};
 pub use output::{write_atomic, write_atomic_str};
 pub use plot::{Chart, Series};

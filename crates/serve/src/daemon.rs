@@ -613,15 +613,6 @@ impl Daemon {
         }
     }
 
-    /// `true` when nothing is queued, running, or waiting to retry and
-    /// no arrival is pending.
-    pub fn quiesced(&self) -> bool {
-        self.pending_arrival.is_none()
-            && self.depth == 0
-            && self.running == 0
-            && self.retries.is_empty()
-    }
-
     /// Processes the single earliest event. Returns `false` when there
     /// was nothing to process. Event-order tie-break at equal times:
     /// machine events, then retries, then arrivals — fixed so replays

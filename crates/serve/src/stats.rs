@@ -176,11 +176,6 @@ impl BoundedSeries {
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
     }
-
-    /// Consumes the series.
-    pub fn into_points(self) -> Vec<(f64, f64)> {
-        self.points
-    }
 }
 
 #[cfg(test)]

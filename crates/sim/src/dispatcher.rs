@@ -151,15 +151,6 @@ impl SimView<'_> {
     pub fn is_pending(&self, t: TaskId) -> bool {
         self.tasks[t.index()].is_pending()
     }
-
-    /// `true` if task `t` is still pending and may run on `machine`.
-    #[inline]
-    pub fn eligible(&self, t: TaskId, machine: MachineId) -> bool {
-        let h = &self.tasks[t.index()];
-        h.is_pending()
-            && h.span_allows(machine.index() as u32)
-                .unwrap_or_else(|| self.placement.allows(t, machine))
-    }
 }
 
 /// An online dispatch policy.
