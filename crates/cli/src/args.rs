@@ -69,7 +69,9 @@ const FLAGS: &[&str] = &[
 
 impl Args {
     /// Parses a raw argument list (without the program/subcommand name).
-    /// A key given twice, in any form, is an [`ArgError::Duplicate`].
+    /// A key given twice, in any form, is an [`ArgError::Duplicate`]; a
+    /// bare flag given a value (`--resume=yes`) is an
+    /// [`ArgError::BadValue`].
     pub fn parse<S: AsRef<str>>(raw: &[S]) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut it = raw.iter().map(|s| s.as_ref().to_string()).peekable();
@@ -79,6 +81,14 @@ impl Args {
                 continue;
             };
             let (key, value) = match stripped.split_once('=') {
+                // A bare flag takes no value; `--resume=yes` must not be
+                // stored as an option that nothing reads.
+                Some((k, v)) if FLAGS.contains(&k) => {
+                    return Err(ArgError::BadValue {
+                        key: k.into(),
+                        value: v.into(),
+                    })
+                }
                 Some((k, v)) => (k, Some(v.to_string())),
                 None if FLAGS.contains(&stripped) => (stripped, None),
                 None => match it.peek() {
@@ -167,6 +177,13 @@ mod tests {
         assert!(a.flag("quick"));
         assert!(!a.flag("gantt"));
         assert_eq!(a.get::<usize>("m").unwrap(), Some(4));
+        assert_eq!(
+            Args::parse(&["--resume=yes"]).unwrap_err(),
+            ArgError::BadValue {
+                key: "resume".into(),
+                value: "yes".into()
+            }
+        );
     }
 
     #[test]
