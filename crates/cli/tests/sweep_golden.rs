@@ -9,10 +9,12 @@
 //!   realization models.
 //!
 //! The resilience campaigns cover two plain runs, the validator and
-//! stragglers. The serve runs cover the CI stream, which
-//! sheds; injected failures, which write `done`, `shed` and `failed`
-//! records and retry; and bursty arrivals, which degrade, shed and
-//! reject.
+//! stragglers at n <= 40, where the fault engine runs on the heap, and
+//! two runs at the benchmark's shape (m = 256, n = 4096), where it runs
+//! on the calendar queue; with stragglers there, speculation starts
+//! backups. The serve runs cover the CI stream, which sheds; injected
+//! failures, which write `done`, `shed` and `failed` records and retry;
+//! and bursty arrivals, which degrade, shed and reject.
 //!
 //! Every journal record stores the makespan and its baseline by value,
 //! so a digest mismatch means some ratio denominator (or makespan) moved
@@ -168,6 +170,24 @@ const RESILIENCE: Golden = &[
         "| LS-Group(k=2)      |        4 |         1.000 |            3/3 |          4.67 |            35.84 |      0.00 |            2.023 |             3.253 |",
         "| LPT-No Restriction |        8 |         1.000 |            3/3 |          5.33 |            46.20 |      0.33 |            2.093 |             3.309 |",
     ], 0xa8f47705f405fcbb),
+    ("--m 256 --n 4096 --mtbf 400 --reps 1 --seed 42 --validate", &[
+        "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
+        "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
+        "| LPT-No Choice      |        1 |         0.969 |            0/1 |         50.00 |           178.77 |      0.00 |                - |                 - |",
+        "| Chained(k=2)       |        2 |         0.991 |            0/1 |         49.00 |           194.64 |      0.00 |                - |                 - |",
+        "| Chained(k=3)       |        3 |         0.997 |            0/1 |         51.00 |           176.65 |      0.00 |                - |                 - |",
+        "| LS-Group(k=85)     |        4 |         1.000 |            1/1 |         51.00 |           210.99 |      0.00 |            2.105 |             2.105 |",
+        "| LPT-No Restriction |      256 |         1.000 |            1/1 |         51.00 |           215.57 |      0.00 |            1.125 |             1.125 |",
+    ], 0xe4f09db55f47b3ea),
+    ("--m 256 --n 4096 --mtbf 400 --reps 1 --seed 42 --validate --stragglers 0.05", &[
+        "| policy             | replicas | survival rate | completed runs | mean restarts | mean wasted work | spec wins | mean degradation | worst degradation |",
+        "| ------------------ | --------:| -------------:| --------------:| -------------:| ----------------:| ---------:| ----------------:| -----------------:|",
+        "| LPT-No Choice      |        1 |         0.965 |            0/1 |         52.00 |           239.09 |      0.00 |                - |                 - |",
+        "| Chained(k=2)       |        2 |         0.991 |            0/1 |         53.00 |           268.97 |      0.00 |                - |                 - |",
+        "| Chained(k=3)       |        3 |         0.997 |            0/1 |         52.00 |           313.10 |      0.00 |                - |                 - |",
+        "| LS-Group(k=85)     |        4 |         1.000 |            1/1 |         54.00 |           347.82 |      0.00 |            2.220 |             2.220 |",
+        "| LPT-No Restriction |      256 |         1.000 |            1/1 |         53.00 |           285.71 |      0.00 |            1.269 |             1.269 |",
+    ], 0x5378c00e9e82ce78),
 ];
 
 #[rustfmt::skip]
