@@ -13,7 +13,7 @@
 //!
 //! [`run_campaign`] executes every policy against a shared set of
 //! trials (realization + fault script pairs), establishes each trial's
-//! fault-free baseline through the same engine path, and aggregates
+//! fault-free baseline in the plain engine loop, and aggregates
 //! [`rds_sim::ResilienceMetrics`] into one row per policy.
 
 use crate::ChainedReplication;
@@ -23,7 +23,7 @@ use rds_core::{
     Assignment, Instance, MachineId, Placement, Realization, Result, TaskId, Uncertainty,
 };
 use rds_sim::faults::{FaultScript, ResilienceEngine, Speculation};
-use rds_sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher};
+use rds_sim::{Dispatcher, Engine, OrderedDispatcher, PinnedDispatcher, SimArena};
 use std::sync::{Arc, OnceLock};
 
 /// One strategy under test: its placement plus how to dispatch it.
@@ -240,8 +240,16 @@ impl TrialMeasurement {
     }
 }
 
-/// Runs one (policy, trial) pair: the fault-free baseline through the
-/// identical engine path, then the faulty run.
+/// Runs one (policy, trial) pair: the fault-free baseline in the plain
+/// engine loop ([`Engine::run_in`]), then the faulty run, both on one
+/// arena local to the trial.
+///
+/// The baseline is the makespan the fault engine would report for an
+/// empty script, bit for bit: with no fault, no attempt is lost or
+/// slowed, so the fault arm starts the same tasks on the same machines
+/// at the same times as the plain loop. Only the trace differs, since
+/// the arm also offers work to machines that become idle once every
+/// task has started, and traces each refusal as `Starved`.
 ///
 /// This is the single execution path both [`run_campaign`] and the
 /// resumable campaign runtime go through, so journaled replays aggregate
@@ -258,20 +266,17 @@ pub fn run_trial(
     speculation: Option<Speculation>,
 ) -> Result<TrialMeasurement> {
     let _span = rds_obs::span("resilience.trial");
-    let empty = FaultScript::empty();
+    let mut arena = SimArena::with_capacity(instance.n(), instance.m());
     let baseline = {
         let mut d = policy.dispatcher(instance);
-        ResilienceEngine::new(instance, &policy.placement, realization, &empty)?
-            .run(d.as_mut())?
-            .metrics
-            .makespan
+        Engine::new(instance, &policy.placement, realization)?.run_in(&mut arena, d.as_mut())?
     };
     let mut engine = ResilienceEngine::new(instance, &policy.placement, realization, script)?;
     if let Some(spec) = speculation {
         engine = engine.with_speculation(spec);
     }
     let mut d = policy.dispatcher(instance);
-    let mut report = engine.run(d.as_mut())?;
+    let mut report = engine.run_in(&mut arena, d.as_mut())?;
     report.set_baseline(baseline);
     let m = report.metrics;
     Ok(TrialMeasurement {
@@ -344,8 +349,10 @@ pub fn aggregate_row(
 /// Runs every policy against every trial and aggregates per policy.
 ///
 /// Each trial supplies a realization and a fault script; the fault-free
-/// baseline is re-established per (policy, trial) through the identical
-/// engine path, so a zero-fault campaign reports degradation exactly 1.
+/// baseline is re-established per (policy, trial) by [`run_trial`],
+/// whose plain-loop makespan equals the fault engine's on an empty
+/// script bit for bit, so a zero-fault campaign reports degradation
+/// exactly 1.
 ///
 /// This is the fail-fast path: the first engine error aborts the whole
 /// campaign. The crash-safe runtime in [`crate::campaign`] wraps the same

@@ -170,9 +170,11 @@ pub trait Dispatcher {
 
     /// Observation hook: a previously started `task` was lost (its
     /// machine failed) and is pending again. Dispatchers that skip
-    /// started tasks must make it eligible once more.
-    fn on_requeue(&mut self, task: TaskId) {
-        let _ = task;
+    /// started tasks must make it eligible once more. `placement` is
+    /// the run's placement, so a dispatcher can find the machines that
+    /// host the task.
+    fn on_requeue(&mut self, task: TaskId, placement: &Placement) {
+        let _ = (task, placement);
     }
 
     /// The dispatcher's preferred hot-column layout: slot `s` should
@@ -587,7 +589,7 @@ impl Dispatcher for OrderedDispatcher {
         self.last
     }
 
-    fn on_requeue(&mut self, task: TaskId) {
+    fn on_requeue(&mut self, task: TaskId, placement: &Placement) {
         // A started task became pending again: any cursor that passed its
         // order position must rewind — but only to that position, not to
         // zero, so a long fault campaign doesn't pay a full rescan per
@@ -600,20 +602,21 @@ impl Dispatcher for OrderedDispatcher {
         }
         self.cursor = self.cursor.min(pos as usize);
         if let Some(idx) = &mut self.index {
-            for r in 0..idx.cursors.len() {
+            // Only the rows of the machines hosting the task hold it;
+            // rows are rank-sorted, so a binary search finds its entry.
+            for machine in placement.set(task).iter(placement.m()) {
+                let i = machine.index();
+                let r = idx.row[i] as usize;
                 let lo = idx.offsets[r] as usize;
                 let hi = idx.offsets[r + 1] as usize;
-                // The row holds `pos` iff its machines host the task;
-                // rows are rank-sorted, so a binary search finds it.
                 if let Ok(k) = idx.ranks[lo..hi].binary_search(&pos) {
-                    idx.cursors[r] = idx.cursors[r].min((lo + k) as u32);
+                    let c = (lo + k) as u32;
+                    idx.cursors[r] = idx.cursors[r].min(c);
+                    // The CSR path never advances the shared row cursor,
+                    // so the host's own frontier rewinds to the entry
+                    // itself.
+                    idx.mframe[i].0 = idx.mframe[i].0.min(c);
                 }
-            }
-            // Keep the per-machine CSR frontiers no further right than
-            // their (already rewound) shared row cursor — a smaller
-            // cursor is always sound, it just re-scans a few entries.
-            for (i, f) in idx.mframe.iter_mut().enumerate() {
-                f.0 = f.0.min(idx.cursors[idx.row[i] as usize]);
             }
         }
     }
@@ -740,7 +743,7 @@ impl Dispatcher for LocalityDispatcher {
         best.map(|(_, t)| t)
     }
 
-    fn on_requeue(&mut self, _task: TaskId) {
+    fn on_requeue(&mut self, _task: TaskId, _placement: &Placement) {
         // Faults are rare on this path; a full rescan is simplest and
         // always sound.
         self.cursor = 0;
@@ -830,8 +833,8 @@ impl Dispatcher for StagedDispatcher {
             .or_else(|| self.ordered.next_task(machine, now, view))
     }
 
-    fn on_requeue(&mut self, task: TaskId) {
-        self.ordered.on_requeue(task);
+    fn on_requeue(&mut self, task: TaskId, placement: &Placement) {
+        self.ordered.on_requeue(task, placement);
     }
 }
 
@@ -944,7 +947,7 @@ mod tests {
         }
         assert_eq!(d.cursor, 3);
         pending[2] = HotTask::pending_only(true); // the machine running task 2 failed
-        d.on_requeue(TaskId::new(2));
+        d.on_requeue(TaskId::new(2), &p);
         assert_eq!(d.cursor, 2, "rewind to the task's position, not zero");
         let view = SimView {
             instance: &inst,
@@ -957,18 +960,19 @@ mod tests {
             Some(TaskId::new(2))
         );
         // Requeue of an earlier task still rewinds further back…
-        d.on_requeue(TaskId::new(0));
+        d.on_requeue(TaskId::new(0), &p);
         assert_eq!(d.cursor, 0);
         // …and a later position never moves the cursor forward.
-        d.on_requeue(TaskId::new(4));
+        d.on_requeue(TaskId::new(4), &p);
         assert_eq!(d.cursor, 0);
     }
 
     #[test]
     fn requeue_of_task_outside_order_is_a_noop() {
+        let (_, p) = setup(8, 1);
         let mut d = OrderedDispatcher::new(vec![TaskId::new(1), TaskId::new(0)]);
         d.cursor = 1;
-        d.on_requeue(TaskId::new(7)); // never in the order
+        d.on_requeue(TaskId::new(7), &p); // never in the order
         assert_eq!(d.cursor, 1);
     }
 
@@ -1043,7 +1047,7 @@ mod tests {
         // Requeue task 1 (hosted only on machine 0): machine 0 sees it
         // again, machine 1's cursor is untouched and yields task 3.
         pending[1] = HotTask::pending_only(true);
-        d.on_requeue(TaskId::new(1));
+        d.on_requeue(TaskId::new(1), &p);
         let view = SimView {
             instance: &inst,
             placement: &p,

@@ -518,7 +518,7 @@ impl<'a> Engine<'a> {
                             finished: Some(task),
                             actual: dur,
                         };
-                        schedule(queue, round, i, next);
+                        schedule(queue, round, i, next, false);
                     }
                     None => {
                         if FLT {
@@ -589,16 +589,25 @@ impl<'a> Engine<'a> {
 /// `(time, id)` order: into the unprocessed part `round[next..]` of the
 /// look-ahead window when it is due no later than the window's tail —
 /// the queue only ever holds strictly later timestamp groups — and into
-/// the queue otherwise. An event that sorts before everything left in
-/// the window (e.g. a zero-delay re-entry) lands at `next` and runs
+/// the queue otherwise, through [`EventQueue::reschedule`] when
+/// `replace` is set. An event that sorts before everything left in the
+/// window (e.g. a zero-delay re-entry) lands at `next` and runs
 /// immediately, exactly as a heap would pop it.
 #[inline(always)]
-fn schedule(queue: &mut EventQueue, round: &mut Vec<IdleEvent>, next: usize, ev: IdleEvent) {
+fn schedule(
+    queue: &mut EventQueue,
+    round: &mut Vec<IdleEvent>,
+    next: usize,
+    ev: IdleEvent,
+    replace: bool,
+) {
     let tail = round.last().map_or(Time::ZERO, |e| e.time);
     if ev.time <= tail {
         let pos =
             next + round[next..].partition_point(|e| (e.time, e.machine) < (ev.time, ev.machine));
         round.insert(pos, ev);
+    } else if replace {
+        queue.reschedule(ev);
     } else {
         queue.push(ev);
     }
@@ -617,9 +626,30 @@ pub(crate) struct LoopIo<'r, D: ?Sized> {
 }
 
 impl<D: ?Sized> LoopIo<'_, D> {
-    /// Schedules the fault arm's event id `id` at `time`.
+    /// Schedules the fault arm's event id `id` at `time`, beside any
+    /// event of the id already pending.
     pub(crate) fn push(&mut self, time: Time, id: usize) {
-        schedule(self.queue, self.round, self.next, IdleEvent::bare(time, id));
+        schedule(
+            self.queue,
+            self.round,
+            self.next,
+            IdleEvent::bare(time, id),
+            false,
+        );
+    }
+
+    /// Schedules event id `id` at `time` as the id's one live event:
+    /// its earlier event, if still linked on the calendar, is dropped.
+    /// An earlier event in the look-ahead window or on a heap stays
+    /// and must pop as a no-op.
+    pub(crate) fn reschedule(&mut self, time: Time, id: usize) {
+        schedule(
+            self.queue,
+            self.round,
+            self.next,
+            IdleEvent::bare(time, id),
+            true,
+        );
     }
 }
 

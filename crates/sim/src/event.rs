@@ -147,6 +147,9 @@ const NO_TASK: u32 = u32::MAX;
 /// past the reset size): such events wait in the overflow heap and are
 /// merged back strictly in `(time, machine)` order at pop, so ordering
 /// stays identical to the heap backend for any input.
+/// [`EventQueue::reschedule`] instead replaces the machine's event on
+/// the wheel, for callers whose earlier event of that id is superseded
+/// anyway; it keeps re-armed ids off the overflow heap.
 #[derive(Debug, Default)]
 struct CalendarQueue {
     /// `head.len()` is a power of two `B`; bucket for virtual index
@@ -200,8 +203,8 @@ impl CalendarQueue {
 
     /// Virtual bucket index of a time; saturates for extreme times
     /// (which then route to the overflow heap — still correct).
-    fn idx(&self, t: Time) -> u64 {
-        (t.get() * self.inv_width) as u64
+    fn idx(&self, t: f64) -> u64 {
+        (t * self.inv_width) as u64
     }
 
     fn len(&self) -> usize {
@@ -231,11 +234,14 @@ impl CalendarQueue {
         self.bucketed += 1;
     }
 
+    /// Links `ev` onto the wheel when its bucket is inside the window
+    /// and its machine has no event there yet; sends it to the overflow
+    /// heap otherwise.
     fn push(&mut self, ev: IdleEvent) {
         // Clamp a (theoretical) time regression into the current
         // bucket: its time is below everything still queued, so the
         // min-scan of the current bucket pops it first regardless.
-        let i = self.idx(ev.time).max(self.vidx);
+        let i = self.idx(ev.time.get()).max(self.vidx);
         let mi = ev.machine.index();
         if i - self.vidx >= self.head.len() as u64 || mi >= self.next.len() || self.next[mi] != FREE
         {
@@ -245,13 +251,48 @@ impl CalendarQueue {
         }
     }
 
+    /// [`Self::push`] after dropping the event of `ev`'s machine that is
+    /// still linked on the wheel, if any.
+    fn reschedule(&mut self, ev: IdleEvent) {
+        let mi = ev.machine.index();
+        if mi < self.next.len() && self.next[mi] != FREE {
+            self.unlink(mi);
+        }
+        self.push(ev);
+    }
+
+    /// Unlinks machine `mi`'s event from its bucket. That bucket is
+    /// `max(idx(t), vidx)` for the event's time `t`: the event was
+    /// linked at that index under the `vidx` of the time, and `vidx`
+    /// has not moved since, because it never passes a bucket that
+    /// still holds an event.
+    fn unlink(&mut self, mi: usize) {
+        let i = self.idx(self.ev_time[mi]).max(self.vidx);
+        let ring = (i & self.mask) as usize;
+        let mut prev = NIL;
+        let mut cur = self.head[ring];
+        while cur as usize != mi {
+            debug_assert!(cur != NIL, "a linked event is on its bucket's chain");
+            prev = cur;
+            cur = self.next[cur as usize];
+        }
+        let nxt = self.next[mi];
+        if prev == NIL {
+            self.head[ring] = nxt;
+        } else {
+            self.next[prev as usize] = nxt;
+        }
+        self.next[mi] = FREE;
+        self.bucketed -= 1;
+    }
+
     /// Moves overflow events now inside the window onto the wheel,
     /// stopping at the first that is still out of window or whose
     /// machine is occupied (the pop-side merge keeps order for those).
     fn drain_overflow(&mut self) {
         let b = self.head.len() as u64;
         while let Some(Reverse(Entry(ev))) = self.overflow.peek() {
-            let i = self.idx(ev.time).max(self.vidx);
+            let i = self.idx(ev.time.get()).max(self.vidx);
             let mi = ev.machine.index();
             if i - self.vidx >= b || mi >= self.next.len() || self.next[mi] != FREE {
                 break;
@@ -514,6 +555,19 @@ impl EventQueue {
         match self.active {
             Active::Heap => self.heap.push(Reverse(Entry(ev))),
             Active::Calendar => self.cal.push(ev),
+        }
+    }
+
+    /// Inserts `ev` as the one live event of its id. On the calendar
+    /// the id's event still linked on the wheel is dropped first; an
+    /// earlier event of the id in the overflow heap, or anywhere on the
+    /// heap backend, stays queued, so the caller must recognise it as
+    /// superseded when it pops. The fault arm keeps one live event per
+    /// idle id and per check id this way (see `faults::FaultArm`).
+    pub(crate) fn reschedule(&mut self, ev: IdleEvent) {
+        match self.active {
+            Active::Heap => self.heap.push(Reverse(Entry(ev))),
+            Active::Calendar => self.cal.reschedule(ev),
         }
     }
 
@@ -797,6 +851,87 @@ mod tests {
                 (1e9, 5)
             ]
             .map(Some)
+        );
+    }
+
+    /// Pops rounds until one holds an event that `live` still expects
+    /// (its id's latest armed time), and returns those events, clearing
+    /// their ids: as in the fault arm, the first of an id's equal-time
+    /// events acts for the live one. Superseded events are skipped.
+    /// `popped` counts every event delivered, superseded or not.
+    fn next_live(
+        q: &mut EventQueue,
+        live: &mut [Option<f64>],
+        popped: &mut usize,
+    ) -> Vec<(f64, usize)> {
+        let mut buf = Vec::new();
+        while q.pop_round(&mut buf) {
+            *popped += buf.len();
+            let mut hits = Vec::new();
+            for e in &buf {
+                let (t, id) = (e.time.get(), e.machine.index());
+                if live[id] == Some(t) {
+                    live[id] = None;
+                    hits.push((t, id));
+                }
+            }
+            if !hits.is_empty() {
+                return hits;
+            }
+        }
+        Vec::new()
+    }
+
+    #[test]
+    fn reschedule_delivers_the_live_events_of_a_heap_with_fewer_pops() {
+        // Ids are re-armed at pseudo-random times, earlier or later than
+        // their pending event. Both backends must deliver the live events
+        // in the same order; the calendar drops the superseded events it
+        // still holds on its wheel, so it delivers fewer.
+        let ids = 6;
+        let mut heap = EventQueue::new();
+        heap.reset_empty(ids, None);
+        let mut cal = EventQueue::new();
+        cal.reset_empty(ids, Some(0.5));
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut live = [vec![None; ids], vec![None; ids]];
+        for id in 0..ids {
+            for (q, l) in [&mut heap, &mut cal].into_iter().zip(live.iter_mut()) {
+                q.reschedule(ev(id as f64 * 0.25, id));
+                l[id] = Some(id as f64 * 0.25);
+            }
+        }
+        let (mut heap_pops, mut cal_pops) = (0, 0);
+        let mut clock = 0.0;
+        for step in 0..400 {
+            let a = next_live(&mut heap, &mut live[0], &mut heap_pops);
+            let b = next_live(&mut cal, &mut live[1], &mut cal_pops);
+            assert_eq!(a, b, "diverged at step {step}");
+            let Some(&(t, _)) = a.first() else { break };
+            clock = t;
+            // Re-arm each delivered id, then supersede one pending id.
+            let mut arm = |id: usize, t: f64| {
+                for (q, l) in [&mut heap, &mut cal].into_iter().zip(live.iter_mut()) {
+                    q.reschedule(ev(t, id));
+                    l[id] = Some(t);
+                }
+            };
+            for &(_, id) in &a {
+                arm(id, clock + (next() % 40) as f64 * 0.125);
+            }
+            let id = next() as usize % ids;
+            arm(id, clock + (next() % 40) as f64 * 0.125);
+        }
+        assert!(clock > 10.0, "the run covered several windows");
+        assert!(
+            cal_pops < heap_pops,
+            "calendar {cal_pops} pops, heap {heap_pops}"
         );
     }
 

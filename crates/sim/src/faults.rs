@@ -366,7 +366,8 @@ struct Attempt {
     last: Time,
     speculative: bool,
     /// When this attempt's speculation check is due (primary attempts
-    /// under a [`Speculation`] policy, until the check runs).
+    /// under a [`Speculation`] policy, until the check runs). The check
+    /// is queued only while the attempt's projected end lies past it.
     check: Option<Time>,
 }
 
@@ -391,9 +392,11 @@ struct MachineState {
     /// Parked: idle with no eligible work; woken on requeues/backups.
     parked: bool,
     attempt: Option<Attempt>,
-    /// Due time of the machine's one live idle/completion event. Every
-    /// other event still queued for the machine was superseded (a
-    /// re-projected completion, a lost attempt) and pops as a no-op.
+    /// Due time of the machine's one live idle/completion event. An
+    /// earlier event of the machine was superseded (a re-projected
+    /// completion, a lost attempt): on the calendar's wheel it was
+    /// dropped when the live one was queued, and in the overflow heap,
+    /// the look-ahead window or on the heap backend it pops as a no-op.
     /// Matching on the time alone is exact: events of one machine at
     /// one time pop back to back and carry nothing else, so whichever
     /// of them pops first acts for the live one, and the rest see the
@@ -430,6 +433,9 @@ pub(crate) struct FaultColumns {
     tasks: Vec<TaskRec>,
     /// Tasks with a requested-but-unplaced speculative backup.
     spec_queue: VecDeque<TaskId>,
+    /// Completed work in completion order; the report splits it per
+    /// machine.
+    slots: Vec<(MachineId, Slot)>,
 }
 
 /// The resilience engine: one (instance, placement, realization, fault
@@ -547,6 +553,12 @@ impl<'a> ResilienceEngine<'a> {
 /// - `[F, F + 2m)`: recoveries, machine-major (rejoin before speed);
 /// - `[F + 2m, F + 3m)`: idle/completion events, by machine;
 /// - `[F + 3m, F + 4m)`: speculation checks, by machine.
+///
+/// An idle or check id has one live event at a time, and each new one
+/// is queued through [`LoopIo::reschedule`], which drops the id's
+/// superseded event from the calendar's wheel. Faults and recoveries
+/// are pushed: two overlapping slowdowns of one machine each schedule
+/// a speed restore, and both must fire.
 pub(crate) struct FaultArm<'a> {
     instance: &'a Instance,
     placement: &'a Placement,
@@ -556,9 +568,6 @@ pub(crate) struct FaultArm<'a> {
     /// Per-machine down-event weights (unit when the engine set none).
     recovery_costs: Option<&'a [f64]>,
     cols: FaultColumns,
-    /// Completed work per machine. The report moves these out, so they
-    /// stay per-run.
-    slots: Vec<Vec<Slot>>,
     metrics: ResilienceMetrics,
     /// Tasks not yet done.
     remaining: usize,
@@ -597,6 +606,7 @@ impl<'a> FaultArm<'a> {
             }
         }
         cols.spec_queue.clear();
+        cols.slots.clear();
         FaultArm {
             instance: engine.engine.instance,
             placement: engine.engine.placement,
@@ -605,7 +615,6 @@ impl<'a> FaultArm<'a> {
             speculation: engine.speculation,
             recovery_costs: engine.recovery_costs.as_deref(),
             cols,
-            slots: vec![Vec::new(); m],
             metrics: ResilienceMetrics {
                 n,
                 completed: 0,
@@ -734,7 +743,7 @@ impl<'a> FaultArm<'a> {
     /// superseding any earlier one still queued.
     fn wake<D: ?Sized>(&mut self, time: Time, mi: usize, io: &mut LoopIo<'_, D>) {
         self.cols.machines[mi].due = Some(time);
-        io.push(time, self.idle_id(mi));
+        io.reschedule(time, self.idle_id(mi));
     }
 
     /// Applies scripted fault `index` at `time`.
@@ -811,7 +820,7 @@ impl<'a> FaultArm<'a> {
                 rec.state = TaskState::Pending;
                 io.pending[rec.slot as usize].mark_pending();
                 self.metrics.restarts += 1;
-                io.dispatcher.on_requeue(att.task);
+                io.dispatcher.on_requeue(att.task, self.placement);
                 self.wake_parked(time, io);
             }
             _ => unreachable!("attempt for a non-running task"),
@@ -854,9 +863,18 @@ impl<'a> FaultArm<'a> {
     /// completion from the remaining work.
     fn set_speed<D: ?Sized>(&mut self, time: Time, mi: usize, speed: f64, io: &mut LoopIo<'_, D>) {
         let old = std::mem::replace(&mut self.cols.speed[mi], speed);
+        let check_id = self.check_id(mi);
         if let Some(att) = self.cols.machines[mi].attempt.as_mut() {
+            // The end projected when the attempt started or last changed
+            // speed, bit for bit: nothing has advanced it since.
+            let was = att.projected_end(old);
             att.advance(time, old);
             let end = att.projected_end(speed);
+            // A check left unqueued because the attempt was due to end
+            // by then is armed once the attempt runs past it.
+            if let Some(check) = att.check.filter(|&c| was <= c && c < end) {
+                io.reschedule(check, check_id);
+            }
             self.wake(end, mi, io);
         }
     }
@@ -871,11 +889,14 @@ impl<'a> FaultArm<'a> {
     ) {
         let machine = MachineId::new(mi);
         self.cols.machines[mi].attempt = None;
-        self.slots[mi].push(Slot {
-            task: att.task,
-            start: att.start,
-            end: time,
-        });
+        self.cols.slots.push((
+            machine,
+            Slot {
+                task: att.task,
+                start: att.start,
+                end: time,
+            },
+        ));
         let actual = self.realization.actual(att.task);
         io.trace.push(TraceEvent::Complete {
             time,
@@ -976,7 +997,12 @@ impl<'a> FaultArm<'a> {
             if let Some(spec) = self.speculation {
                 let check = time + spec.threshold(self.instance.estimate(task));
                 att.check = Some(check);
-                io.push(check, self.check_id(mi));
+                // At equal times the completion sorts first, so the
+                // check can only find the attempt running if it is due
+                // to end later (or is slowed down: `set_speed`).
+                if check < end {
+                    io.reschedule(check, self.check_id(mi));
+                }
             }
         }
         let st = &mut self.cols.machines[mi];
@@ -1045,7 +1071,15 @@ impl<'a> FaultArm<'a> {
         } else {
             Outcome::Partial { unfinished }
         };
-        let schedule = Schedule::from_slots(std::mem::take(&mut self.slots));
+        let mut counts = vec![0; self.m()];
+        for (machine, _) in &self.cols.slots {
+            counts[machine.index()] += 1;
+        }
+        let mut per_machine: Vec<Vec<Slot>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for &(machine, slot) in &self.cols.slots {
+            per_machine[machine.index()].push(slot);
+        }
+        let schedule = Schedule::from_slots(per_machine);
         if crate::validate::enabled() {
             // Even faulty runs must satisfy the structural invariants;
             // completeness only when the run claims it, duration honesty
@@ -1256,6 +1290,29 @@ mod tests {
         assert_eq!(rep.metrics.makespan, Time::of(4.0));
         // The cancelled primary crawled 4.0 × 0.1 = 0.4 units for nothing.
         assert!((rep.metrics.wasted_work.get() - 0.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn slowdown_mid_attempt_arms_the_check_it_was_due_to_beat() {
+        let inst = Instance::from_estimates(&[2.0, 1.0], 2).unwrap();
+        let p = Placement::everywhere(&inst);
+        let r = Realization::exact(&inst);
+        let script = FaultScript::new(vec![FaultEvent::Slowdown {
+            machine: MachineId::new(0),
+            at: Time::of(1.0),
+            lasting: Time::of(100.0),
+            speed: 0.1,
+        }]);
+        let spec = Speculation::new(1.0, Uncertainty::CERTAIN);
+        let rep = run_fifo(&inst, &p, &r, &script, Some(spec));
+        // The primary on m0 was due to end at 2.0, exactly at its check,
+        // so the check was not queued; the slowdown at 1.0 pushes its end
+        // to 11.0, which arms the check. The backup launched on m1 at
+        // 2.0 finishes at 4.0 and wins.
+        assert!(rep.outcome.is_completed());
+        assert_eq!(rep.metrics.speculative_started, 1);
+        assert_eq!(rep.metrics.speculative_wins, 1);
+        assert_eq!(rep.metrics.makespan, Time::of(4.0));
     }
 
     #[test]
