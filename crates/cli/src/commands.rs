@@ -37,9 +37,9 @@ COMMANDS:
   resilience
             MTBF-driven fault campaign: survival rate, restarts, wasted
             work, and makespan degradation per placement strategy
-            --m <usize> --mtbf <f64> (0 = fault-free)
+            --m <usize, >= 3> --mtbf <f64> (0 = fault-free)
             [--n <usize>] [--alpha <f64>] [--beta <f64>] [--reps <usize>]
-            [--seed <u64>] [--stragglers <rate>] [--gantt]
+            [--seed <u64>] [--stragglers <rate in [0, 1]>] [--gantt]
             [--min-survival <p>]  exit non-zero when even the best
             policy's mean survival rate falls below p
             crash safety: [--journal <path>] [--resume] [--validate]
@@ -60,7 +60,7 @@ COMMANDS:
             heterogeneity: [--speeds <spec>] [--topology <spec>]
   sweep     empirical competitive-ratio sweep: the standard suite over
             sampled realizations versus the certified lower bound on C*
-            --m <usize> [--n <usize>] [--alpha <f64>] [--reps <usize>]
+            --m <usize, >= 3> [--n <usize>] [--alpha <f64>] [--reps <usize>]
             [--seed <u64>] [--model <exact|uniform|two-point|inflate>]
             heterogeneity: [--speeds <spec>] [--topology <spec>]
               speed specs:    unit | uniform:<lo>,<hi>
@@ -531,6 +531,35 @@ fn campaign_config(
     Ok(config)
 }
 
+/// Reads the `(m, n, alpha, reps)` of a `sweep` or `resilience`
+/// campaign over the standard suite, rejecting values outside their
+/// domain as usage errors before any work: the suite's Chained(k = 3)
+/// needs three machines, and a campaign of zero tasks or zero reps
+/// measures nothing. `n` defaults to `8 m`, `alpha` to 1.5 and `reps`
+/// to `default_reps`.
+fn campaign_shape(
+    args: &Args,
+    default_reps: usize,
+) -> Result<(usize, usize, f64, usize), ArgError> {
+    let m: usize = args.require("m")?;
+    if m < 3 {
+        return Err(bad_value("m", m));
+    }
+    let n: usize = args.get_or("n", 8 * m)?;
+    if n == 0 {
+        return Err(bad_value("n", n));
+    }
+    let alpha: f64 = args.get_or("alpha", 1.5)?;
+    if !(alpha.is_finite() && alpha >= 1.0) {
+        return Err(bad_value("alpha", alpha));
+    }
+    let reps: usize = args.get_or("reps", default_reps)?;
+    if reps == 0 {
+        return Err(bad_value("reps", reps));
+    }
+    Ok((m, n, alpha, reps))
+}
+
 /// Writes the poison list and journal summary shared by the journaled
 /// commands.
 fn report_campaign_health(
@@ -571,11 +600,13 @@ fn report_campaign_health(
 pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_sim::Speculation;
     use rds_workloads::FaultModel;
-    let m: usize = args.require("m")?;
-    let mtbf: f64 = args.require("mtbf")?;
-    let alpha: f64 = args.get_or("alpha", 1.5)?;
+    let (m, n, alpha, reps) = campaign_shape(args, 10)?;
     let unc = Uncertainty::new(alpha)?;
-    let n: usize = args.get_or("n", 8 * m)?;
+    let mtbf: f64 = args.require("mtbf")?;
+    // `--mtbf 0` is the zero-fault campaign.
+    if !(mtbf.is_finite() && mtbf >= 0.0) {
+        return Err(bad_value("mtbf", mtbf).into());
+    }
     let seed: u64 = args.get_or("seed", 42u64)?;
     let beta: f64 = args.get_or("beta", 1.5)?;
     // Speculation's patience must be positive and finite; reject any
@@ -587,8 +618,10 @@ pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> 
     if min_survival.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
         return Err(bad_spec("min-survival", "--min-survival must be in [0, 1]".into()).into());
     }
-    let reps: usize = args.get_or("reps", 10)?;
     let stragglers: f64 = args.get_or("stragglers", 0.0)?;
+    if !(0.0..=1.0).contains(&stragglers) {
+        return Err(bad_value("stragglers", stragglers).into());
+    }
 
     let mut r = rng::rng(seed);
     let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
@@ -1127,12 +1160,9 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_policies::{CellOrder, SweepRep};
     use std::sync::Arc;
 
-    let m: usize = args.require("m")?;
-    let alpha: f64 = args.get_or("alpha", 1.5)?;
+    let (m, n, alpha, reps) = campaign_shape(args, 20)?;
     let unc = Uncertainty::new(alpha)?;
-    let n: usize = args.get_or("n", 8 * m)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
-    let reps: usize = args.get_or("reps", 20)?;
     let (model_name, model) = realization_model(args)?;
 
     let speeds_raw = args.get::<String>("speeds")?;
@@ -2062,6 +2092,66 @@ mod tests {
                 "{argv:?}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn campaign_flags_outside_their_domain_are_usage_errors() {
+        let resilience: [(&[&str], &str); 12] = [
+            (&["--m", "0"], "m"),
+            (&["--m", "1"], "m"),
+            (&["--m", "2"], "m"),
+            (&["--m", "4", "--n", "0"], "n"),
+            (&["--m", "4", "--alpha", "0.5"], "alpha"),
+            (&["--m", "4", "--alpha", "nan"], "alpha"),
+            (&["--m", "4", "--reps", "0"], "reps"),
+            (&["--m", "4", "--mtbf", "-5"], "mtbf"),
+            (&["--m", "4", "--mtbf", "nan"], "mtbf"),
+            (&["--m", "4", "--mtbf", "inf"], "mtbf"),
+            (&["--m", "4", "--stragglers", "2"], "stragglers"),
+            (&["--m", "4", "--stragglers", "-1"], "stragglers"),
+        ];
+        for (flags, flag) in resilience {
+            let mut argv = vec!["resilience"];
+            argv.extend_from_slice(flags);
+            if !flags.contains(&"--mtbf") {
+                argv.extend_from_slice(&["--mtbf", "10"]);
+            }
+            let err = usage_error(&argv);
+            assert!(
+                matches!(&err, ArgError::BadValue { key, .. } if key == flag),
+                "{argv:?}: {err:?}"
+            );
+        }
+        let sweep: [(&[&str], &str); 6] = [
+            (&["--m", "0"], "m"),
+            (&["--m", "2"], "m"),
+            (&["--m", "4", "--n", "0"], "n"),
+            (&["--m", "4", "--alpha", "0.5"], "alpha"),
+            (&["--m", "4", "--alpha", "nan"], "alpha"),
+            (&["--m", "4", "--reps", "0"], "reps"),
+        ];
+        for (flags, flag) in sweep {
+            let mut argv = vec!["sweep"];
+            argv.extend_from_slice(flags);
+            let err = usage_error(&argv);
+            assert!(
+                matches!(&err, ArgError::BadValue { key, .. } if key == flag),
+                "{argv:?}: {err:?}"
+            );
+        }
+        // The zero-fault campaign stays a valid run.
+        run_to_string(&[
+            "resilience",
+            "--m",
+            "3",
+            "--n",
+            "6",
+            "--mtbf",
+            "0",
+            "--reps",
+            "1",
+        ])
+        .unwrap();
     }
 
     #[test]
