@@ -261,11 +261,10 @@ impl CalendarQueue {
         self.push(ev);
     }
 
-    /// Unlinks machine `mi`'s event from its bucket. That bucket is
-    /// `max(idx(t), vidx)` for the event's time `t`: the event was
-    /// linked at that index under the `vidx` of the time, and `vidx`
-    /// has not moved since, because it never passes a bucket that
-    /// still holds an event.
+    /// Unlinks machine `mi`'s event from its bucket. The event, of
+    /// time `t`, was linked at `max(idx(t), v)` for the `vidx` value
+    /// `v` of its push. `vidx` never passes a bucket that still holds
+    /// an event, so `max(idx(t), vidx)` is that bucket still.
     fn unlink(&mut self, mi: usize) {
         let i = self.idx(self.ev_time[mi]).max(self.vidx);
         let ring = (i & self.mask) as usize;
