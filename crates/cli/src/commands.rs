@@ -15,27 +15,33 @@ use std::io::Write;
 /// Any error a command can produce.
 pub type CmdError = Box<dyn std::error::Error>;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-rds — replicated data placement for uncertain scheduling
+/// A command body: it reads its parsed flags and writes its report.
+type Body = fn(&Args, &mut dyn Write) -> Result<(), CmdError>;
 
-USAGE: rds <COMMAND> [OPTIONS]
-
-COMMANDS:
-  bounds    print the proven competitive-ratio guarantees
-            --alpha <f64> --m <usize> [--k <usize>]
-  plan      run phase 1 of a strategy on an instance
-            --strategy <no-choice|no-restriction|group> [--k <usize>]
-            --estimates <a,b,c,...> --m <usize> --alpha <f64>
-  simulate  run both phases under a sampled realization
-            (same options as plan, plus --seed <u64> --model
-            <exact|uniform|two-point|inflate> [--gantt])
-  envelope  robustness envelope of the static LPT placement
-            --estimates <a,b,c,...> --m <usize> --alpha <f64>
-  memory    SABO/ABO bi-objective sweep over delta
+/// Every subcommand as (name, body, help text). The help text is the
+/// command's declaration: each `--name` in it is a flag the command
+/// accepts, valued when a `<…>` placeholder follows, and
+/// [`Args::parse`] rejects any other. `rds help` prints this table.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Body, &str)] = &[
+    ("bounds", cmd_bounds, "print the proven competitive-ratio guarantees
+            --alpha <f64> --m <usize> [--k <usize>]"),
+    ("plan", cmd_plan, "run phase 1 of a strategy on an instance
+            [--strategy <no-choice|no-restriction|group>] [--k <usize>]
+            --m <usize> --alpha <f64>
+            [--estimates <a,b,c,...>] or [--n <usize>] [--seed <u64>]"),
+    ("simulate", cmd_simulate, "run both phases under a sampled realization
+            [--strategy <no-choice|no-restriction|group>] [--k <usize>]
+            --m <usize> --alpha <f64> [--seed <u64>]
+            [--estimates <a,b,c,...>] or [--n <usize>]
+            [--model <exact|uniform|two-point|inflate>] [--gantt]"),
+    ("envelope", cmd_envelope, "robustness envelope of the static LPT placement
+            --m <usize> --alpha <f64>
+            [--estimates <a,b,c,...>] or [--n <usize>] [--seed <u64>]"),
+    ("memory", cmd_memory, "SABO/ABO bi-objective sweep over delta
             --m <usize> --alpha <f64> [--n <usize>] [--seed <u64>]
-  resilience
-            MTBF-driven fault campaign: survival rate, restarts, wasted
+            [--model <exact|uniform|two-point|inflate>]"),
+    ("resilience", cmd_resilience, "MTBF-driven fault campaign: survival rate, restarts, wasted
             work, and makespan degradation per placement strategy
             --m <usize, >= 3> --mtbf <f64> (0 = fault-free)
             [--n <usize>] [--alpha <f64>] [--beta <f64>] [--reps <usize>]
@@ -44,21 +50,20 @@ COMMANDS:
             policy's mean survival rate falls below p
             crash safety: [--journal <path>] [--resume] [--validate]
             [--budget-ms <u64>] [--retries <u32>]
-            [--stall-ms <u64>] [--stall-trial <u64>]
-  reliability
-            resilience-vs-memory frontier on a seeded heterogeneous
+            [--stall-ms <u64>] [--stall-trial <u64>]"),
+    ("reliability", cmd_reliability, "resilience-vs-memory frontier on a seeded heterogeneous
             cluster: fixed-k chained replication versus survival-target
             placement under identical scripted fault campaigns
             --m <usize> [--n <usize>] [--zones <usize>]
             [--targets <p,p,...>] [--ks <k,k,...>] [--alpha <f64>]
-            [--reps <usize>] [--seed <u64>]
-  frontier  makespan-vs-memory Pareto frontier: ILP branch-and-bound and
+            [--reps <usize>] [--seed <u64>]"),
+    ("frontier", cmd_frontier, "makespan-vs-memory Pareto frontier: ILP branch-and-bound and
             LP-rounding placement swept over a per-machine memory budget
             grid against the greedy strategies, under one realization
             --m <usize> [--n <usize>] [--alpha <f64>] [--seed <u64>]
-            [--ks <k,k,...>] [--budget-steps <usize>]
-            heterogeneity: [--speeds <spec>] [--topology <spec>]
-  sweep     empirical competitive-ratio sweep: the standard suite over
+            [--ks <k,k,...>] [--budget-steps <usize, >= 2>]
+            heterogeneity: [--speeds <spec>] [--topology <spec>]"),
+    ("sweep", cmd_sweep, "empirical competitive-ratio sweep: the standard suite over
             sampled realizations versus the certified lower bound on C*
             --m <usize, >= 3> [--n <usize>] [--alpha <f64>] [--reps <usize>]
             [--seed <u64>] [--model <exact|uniform|two-point|inflate>]
@@ -70,9 +75,8 @@ COMMANDS:
                               | random:<lo>,<hi>
             crash safety: [--journal <path>] [--resume] [--validate]
             [--budget-ms <u64>] [--retries <u32>]
-            [--stall-ms <u64>] [--stall-trial <u64>]
-  conformance
-            differential/metamorphic oracle: run every strategy through
+            [--stall-ms <u64>] [--stall-trial <u64>]"),
+    ("conformance", cmd_conformance, "differential/metamorphic oracle: run every strategy through
             the closed forms AND the event engine on a seeded case
             stream, checking exact-solver brackets, proven guarantees,
             and metamorphic invariants; failures shrink to minimal
@@ -85,8 +89,8 @@ COMMANDS:
             [--artifacts <dir>]
             [--max-counterexamples <usize>]
             crash safety: [--journal <path>] [--resume]
-            replay: --replay <counterexample.json>
-  serve     streaming scheduler daemon: continuous arrivals, bounded
+            replay: --replay <counterexample.json>"),
+    ("serve", cmd_serve, "streaming scheduler daemon: continuous arrivals, bounded
             admission with typed rejection + backpressure, overload
             shedding and replication degradation (hysteresis
             watermarks), graceful drain on SIGTERM/SIGINT, crash
@@ -102,9 +106,13 @@ COMMANDS:
             [--fsync-every <usize>] [--seed <u64>] [--plot]
             [--status-every <u64 events>] [--pace-us <u64>]
             crash safety: [--journal <path>] [--resume]
-            line protocol on stdin: [--stdin]
-  help      show this message
+            line protocol on stdin: [--stdin]"),
+    ("help", cmd_help, "show this message"),
+];
 
+/// What `rds help` prints below the command table: prose, not a
+/// declaration, since any `--name` in a declaring text becomes a flag.
+const HELP_FOOT: &str = "
 Observability options (any command):
   --metrics <path>    enable instrumentation and write a JSON metrics
                       summary (counters + latency histograms) to <path>;
@@ -1663,44 +1671,46 @@ pub fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     Ok(())
 }
 
+/// `rds help`, also `rds`, `rds --help` and `rds <command> --help`: the
+/// command table, each command with its declaration.
+fn cmd_help(_: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
+    writeln!(
+        out,
+        "rds — replicated data placement for uncertain scheduling\n\n\
+         USAGE: rds <COMMAND> [OPTIONS]\n\nCOMMANDS:"
+    )?;
+    for (name, _, help) in COMMANDS {
+        // A name wider than its column gets a line of its own.
+        let wrap = if name.len() > 8 { "\n          " } else { "" };
+        writeln!(out, "  {name:8}{wrap}  {help}")?;
+    }
+    writeln!(out, "{HELP_FOOT}")?;
+    Ok(())
+}
+
 /// Dispatches a full command line (without the program name).
 pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), CmdError> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        writeln!(out, "{USAGE}")?;
-        return Ok(());
+    let (name, rest) = match argv.split_first() {
+        Some((name, rest)) if !matches!(name.as_ref(), "--help" | "-h") => (name.as_ref(), rest),
+        _ => ("help", argv.get(1..).unwrap_or_default()),
     };
-    type Command = fn(&Args, &mut dyn Write) -> Result<(), CmdError>;
-    let command: Command = match cmd.as_ref() {
-        "bounds" => cmd_bounds,
-        "plan" => cmd_plan,
-        "simulate" => cmd_simulate,
-        "envelope" => cmd_envelope,
-        "memory" => cmd_memory,
-        "resilience" => cmd_resilience,
-        "reliability" => cmd_reliability,
-        "frontier" => cmd_frontier,
-        "sweep" => cmd_sweep,
-        "conformance" => cmd_conformance,
-        "serve" => cmd_serve,
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{USAGE}")?;
-            return Ok(());
-        }
-        other => return Err(format!("unknown command {other:?}; try `rds help`").into()),
+    let Some(&(_, body, help)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        return Err(format!("unknown command {name:?}; try `rds help`").into());
     };
-    let args = Args::parse(rest)?;
+    let args = Args::parse(help, rest)?;
     if args.flag("help") {
-        writeln!(out, "{USAGE}")?;
-        return Ok(());
+        return cmd_help(&args, out);
     }
     obs_setup(&args)?;
-    command(&args, out)?;
+    body(&args, out)?;
     obs_finish(&args, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::{declared, GLOBAL};
+    use proptest::prelude::{any, prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
     fn run_to_string(argv: &[&str]) -> Result<String, CmdError> {
         let mut buf = Vec::new();
@@ -3061,5 +3071,249 @@ mod tests {
         assert!(json.contains("serve.response_time"));
         std::fs::remove_file(&path).ok();
         rds_obs::set_enabled(false);
+    }
+
+    /// Runs `rds <line> <extra>`, which must fail with `want` before
+    /// printing anything.
+    fn fails_before_output(line: &str, extra: &[&str], want: &ArgError) {
+        let argv: Vec<&str> = line.split(' ').chain(extra.iter().copied()).collect();
+        let mut out = Vec::new();
+        let err = run(&argv, &mut out).unwrap_err();
+        // An `ArgError` is what `main` maps to exit code 2.
+        assert_eq!(err.downcast_ref::<ArgError>(), Some(want), "{argv:?}");
+        assert!(
+            out.is_empty(),
+            "{argv:?} printed before failing:\n{}",
+            String::from_utf8_lossy(&out)
+        );
+    }
+
+    #[test]
+    fn every_command_rejects_undeclared_flags_and_stray_tokens_before_any_work() {
+        // Runs that print, and that journal where the command can.
+        let commands = [
+            "bounds --alpha 2 --m 4",
+            "plan --m 2 --alpha 1.5 --estimates 3,2,1",
+            "simulate --m 2 --alpha 1.5 --estimates 3,2",
+            "envelope --m 2 --alpha 1.5 --estimates 3,2",
+            "memory --m 2 --alpha 1.5 --n 4",
+            "resilience --m 3 --n 6 --mtbf 0 --reps 1",
+            "reliability --m 3 --n 6 --reps 1",
+            "frontier --m 2 --n 4",
+            "sweep --m 3 --n 6 --reps 1",
+            "conformance --cases 1",
+            "serve --m 2 --tasks 5",
+        ];
+        assert_eq!(commands.len() + 1, COMMANDS.len(), "every command but help");
+        let dir = std::env::temp_dir().join(format!("rds-cli-undeclared-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (metrics, journal) = (dir.join("metrics.json"), dir.join("run.journal"));
+        for line in commands {
+            let help = COMMANDS.iter().find(|c| line.starts_with(c.0)).unwrap().2;
+            let declares = |flag: &str| declared(help).any(|(f, _)| f == flag);
+            let (foreign, valued) = COMMANDS
+                .iter()
+                .flat_map(|c| declared(c.2))
+                .find(|&(f, _)| !declares(f))
+                .unwrap();
+            let foreign_argv = format!("--{foreign}{}", if valued { " 3" } else { "" });
+            let cases = [
+                (foreign_argv.as_str(), ArgError::Unknown(foreign.into())),
+                ("--quick", ArgError::Unknown("quick".into())),
+                ("--csv", ArgError::Unknown("csv".into())),
+                ("--shards 2", ArgError::Unknown("shards".into())),
+                ("--seeed 3", ArgError::Unknown("seeed".into())),
+                ("extra", ArgError::Unexpected("extra".into())),
+            ];
+            for (undeclared, want) in cases {
+                let mut files = vec!["--metrics", metrics.to_str().unwrap()];
+                if declares("journal") {
+                    files.extend(["--journal", journal.to_str().unwrap()]);
+                }
+                fails_before_output(&format!("{line} {undeclared}"), &files, &want);
+                assert!(
+                    !metrics.exists() && !journal.exists(),
+                    "{line} {undeclared}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn help_texts_declare_what_their_commands_read_with_one_arity_each() {
+        for (command, flags) in [
+            ("plan", &["n", "seed"][..]),
+            ("simulate", &["n", "seed"]),
+            ("envelope", &["n", "seed"]),
+            ("memory", &["model"]),
+        ] {
+            let help = COMMANDS.iter().find(|c| c.0 == command).unwrap().2;
+            for &flag in flags {
+                assert!(
+                    declared(help).any(|d| d == (flag, true)),
+                    "rds {command} --{flag}"
+                );
+            }
+        }
+        for (name, _, help) in COMMANDS {
+            let flags: Vec<_> = declared(help).chain(declared(GLOBAL)).collect();
+            for (flag, valued) in &flags {
+                assert!(
+                    flags.iter().all(|(f, v)| f != flag || v == valued),
+                    "rds {name} declares --{flag} with two arities"
+                );
+            }
+        }
+    }
+
+    /// Values for valued keys: numbers inside and outside their domains,
+    /// text, an empty value, non-ASCII text, and tokens that start with
+    /// `--`.
+    const VALUES: &[&str] = &[
+        "4", "0", "-1", "2.5", "nan", "x", "", "é", "🦀", "a=b", "--", "--m",
+    ];
+
+    /// Tokens that are no `--key`.
+    const STRAY: &[&str] = &["extra", "4", "-m", "-", "=", "é", "🦀", "\u{0}", " --m"];
+
+    /// An argv for the command that declares `help`, built from drawn
+    /// pieces: its own keys with values, every command's keys, `--key=v`
+    /// forms (bare flags given `=v` too), random `--[a-z-]+` words, stray
+    /// tokens, a lone `--`, non-ASCII keys, and repeats of an earlier
+    /// token.
+    fn draw_argv(help: &'static str, pieces: &[(u8, usize, usize, Vec<u8>)]) -> Vec<String> {
+        let own: Vec<_> = declared(help).chain(declared(GLOBAL)).collect();
+        let every: Vec<_> = COMMANDS
+            .iter()
+            .flat_map(|c| declared(c.2))
+            .chain(declared(GLOBAL))
+            .collect();
+        let mut argv = Vec::new();
+        for (kind, a, b, word) in pieces {
+            let value = VALUES[b % VALUES.len()].to_string();
+            let (key, valued) = if *kind < 2 {
+                own[a % own.len()]
+            } else {
+                every[a % every.len()]
+            };
+            match kind {
+                0..=2 => {
+                    argv.push(format!("--{key}"));
+                    if valued {
+                        argv.push(value);
+                    }
+                }
+                3 => argv.push(format!("--{key}={value}")),
+                4 => argv.push(
+                    word.iter()
+                        .map(|&c| if c < 26 { char::from(b'a' + c) } else { '-' })
+                        .fold(String::from("--"), |mut w, c| {
+                            w.push(c);
+                            w
+                        }),
+                ),
+                5 => argv.push(STRAY[a % STRAY.len()].to_string()),
+                6 => argv.push("--".to_string()),
+                7 => argv.push(format!(
+                    "--{}",
+                    ["é", "ключ", "🦀", "m\u{301}", "m\u{0}"][a % 5]
+                )),
+                _ => argv.extend(argv.get(a % argv.len().max(1)).cloned()),
+            }
+        }
+        argv
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn parse_accepts_exactly_the_declared_flags(
+            command in 0..COMMANDS.len(),
+            pieces in prop::collection::vec(
+                (0u8..9, any::<usize>(), any::<usize>(), prop::collection::vec(0u8..27, 1..8)),
+                0..8,
+            ),
+        ) {
+            let (name, _, help) = COMMANDS[command];
+            let arity = |key: &str| {
+                declared(help)
+                    .chain(declared(GLOBAL))
+                    .find_map(|(f, valued)| (f == key).then_some(valued))
+            };
+            let argv = draw_argv(help, &pieces);
+            match Args::parse(help, &argv) {
+                // Every `--key` is declared, with the arity it was given in.
+                Ok(args) => {
+                    let mut tokens = argv.iter();
+                    while let Some(tok) = tokens.next() {
+                        let Some(tok) = tok.strip_prefix("--") else {
+                            panic!("rds {name} {argv:?}: accepted {tok:?}");
+                        };
+                        let (key, inline) = match tok.split_once('=') {
+                            Some((key, v)) => (key, Some(v)),
+                            None => (tok, None),
+                        };
+                        match (arity(key), inline) {
+                            (Some(true), Some(v)) => {
+                                prop_assert_eq!(args.get::<String>(key).unwrap().as_deref(), Some(v));
+                            }
+                            (Some(true), None) => {
+                                prop_assert_eq!(args.get::<String>(key).unwrap().as_ref(), tokens.next());
+                            }
+                            (Some(false), None) => prop_assert!(args.flag(key)),
+                            other => panic!("rds {name} {argv:?}: accepted --{key} as {other:?}"),
+                        }
+                    }
+                }
+                // Every error names a token of argv.
+                Err(e) => {
+                    let names = |key: &str| {
+                        argv.iter().any(|t| {
+                            t.strip_prefix("--").is_some_and(|t| {
+                                t == key || t.strip_prefix(key).is_some_and(|v| v.starts_with('='))
+                            })
+                        })
+                    };
+                    let named = match &e {
+                        ArgError::Unknown(k) | ArgError::MissingValue(k) | ArgError::Duplicate(k) => {
+                            names(k)
+                        }
+                        ArgError::Unexpected(t) => argv.contains(t),
+                        ArgError::BadValue { key, value } => argv.contains(&format!("--{key}={value}")),
+                        _ => false,
+                    };
+                    prop_assert!(named, "rds {name} {argv:?}: {e:?} names no token");
+                }
+            }
+            // The command's own flags, each once, always parse.
+            let mut keys: Vec<(&str, bool)> = Vec::new();
+            for d in declared(help) {
+                if !keys.iter().any(|k| k.0 == d.0) {
+                    keys.push(d);
+                }
+            }
+            let turn = pieces.len() % keys.len().max(1);
+            keys.rotate_left(turn);
+            let inline = pieces.first().is_some_and(|p| p.1 % 2 == 0);
+            let valid: Vec<String> = keys
+                .iter()
+                .flat_map(|&(key, valued)| match (valued, inline) {
+                    (true, true) => vec![format!("--{key}=4")],
+                    (true, false) => vec![format!("--{key}"), "4".to_string()],
+                    (false, _) => vec![format!("--{key}")],
+                })
+                .collect();
+            let args = Args::parse(help, &valid)
+                .unwrap_or_else(|e| panic!("rds {name} {valid:?}: {e}"));
+            for (key, valued) in keys {
+                if valued {
+                    prop_assert_eq!(args.get::<String>(key).unwrap().as_deref(), Some("4"));
+                } else {
+                    prop_assert!(args.flag(key));
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Library behind the `rds` command-line tool.
 //!
 //! Split from the binary so every command is unit-testable against an
-//! in-memory writer. See [`commands::USAGE`] for the interface.
+//! in-memory writer. Each command accepts exactly the flags its help text
+//! lists (`rds help`); any other flag or token is an [`ArgError`], which
+//! the binary reports with exit code 2 before any work.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -10,4 +12,4 @@ pub mod args;
 pub mod commands;
 
 pub use args::{ArgError, Args};
-pub use commands::{run, USAGE};
+pub use commands::run;
