@@ -41,9 +41,9 @@ pub enum ArgError {
     },
     /// A spec (`--model`, `--speeds`, `--topology`, `--ks`, or `rds
     /// serve`'s arrival process and `--trace-file`) that breaks its
-    /// grammar or names a parameter outside its domain; also an `rds
-    /// serve` configuration its flags put outside its domain, and a
-    /// `--min-survival` outside `[0, 1]`.
+    /// grammar or names a parameter outside its domain; also an unknown
+    /// `--strategy` or `--mutate`, an `rds serve` configuration its flags
+    /// put outside its domain, and a `--min-survival` outside `[0, 1]`.
     BadSpec {
         /// The option name, or `serve` for a configuration check that
         /// spans several flags.

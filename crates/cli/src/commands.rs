@@ -220,35 +220,31 @@ fn obs_finish(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     Ok(())
 }
 
-fn build_strategy(args: &Args) -> Result<Box<dyn Strategy>, CmdError> {
+/// The `--strategy` (default `no-restriction`) for `m` machines.
+fn build_strategy(args: &Args, m: usize) -> Result<Box<dyn Strategy>, CmdError> {
     let name: String = args.get_or("strategy", "no-restriction".to_string())?;
     Ok(match name.as_str() {
         "no-choice" => Box::new(LptNoChoice),
         "no-restriction" => Box::new(LptNoRestriction),
         "group" => {
-            let k: usize = args.require("k")?;
+            let k = checked("k", args.require("k")?, |k| (1..=m).contains(k))?;
             Box::new(LsGroup::new_relaxed(k))
         }
-        other => return Err(format!("unknown strategy {other:?}").into()),
+        other => return Err(bad_spec("strategy", format!("unknown strategy {other:?}")).into()),
     })
 }
 
 fn build_instance(args: &Args) -> Result<(Instance, Uncertainty), CmdError> {
-    let m: usize = args.require("m")?;
-    let alpha: f64 = args.require("alpha")?;
-    let unc = Uncertainty::new(alpha)?;
-    let inst = match args.floats("estimates")? {
-        Some(est) => Instance::from_estimates(&est, m)?,
+    let (m, n, alpha) = shape(args, 1, 4, None)?;
+    let est = match args.floats("estimates")? {
+        Some(est) => est,
         None => {
             // Synthesize when not given explicitly.
-            let n: usize = args.get_or("n", 4 * m)?;
-            let seed: u64 = args.get_or("seed", 42u64)?;
-            let mut r = rng::rng(seed);
-            let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
-            Instance::from_estimates(&est, m)?
+            let mut r = rng::rng(args.get_or("seed", 42u64)?);
+            EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r)
         }
     };
-    Ok((inst, unc))
+    Ok((Instance::from_estimates(&est, m)?, Uncertainty::new(alpha)?))
 }
 
 fn build_realization(
@@ -276,6 +272,42 @@ fn bad_spec(key: &str, reason: String) -> ArgError {
         key: key.to_string(),
         reason,
     }
+}
+
+/// `value`, read from `--{key}`, when `ok` holds for it; else a usage
+/// error.
+fn checked<T: ToString>(key: &str, value: T, ok: impl FnOnce(&T) -> bool) -> Result<T, ArgError> {
+    if ok(&value) {
+        Ok(value)
+    } else {
+        Err(bad_value(key, value))
+    }
+}
+
+/// Reads `--alpha`, required unless `default` gives it: an uncertainty
+/// factor is finite and at least 1.
+fn read_alpha(args: &Args, default: Option<f64>) -> Result<f64, ArgError> {
+    let alpha = match default {
+        Some(alpha) => args.get_or("alpha", alpha)?,
+        None => args.require("alpha")?,
+    };
+    checked("alpha", alpha, |a| a.is_finite() && *a >= 1.0)
+}
+
+/// Reads the `(m, n, alpha)` of an instance of the paper's model,
+/// rejecting values outside their domain as usage errors before any
+/// work: fewer than `min_m` machines, zero tasks, or an `alpha` below 1
+/// or not finite. `n` defaults to `n_per_m · m`, and `alpha` is required
+/// unless `default_alpha` gives it.
+fn shape(
+    args: &Args,
+    min_m: usize,
+    n_per_m: usize,
+    default_alpha: Option<f64>,
+) -> Result<(usize, usize, f64), ArgError> {
+    let m = checked("m", args.require("m")?, |&m| m >= min_m)?;
+    let n = checked("n", args.get_or("n", n_per_m * m)?, |&n| n > 0)?;
+    Ok((m, n, read_alpha(args, default_alpha)?))
 }
 
 /// Reads the UTF-8 text file named by option `--{key}`. A file that
@@ -316,16 +348,10 @@ fn realization_model(args: &Args) -> Result<(String, RealizationModel), ArgError
 
 /// `rds bounds`: the guarantee table for given `α`, `m` (and optional `k`).
 pub fn cmd_bounds(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
-    let alpha: f64 = args.require("alpha")?;
-    let m: usize = args.require("m")?;
-    let k: Option<usize> = args.get("k")?;
     // The bounds assert their domain; a flag outside it is a usage error.
-    if !(alpha.is_finite() && alpha >= 1.0) {
-        return Err(bad_value("alpha", alpha).into());
-    }
-    if m == 0 {
-        return Err(bad_value("m", m).into());
-    }
+    let alpha = read_alpha(args, None)?;
+    let m: usize = checked("m", args.require("m")?, |&m| m > 0)?;
+    let k: Option<usize> = args.get("k")?;
     if let Some(k) = k.filter(|&k| k == 0 || k > m) {
         return Err(bad_value("k", k).into());
     }
@@ -360,7 +386,7 @@ pub fn cmd_bounds(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// `rds plan`: phase 1 only — show the placement.
 pub fn cmd_plan(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let (inst, unc) = build_instance(args)?;
-    let strategy = build_strategy(args)?;
+    let strategy = build_strategy(args, inst.m())?;
     let placement = strategy.place(&inst, unc)?;
     writeln!(
         out,
@@ -392,7 +418,7 @@ pub fn cmd_plan(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// `rds simulate`: both phases under a sampled realization.
 pub fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     let (inst, unc) = build_instance(args)?;
-    let strategy = build_strategy(args)?;
+    let strategy = build_strategy(args, inst.m())?;
     let real = build_realization(args, &inst, unc)?;
     let outcome = strategy.run(&inst, unc, &real)?;
     let opt = OptimalSolver::default().solve_realization(&real, inst.m());
@@ -441,10 +467,8 @@ pub fn cmd_envelope(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 /// `rds memory`: bi-objective SABO/ABO sweep on a synthesized workload.
 pub fn cmd_memory(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_algs::memory::{abo::Abo, sabo::Sabo, MemoryStrategy};
-    let m: usize = args.require("m")?;
-    let alpha: f64 = args.require("alpha")?;
+    let (m, n, alpha) = shape(args, 1, 5, None)?;
     let unc = Uncertainty::new(alpha)?;
-    let n: usize = args.get_or("n", 5 * m)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let mut r = rng::rng(seed);
     use rand::Rng as _;
@@ -539,35 +563,6 @@ fn campaign_config(
     Ok(config)
 }
 
-/// Reads the `(m, n, alpha, reps)` of a `sweep` or `resilience`
-/// campaign over the standard suite, rejecting values outside their
-/// domain as usage errors before any work: the suite's Chained(k = 3)
-/// needs three machines, and a campaign of zero tasks or zero reps
-/// measures nothing. `n` defaults to `8 m`, `alpha` to 1.5 and `reps`
-/// to `default_reps`.
-fn campaign_shape(
-    args: &Args,
-    default_reps: usize,
-) -> Result<(usize, usize, f64, usize), ArgError> {
-    let m: usize = args.require("m")?;
-    if m < 3 {
-        return Err(bad_value("m", m));
-    }
-    let n: usize = args.get_or("n", 8 * m)?;
-    if n == 0 {
-        return Err(bad_value("n", n));
-    }
-    let alpha: f64 = args.get_or("alpha", 1.5)?;
-    if !(alpha.is_finite() && alpha >= 1.0) {
-        return Err(bad_value("alpha", alpha));
-    }
-    let reps: usize = args.get_or("reps", default_reps)?;
-    if reps == 0 {
-        return Err(bad_value("reps", reps));
-    }
-    Ok((m, n, alpha, reps))
-}
-
 /// Writes the poison list and journal summary shared by the journaled
 /// commands.
 fn report_campaign_health(
@@ -608,28 +603,25 @@ fn report_campaign_health(
 pub fn cmd_resilience(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_sim::Speculation;
     use rds_workloads::FaultModel;
-    let (m, n, alpha, reps) = campaign_shape(args, 10)?;
+    // The standard suite's Chained(k = 3) needs three machines, and a
+    // campaign of zero reps measures nothing.
+    let (m, n, alpha) = shape(args, 3, 8, Some(1.5))?;
+    let reps: usize = checked("reps", args.get_or("reps", 10)?, |&r| r > 0)?;
     let unc = Uncertainty::new(alpha)?;
-    let mtbf: f64 = args.require("mtbf")?;
     // `--mtbf 0` is the zero-fault campaign.
-    if !(mtbf.is_finite() && mtbf >= 0.0) {
-        return Err(bad_value("mtbf", mtbf).into());
-    }
+    let mtbf: f64 = args.require("mtbf")?;
+    let mtbf = checked("mtbf", mtbf, |t| t.is_finite() && *t >= 0.0)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
-    let beta: f64 = args.get_or("beta", 1.5)?;
     // Speculation's patience must be positive and finite; reject any
     // other value here as a usage error instead of panicking later.
-    if !(beta > 0.0 && beta.is_finite()) {
-        return Err(bad_value("beta", beta).into());
-    }
+    let beta: f64 = args.get_or("beta", 1.5)?;
+    let beta = checked("beta", beta, |b| *b > 0.0 && b.is_finite())?;
     let min_survival: Option<f64> = args.get("min-survival")?;
     if min_survival.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
         return Err(bad_spec("min-survival", "--min-survival must be in [0, 1]".into()).into());
     }
     let stragglers: f64 = args.get_or("stragglers", 0.0)?;
-    if !(0.0..=1.0).contains(&stragglers) {
-        return Err(bad_value("stragglers", stragglers).into());
-    }
+    let stragglers = checked("stragglers", stragglers, |p| (0.0..=1.0).contains(p))?;
 
     let mut r = rng::rng(seed);
     let est = EstimateDistribution::Uniform { lo: 1.0, hi: 10.0 }.sample_n(n, &mut r);
@@ -815,17 +807,16 @@ pub fn cmd_reliability(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
     use rds_report::plot::{Chart, Series};
     use rds_workloads::HeterogeneousFaultModel;
 
-    let m: usize = args.require("m")?;
-    let n: usize = args.get_or("n", 3 * m)?;
-    let alpha: f64 = args.get_or("alpha", 1.5)?;
+    let (m, n, alpha) = shape(args, 1, 3, Some(1.5))?;
     let unc = Uncertainty::new(alpha)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let zones: usize = args.get_or("zones", 3usize.min(m))?;
-    let reps: usize = args.get_or("reps", 30)?;
-    let targets = match args.floats("targets")? {
-        Some(t) => t,
-        None => vec![0.9, 0.97, 0.995],
-    };
+    let zones = checked("zones", zones, |z| (1..=m).contains(z))?;
+    let reps: usize = checked("reps", args.get_or("reps", 30)?, |&r| r > 0)?;
+    let targets = args.floats("targets")?.unwrap_or(vec![0.9, 0.97, 0.995]);
+    if let Some(&p) = targets.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+        return Err(bad_value("targets", p).into());
+    }
     let ks = parse_ks(args, m, 3)?;
 
     // Seeded heterogeneous cluster: per-machine MTBFs spread over an
@@ -1048,12 +1039,12 @@ pub fn cmd_frontier(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_policies::{budget_grid, pareto_sweep_hetero};
     use rds_report::plot::{Chart, Series};
 
-    let m: usize = args.require("m")?;
-    let n: usize = args.get_or("n", 3 * m)?;
-    let alpha: f64 = args.get_or("alpha", 1.5)?;
+    let (m, n, alpha) = shape(args, 1, 3, Some(1.5))?;
     let unc = Uncertainty::new(alpha)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
+    // The grid runs from the lowest budget to the highest: two at least.
     let steps: usize = args.get_or("budget-steps", 5usize)?;
+    let steps = checked("budget-steps", steps, |&s| s >= 2)?;
     let ks = parse_ks(args, m, 2)?;
 
     // Seeded sized instance: sizes drawn independently of the times, so
@@ -1168,7 +1159,9 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_policies::{CellOrder, SweepRep};
     use std::sync::Arc;
 
-    let (m, n, alpha, reps) = campaign_shape(args, 20)?;
+    // As in `rds resilience`: three machines and one rep at least.
+    let (m, n, alpha) = shape(args, 3, 8, Some(1.5))?;
+    let reps: usize = checked("reps", args.get_or("reps", 20)?, |&r| r > 0)?;
     let unc = Uncertainty::new(alpha)?;
     let seed: u64 = args.get_or("seed", 42u64)?;
     let (model_name, model) = realization_model(args)?;
@@ -1307,6 +1300,7 @@ pub fn cmd_sweep(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
 pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError> {
     use rds_conformance::{Counterexample, Mutation};
     use std::path::PathBuf;
+    use std::time::Duration;
 
     if let Some(path) = args.get::<String>("replay")? {
         let text = read_text("replay", &path, |e| {
@@ -1361,18 +1355,25 @@ pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
 
     let mutation_name: String = args.get_or("mutate", "none".to_string())?;
     let mutation = Mutation::parse(&mutation_name).ok_or_else(|| {
-        format!(
-            "unknown mutation {mutation_name:?}; try \
-             none|drop-replica|ignore-reliability|ignore-memory-budget\
-             |ignore-speeds|ignore-transfer-cost"
+        bad_spec(
+            "mutate",
+            format!(
+                "unknown mutation {mutation_name:?}; try \
+                 none|drop-replica|ignore-reliability|ignore-memory-budget\
+                 |ignore-speeds|ignore-transfer-cost"
+            ),
         )
     })?;
+    // A budget that no `Duration` holds panics, and a zero budget, case
+    // count or case size runs nothing.
+    let seconds: Option<f64> = args.get("seconds")?;
+    let budget = |s: &f64| Duration::try_from_secs_f64(*s).is_ok_and(|d| !d.is_zero());
     let config = rds_conformance::ConformanceConfig {
         seed: args.get_or("seed", 42u64)?,
-        cases: args.get_or("cases", 200u64)?,
-        seconds: args.get::<f64>("seconds")?,
-        max_n: args.get_or("max-n", 12usize)?,
-        max_m: args.get_or("max-m", 8usize)?,
+        cases: checked("cases", args.get_or("cases", 200u64)?, |&c| c > 0)?,
+        seconds: seconds.map(|s| checked("seconds", s, budget)).transpose()?,
+        max_n: checked("max-n", args.get_or("max-n", 12usize)?, |&n| n > 0)?,
+        max_m: checked("max-m", args.get_or("max-m", 8usize)?, |&m| m > 0)?,
         mutation,
         artifact_dir: args.get::<String>("artifacts")?.map(PathBuf::from),
         journal: args.get::<String>("journal")?.map(PathBuf::from),
@@ -1495,8 +1496,10 @@ fn serve_config(args: &Args) -> Result<rds_serve::ServeConfig, CmdError> {
         .validate()
         .map_err(|e| bad_spec("arrivals", e.to_string()))?;
 
-    if let (Some(lo), Some(hi)) = (args.get("est-lo")?, args.get("est-hi")?) {
-        cfg.estimates = EstimateDistribution::Uniform { lo, hi };
+    match (args.get("est-lo")?, args.get("est-hi")?) {
+        (Some(lo), Some(hi)) => cfg.estimates = EstimateDistribution::Uniform { lo, hi },
+        (None, None) => {}
+        _ => return Err(bad_spec("serve", "--est-lo and --est-hi go together".into()).into()),
     }
     // A custom cap rescales the default watermarks before explicit
     // overrides apply, so `--queue-cap 64` alone stays well-formed.
@@ -3138,6 +3141,110 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn values_that_would_run_nothing_or_panic_are_usage_errors() {
+        let lone = bad_spec("serve", "--est-lo and --est-hi go together".into());
+        let cases = [
+            ("conformance --seconds -1", bad_value("seconds", "-1")),
+            ("conformance --seconds nan", bad_value("seconds", "NaN")),
+            ("conformance --seconds inf", bad_value("seconds", "inf")),
+            (
+                "conformance --seconds 1e20",
+                bad_value("seconds", "100000000000000000000"),
+            ),
+            ("conformance --seconds 0", bad_value("seconds", "0")),
+            ("conformance --cases 0", bad_value("cases", "0")),
+            ("conformance --max-n 0", bad_value("max-n", "0")),
+            ("conformance --max-m 0", bad_value("max-m", "0")),
+            ("reliability --m 3 --reps 0", bad_value("reps", "0")),
+            (
+                "frontier --m 3 --budget-steps 0",
+                bad_value("budget-steps", "0"),
+            ),
+            (
+                "frontier --m 3 --budget-steps 1",
+                bad_value("budget-steps", "1"),
+            ),
+            ("serve --m 2 --tasks 5 --est-lo 2", lone.clone()),
+            ("serve --m 2 --tasks 5 --est-hi 9", lone),
+        ];
+        for (line, want) in &cases {
+            fails_before_output(line, &[], want);
+        }
+        // Both bounds together still run.
+        run_to_string(&[
+            "serve", "--m", "2", "--tasks", "5", "--est-lo", "2", "--est-hi", "9",
+        ])
+        .unwrap();
+    }
+
+    #[test]
+    fn model_flags_outside_their_domain_are_usage_errors_on_every_command() {
+        let shapes = [
+            ("--m 0 --alpha 1.5", bad_value("m", "0")),
+            ("--m 3 --n 0 --alpha 1.5", bad_value("n", "0")),
+            ("--m 3 --alpha 0.5", bad_value("alpha", "0.5")),
+            ("--m 3 --alpha nan", bad_value("alpha", "NaN")),
+            ("--m 3 --alpha inf", bad_value("alpha", "inf")),
+        ];
+        for command in [
+            "plan",
+            "simulate",
+            "envelope",
+            "memory",
+            "frontier",
+            "reliability",
+        ] {
+            for (flags, want) in &shapes {
+                fails_before_output(&format!("{command} {flags}"), &[], want);
+            }
+        }
+        let cases = [
+            ("reliability --m 3 --zones 0", bad_value("zones", "0")),
+            ("reliability --m 3 --zones 4", bad_value("zones", "4")),
+            (
+                "reliability --m 3 --targets 0.9,1.5",
+                bad_value("targets", "1.5"),
+            ),
+            (
+                "reliability --m 3 --targets -0.1",
+                bad_value("targets", "-0.1"),
+            ),
+            (
+                "plan --strategy group --m 3 --alpha 1.5 --k 0",
+                bad_value("k", "0"),
+            ),
+            (
+                "plan --strategy group --m 3 --alpha 1.5 --k 4",
+                bad_value("k", "4"),
+            ),
+            (
+                "simulate --strategy group --m 3 --alpha 1.5 --k 0",
+                bad_value("k", "0"),
+            ),
+            (
+                "simulate --strategy group --m 3 --alpha 1.5 --k 4",
+                bad_value("k", "4"),
+            ),
+            (
+                "plan --strategy nope --m 3 --alpha 1.5",
+                bad_spec("strategy", "unknown strategy \"nope\"".into()),
+            ),
+            (
+                "conformance --mutate nope",
+                bad_spec(
+                    "mutate",
+                    "unknown mutation \"nope\"; try none|drop-replica|ignore-reliability\
+                     |ignore-memory-budget|ignore-speeds|ignore-transfer-cost"
+                        .into(),
+                ),
+            ),
+        ];
+        for (line, want) in &cases {
+            fails_before_output(line, &[], want);
+        }
     }
 
     #[test]
