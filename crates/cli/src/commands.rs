@@ -3112,7 +3112,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (metrics, journal) = (dir.join("metrics.json"), dir.join("run.journal"));
         for line in commands {
-            let help = COMMANDS.iter().find(|c| line.starts_with(c.0)).unwrap().2;
+            let name = line.split(' ').next();
+            let help = COMMANDS.iter().find(|c| Some(c.0) == name).unwrap().2;
             let declares = |flag: &str| declared(help).any(|(f, _)| f == flag);
             let (foreign, valued) = COMMANDS
                 .iter()
@@ -3312,14 +3313,12 @@ mod tests {
                     }
                 }
                 3 => argv.push(format!("--{key}={value}")),
-                4 => argv.push(
-                    word.iter()
-                        .map(|&c| if c < 26 { char::from(b'a' + c) } else { '-' })
-                        .fold(String::from("--"), |mut w, c| {
-                            w.push(c);
-                            w
-                        }),
-                ),
+                4 => {
+                    let word = word
+                        .iter()
+                        .map(|&c| if c < 26 { char::from(b'a' + c) } else { '-' });
+                    argv.push(format!("--{}", word.collect::<String>()));
+                }
                 5 => argv.push(STRAY[a % STRAY.len()].to_string()),
                 6 => argv.push("--".to_string()),
                 7 => argv.push(format!(
