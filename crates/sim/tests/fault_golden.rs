@@ -17,6 +17,12 @@
 //! constants are the engine's reference behavior; they must not be
 //! re-recorded to absorb a change that was meant to be
 //! behavior-preserving.
+//!
+//! Each grid and large case is pinned twice: by its full digest, and by
+//! the same digest with the `Starved` trace events and the trace length
+//! left out. The second pin holds a change that only alters which idle
+//! machines are offered work again, and so how many refusals get traced,
+//! to everything else the report carries.
 
 use rds_core::{
     Instance, MachineId, MachineMask, MachineSet, Placement, Realization, TaskId, Time, Uncertainty,
@@ -24,7 +30,7 @@ use rds_core::{
 use rds_sim::faults::{
     FaultEvent, FaultScript, Outcome, ResilienceEngine, ResilienceReport, Speculation,
 };
-use rds_sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher, SimArena};
+use rds_sim::{Dispatcher, OrderedDispatcher, PinnedDispatcher, SimArena, TraceEvent};
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -55,6 +61,15 @@ impl Fnv {
 
 /// Digest of everything a report carries, floats by bit pattern.
 fn digest(rep: &ResilienceReport) -> u64 {
+    digest_of(rep, true)
+}
+
+/// [`digest`] with the `Starved` events and the trace length left out.
+fn digest_without_starved(rep: &ResilienceReport) -> u64 {
+    digest_of(rep, false)
+}
+
+fn digest_of(rep: &ResilienceReport, starved: bool) -> u64 {
     let mut h = Fnv::new();
     match &rep.outcome {
         Outcome::Completed => h.word(0),
@@ -76,9 +91,13 @@ fn digest(rep: &ResilienceReport) -> u64 {
     }
     // `{:?}` prints each f64 in its shortest round-trip form, so the
     // text pins every timestamp and speed bit-exactly.
-    h.word(rep.trace.len() as u64);
+    if starved {
+        h.word(rep.trace.len() as u64);
+    }
     for ev in rep.trace.iter() {
-        h.bytes(&format!("{ev:?}"));
+        if starved || !matches!(ev, TraceEvent::Starved { .. }) {
+            h.bytes(&format!("{ev:?}"));
+        }
     }
     let m = &rep.metrics;
     for count in [
@@ -284,7 +303,7 @@ fn run(
 
 /// Digests of the seeded grid, in `seed → shape → dispatcher →
 /// speculation` order.
-fn grid_digests() -> Vec<u64> {
+fn grid_digests(digest: fn(&ResilienceReport) -> u64) -> Vec<u64> {
     let unc = Uncertainty::of(2.0);
     let mut out = Vec::new();
     for seed in [3u64, 11, 29] {
@@ -468,12 +487,11 @@ const GRID: [u64; 135] = [
     0x01d1f789f85db7fd,
 ];
 
-#[test]
-fn seeded_grid_reports_are_bit_identical() {
-    let got = grid_digests();
-    assert_eq!(got.len(), GRID.len());
+/// Fails naming every grid case whose digest differs from its pin.
+fn assert_grid(got: &[u64], pins: &[u64]) {
+    assert_eq!(got.len(), pins.len());
     let mut bad = Vec::new();
-    for (i, (g, want)) in got.iter().zip(GRID.iter()).enumerate() {
+    for (i, (g, want)) in got.iter().zip(pins.iter()).enumerate() {
         if g != want {
             bad.push(i);
         }
@@ -482,6 +500,154 @@ fn seeded_grid_reports_are_bit_identical() {
         bad.is_empty(),
         "cases {bad:?} changed; digests now {got:#x?}"
     );
+}
+
+#[test]
+fn seeded_grid_reports_are_bit_identical() {
+    assert_grid(&grid_digests(digest), &GRID);
+}
+
+const GRID_WITHOUT_STARVED: [u64; 135] = [
+    0x41bbb3e37a4e471a,
+    0x41bbb3e37a4e471a,
+    0x41bbb3e37a4e471a,
+    0x41bbb3e37a4e471a,
+    0x41bbb3e37a4e471a,
+    0x41bbb3e37a4e471a,
+    0xee196ee1f8f3f5e5,
+    0xee196ee1f8f3f5e5,
+    0xee196ee1f8f3f5e5,
+    0x5effa38bf8bcd875,
+    0xca45384d87440742,
+    0xca45384d87440742,
+    0x5effa38bf8bcd875,
+    0xca45384d87440742,
+    0xca45384d87440742,
+    0x199eb6eddceb9a49,
+    0x26d160eb40c387b7,
+    0x3844e4860a201694,
+    0xc7f443bb7ea3b3b5,
+    0xc7f443bb7ea3b3b5,
+    0xc7f443bb7ea3b3b5,
+    0xc7f443bb7ea3b3b5,
+    0xc7f443bb7ea3b3b5,
+    0xc7f443bb7ea3b3b5,
+    0x5a8494fbd2a00720,
+    0x38b481316efba20d,
+    0xa8d1368e433adebf,
+    0xd7c1d12830078b8a,
+    0xef6a5bfde620f0ee,
+    0x5f07488de682eb58,
+    0xd7c1d12830078b8a,
+    0xef6a5bfde620f0ee,
+    0x5f07488de682eb58,
+    0x4f1d15049262b267,
+    0xb3876cb3c88ae784,
+    0x166d6f8037d450bd,
+    0x81bc2087322d9c84,
+    0x1a7ad0d2781f2d61,
+    0x9ace33973967d1b2,
+    0x81bc2087322d9c84,
+    0x1a7ad0d2781f2d61,
+    0x9ace33973967d1b2,
+    0xef79fc67ab66f714,
+    0x142745ec64d5dd65,
+    0x9b3a634e919e256,
+    0xf5ae3d5c9dec0719,
+    0xf5ae3d5c9dec0719,
+    0xf5ae3d5c9dec0719,
+    0xf5ae3d5c9dec0719,
+    0xf5ae3d5c9dec0719,
+    0xf5ae3d5c9dec0719,
+    0xf44ad3106ecdbd9a,
+    0xf44ad3106ecdbd9a,
+    0xf44ad3106ecdbd9a,
+    0x9e8ee01e9205ffa8,
+    0x9e8ee01e9205ffa8,
+    0x9e8ee01e9205ffa8,
+    0x9e8ee01e9205ffa8,
+    0x9e8ee01e9205ffa8,
+    0x9e8ee01e9205ffa8,
+    0xb52711d1d9a42622,
+    0xb52711d1d9a42622,
+    0xb52711d1d9a42622,
+    0xe4ef07b655671ee5,
+    0xe4ef07b655671ee5,
+    0xe4ef07b655671ee5,
+    0xe4ef07b655671ee5,
+    0xe4ef07b655671ee5,
+    0xe4ef07b655671ee5,
+    0x77c155f859fdc749,
+    0x77c155f859fdc749,
+    0x77c155f859fdc749,
+    0x19c47c8f8b73bc8d,
+    0x19c47c8f8b73bc8d,
+    0x19c47c8f8b73bc8d,
+    0x19c47c8f8b73bc8d,
+    0x19c47c8f8b73bc8d,
+    0x19c47c8f8b73bc8d,
+    0xb96ae826b848b680,
+    0xb96ae826b848b680,
+    0xb96ae826b848b680,
+    0x1ddb743be48119e3,
+    0xc0ffb3c55ccf7484,
+    0x6b7a101cc8d68c12,
+    0x1ddb743be48119e3,
+    0xc0ffb3c55ccf7484,
+    0x6b7a101cc8d68c12,
+    0x847c2162286c14e7,
+    0x75bf4639287f09b4,
+    0x14fc54e5bf1a4148,
+    0x5ba17bb16361cdb2,
+    0x5ba17bb16361cdb2,
+    0x5ba17bb16361cdb2,
+    0x5ba17bb16361cdb2,
+    0x5ba17bb16361cdb2,
+    0x5ba17bb16361cdb2,
+    0x537614aae0421333,
+    0x537614aae0421333,
+    0x537614aae0421333,
+    0xf0acb9e190585440,
+    0x2f3faa936e31fbb6,
+    0x2f3faa936e31fbb6,
+    0xf0acb9e190585440,
+    0x2f3faa936e31fbb6,
+    0x2f3faa936e31fbb6,
+    0x2cd0a7bda7975179,
+    0x8b639a7cb2b6840f,
+    0xd3527819db6b05a7,
+    0xeb83650511da35e3,
+    0xeb83650511da35e3,
+    0xeb83650511da35e3,
+    0xeb83650511da35e3,
+    0xeb83650511da35e3,
+    0xeb83650511da35e3,
+    0xe5992d760f17d2fe,
+    0x76f255c0348840d1,
+    0xe5992d760f17d2fe,
+    0x7504b615eb378e4b,
+    0x7504b615eb378e4b,
+    0x7504b615eb378e4b,
+    0x7504b615eb378e4b,
+    0x7504b615eb378e4b,
+    0x7504b615eb378e4b,
+    0x276ff36596982c5e,
+    0x782e186a76e13a9f,
+    0xe1f4f3efaf981d97,
+    0x9f51b6d8096af55b,
+    0x9f51b6d8096af55b,
+    0x9f51b6d8096af55b,
+    0x9f51b6d8096af55b,
+    0x9f51b6d8096af55b,
+    0x9f51b6d8096af55b,
+    0xd1cc0f17f99c18f6,
+    0xd1cc0f17f99c18f6,
+    0xd1cc0f17f99c18f6,
+];
+
+#[test]
+fn seeded_grid_reports_without_starved_events_are_bit_identical() {
+    assert_grid(&grid_digests(digest_without_starved), &GRID_WITHOUT_STARVED);
 }
 
 /// Hand-built tie cases on one and two machines, each pinned exactly.
@@ -544,7 +710,7 @@ fn hand_built_tie_cases_are_bit_identical() {
 /// The large case: n = 4096 tasks on m = 16 machines in span groups of
 /// four, an MTBF-style script over the whole run, speculation on. At
 /// this size the engine's automatic queue selection arms the calendar.
-fn large_digests() -> Vec<u64> {
+fn large_digests(digest: fn(&ResilienceReport) -> u64) -> Vec<u64> {
     let (n, m) = (4096usize, 16usize);
     let mut g = Lcg(0x5eed_f00d);
     let est: Vec<f64> = (0..n).map(|_| 1.0 + g.below(8) as f64).collect();
@@ -611,6 +777,14 @@ const LARGE: [u64; 2] = [0x59e8cb22c66740e8, 0x59e8cb22c66740e8];
 
 #[test]
 fn large_calendar_case_is_bit_identical() {
-    let got = large_digests();
+    let got = large_digests(digest);
     assert_eq!(got, LARGE, "digests now {got:#x?}");
+}
+
+const LARGE_WITHOUT_STARVED: [u64; 2] = [0xb3257158a8fdf067, 0xb3257158a8fdf067];
+
+#[test]
+fn large_calendar_case_without_starved_events_is_bit_identical() {
+    let got = large_digests(digest_without_starved);
+    assert_eq!(got, LARGE_WITHOUT_STARVED, "digests now {got:#x?}");
 }
