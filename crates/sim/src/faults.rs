@@ -797,10 +797,17 @@ impl<'a> FaultArm<'a> {
     /// attempt (fault events order before completion events).
     fn take_down<D: Dispatcher + ?Sized>(&mut self, time: Time, mi: usize, io: &mut LoopIo<'_, D>) {
         let st = &mut self.cols.machines[mi];
+        // Offered work at this instant (faults sort first, so only an
+        // offer can have woken an idle machine now), it never refuses:
+        // the next parked machine is offered in its place.
+        let offered = st.attempt.is_none() && st.due == Some(time);
         st.alive = false;
         st.parked = false;
         st.due = None;
         let lost = st.attempt.take();
+        if offered {
+            self.wake_lowest_parked(time, io);
+        }
         self.metrics.recovery_cost += self.recovery_costs.map_or(1.0, |c| c[mi]);
         io.trace.push(TraceEvent::Failure {
             time,
@@ -821,7 +828,7 @@ impl<'a> FaultArm<'a> {
                 io.pending[rec.slot as usize].mark_pending();
                 self.metrics.restarts += 1;
                 io.dispatcher.on_requeue(att.task, self.placement);
-                self.wake_parked(time, io);
+                self.offer(time, att.task, io);
             }
             _ => unreachable!("attempt for a non-running task"),
         }
@@ -917,8 +924,11 @@ impl<'a> FaultArm<'a> {
         if !siblings {
             return;
         }
-        // First finisher wins: cancel sibling attempts of the same task.
-        for w in 0..self.m() {
+        // First finisher wins: cancel sibling attempts of the same task,
+        // which run only where its data is.
+        let placement = self.placement;
+        for w in placement.set(att.task).iter(self.m()) {
+            let w = w.index();
             let st = &mut self.cols.machines[w];
             let Some(mut lost) = st.attempt.filter(|a| a.task == att.task) else {
                 continue;
@@ -1028,31 +1038,48 @@ impl<'a> FaultArm<'a> {
         }
         rec.spec_launched = true;
         // Prefer an immediately-idle host; otherwise queue the request
-        // and wake parked machines so one can claim it.
-        let host = (0..self.m()).find(|&w| {
-            let st = &self.cols.machines[w];
-            w != mi
-                && st.alive
-                && st.attempt.is_none()
-                && self.placement.allows(task, MachineId::new(w))
+        // and offer it to the parked machines that could claim it.
+        let host = self.placement.set(task).iter(self.m()).find(|&w| {
+            let st = &self.cols.machines[w.index()];
+            w.index() != mi && st.alive && st.attempt.is_none()
         });
         match host {
-            Some(w) => self.start_attempt(time, w, task, true, io),
+            Some(w) => self.start_attempt(time, w.index(), task, true, io),
             None => {
                 self.cols.spec_queue.push_back(task);
-                self.wake_parked(time, io);
+                self.offer(time, task, io);
             }
         }
     }
 
-    /// Wakes every parked living machine at `time` (new work appeared).
-    fn wake_parked<D: ?Sized>(&mut self, time: Time, io: &mut LoopIo<'_, D>) {
-        for w in 0..self.m() {
-            let st = &mut self.cols.machines[w];
+    /// Offers work again at `time` once `task` is pending again or has a
+    /// backup request queued: wakes the parked living machines of its
+    /// replica set `M_j`, the only ones that can take it, and the
+    /// lowest-numbered other parked living machine.
+    ///
+    /// That one extra machine cannot take the task, but its refusal
+    /// runs [`Self::pop_backup_for`], which drops backup requests whose
+    /// attempt was lost before their task is dispatched again. It
+    /// refuses where the first machine outside `M_j` refuses when every
+    /// parked machine is woken; the others would only refuse again
+    /// and trace it as `Starved`.
+    fn offer<D: ?Sized>(&mut self, time: Time, task: TaskId, io: &mut LoopIo<'_, D>) {
+        for w in self.placement.set(task).iter(self.m()) {
+            let st = &mut self.cols.machines[w.index()];
             if st.alive && st.parked {
                 st.parked = false;
-                self.wake(time, w, io);
+                self.wake(time, w.index(), io);
             }
+        }
+        self.wake_lowest_parked(time, io);
+    }
+
+    /// Wakes the lowest-numbered parked living machine at `time`, if any.
+    fn wake_lowest_parked<D: ?Sized>(&mut self, time: Time, io: &mut LoopIo<'_, D>) {
+        let machines = &mut self.cols.machines;
+        if let Some(w) = (0..machines.len()).find(|&w| machines[w].alive && machines[w].parked) {
+            machines[w].parked = false;
+            self.wake(time, w, io);
         }
     }
 
@@ -1111,7 +1138,7 @@ impl<'a> FaultArm<'a> {
 mod tests {
     use super::*;
     use crate::dispatcher::{OrderedDispatcher, PinnedDispatcher};
-    use rds_core::Uncertainty;
+    use rds_core::{MachineSet, Uncertainty};
 
     fn run_fifo(
         inst: &Instance,
@@ -1383,6 +1410,132 @@ mod tests {
         assert_eq!(rep.metrics.makespan, Time::of(1.0));
         rep.set_baseline(Time::of(4.0));
         assert_eq!(rep.metrics.degradation(), Some(0.25));
+    }
+
+    /// The trace events at exactly `time`.
+    fn events_at(rep: &ResilienceReport, time: f64) -> Vec<TraceEvent> {
+        rep.trace
+            .iter()
+            .filter(|e| e.time() == Time::of(time))
+            .collect()
+    }
+
+    #[test]
+    fn a_requeue_offers_work_to_the_parked_holders_and_one_other_machine() {
+        // t0 may run on machines 0..3 and starts on 0; t1 keeps 1 busy;
+        // 2 (a holder) and 3..6 (not) park at time zero. The crash at 1
+        // requeues t0: the parked holder 2 takes it, and of the parked
+        // machines outside the group only the lowest, 3, is offered work
+        // and refuses; 4 and 5 stay parked.
+        let inst = Instance::from_estimates(&[4.0, 4.0], 6).unwrap();
+        let sets = vec![
+            MachineSet::Span { start: 0, end: 3 },
+            MachineSet::One(MachineId::new(1)),
+        ];
+        let p = Placement::new(&inst, sets).unwrap();
+        let r = Realization::exact(&inst);
+        let script = FaultScript::new(vec![FaultEvent::Crash {
+            machine: MachineId::new(0),
+            at: Time::ONE,
+        }]);
+        let rep = run_fifo(&inst, &p, &r, &script, None);
+        assert!(rep.outcome.is_completed());
+        let parked_at_zero: Vec<TraceEvent> = (2..6)
+            .map(|w| TraceEvent::Starved {
+                time: Time::ZERO,
+                machine: MachineId::new(w),
+            })
+            .collect();
+        assert_eq!(events_at(&rep, 0.0)[2..], parked_at_zero[..]);
+        assert_eq!(
+            events_at(&rep, 1.0),
+            vec![
+                TraceEvent::Failure {
+                    time: Time::ONE,
+                    machine: MachineId::new(0),
+                },
+                TraceEvent::Start {
+                    time: Time::ONE,
+                    task: TaskId::new(0),
+                    machine: MachineId::new(2),
+                },
+                TraceEvent::Starved {
+                    time: Time::ONE,
+                    machine: MachineId::new(3),
+                },
+            ]
+        );
+        assert_eq!(rep.metrics.makespan, Time::of(5.0));
+    }
+
+    fn starved(time: f64, machine: usize) -> TraceEvent {
+        TraceEvent::Starved {
+            time: Time::of(time),
+            machine: MachineId::new(machine),
+        }
+    }
+
+    /// t0 (machines 0..3) straggles on machine 0; at its check (2.0)
+    /// holders 1 and 2 are busy until 5.0, so the backup request is
+    /// queued, and machine 0 crashes at 3.0, so the request lapses.
+    /// Machines 3 and 4 hold nothing and park at time zero; `faults`
+    /// adds to the script.
+    fn lapsed_request_run(faults: &[FaultEvent]) -> ResilienceReport {
+        let inst = Instance::from_estimates(&[2.0, 5.0, 5.0], 5).unwrap();
+        let sets = vec![
+            MachineSet::Span { start: 0, end: 3 },
+            MachineSet::One(MachineId::new(1)),
+            MachineSet::One(MachineId::new(2)),
+        ];
+        let p = Placement::new(&inst, sets).unwrap();
+        let r = Realization::exact(&inst);
+        let mut events = vec![
+            FaultEvent::Straggler {
+                task: TaskId::new(0),
+                factor: 4.0,
+            },
+            FaultEvent::Crash {
+                machine: MachineId::new(0),
+                at: Time::of(3.0),
+            },
+        ];
+        events.extend_from_slice(faults);
+        let spec = Speculation::new(1.0, Uncertainty::CERTAIN);
+        let rep = run_fifo(&inst, &p, &r, &FaultScript::new(events), Some(spec));
+        assert!(rep.outcome.is_completed());
+        // At 5.0 machine 1 runs t0 again, and machine 2 finds no backup
+        // to host: the lapsed request did not come back to life.
+        assert!(events_at(&rep, 5.0).contains(&TraceEvent::Start {
+            time: Time::of(5.0),
+            task: TaskId::new(0),
+            machine: MachineId::new(1),
+        }));
+        assert!(events_at(&rep, 5.0).contains(&starved(5.0, 2)));
+        assert_eq!(rep.metrics.speculative_started, 0);
+        assert_eq!(rep.metrics.makespan, Time::of(13.0));
+        rep
+    }
+
+    #[test]
+    fn a_lapsed_backup_request_is_dropped_before_its_task_runs_again() {
+        // The one machine outside the group offered work, 3, refuses
+        // both the queued request at 2.0 and the requeue at 3.0, which
+        // drops the lapsed request.
+        let rep = lapsed_request_run(&[]);
+        assert_eq!(events_at(&rep, 2.0), vec![starved(2.0, 3)]);
+        assert_eq!(events_at(&rep, 3.0)[1..], [starved(3.0, 3)]);
+    }
+
+    #[test]
+    fn an_offered_machine_that_fails_at_once_hands_its_offer_on() {
+        // Machine 3, offered the requeue at 3.0, crashes at that instant
+        // before it can refuse, so machine 4 is offered work instead and
+        // its refusal drops the lapsed request.
+        let rep = lapsed_request_run(&[FaultEvent::Crash {
+            machine: MachineId::new(3),
+            at: Time::of(3.0),
+        }]);
+        assert_eq!(events_at(&rep, 3.0)[2..], [starved(3.0, 4)]);
     }
 
     #[test]

@@ -350,42 +350,42 @@ fn grid_digests(digest: fn(&ResilienceReport) -> u64) -> Vec<u64> {
 }
 
 const GRID: [u64; 135] = [
-    0xf42346f3c1334d1e,
-    0xd2d325fba8214288,
-    0xa5bcec949998cc4e,
-    0xf42346f3c1334d1e,
-    0xd2d325fba8214288,
-    0xa5bcec949998cc4e,
-    0x9b05a86304be045f,
-    0x25c49b147130d197,
-    0x32415aaa178e20d8,
+    0xef408e1e936d9ec5,
+    0xcd53f8813f210e4f,
+    0x96ec147bb6172bee,
+    0xef408e1e936d9ec5,
+    0xcd53f8813f210e4f,
+    0x96ec147bb6172bee,
+    0x92477c7b0f661900,
+    0xe08a47e74b37e4d5,
+    0x5e2ca990d224a207,
     0x06696f774c1582c8,
     0x3d0dd61bf8d54662,
-    0xfd2127faf1283199,
+    0xe42619652d9c999e,
     0x06696f774c1582c8,
     0x3d0dd61bf8d54662,
-    0xfd2127faf1283199,
+    0xe42619652d9c999e,
     0x8326f138465a614b,
-    0x75cf4b4337ffc89f,
+    0x1e21efb9cad334a3,
     0x1535d6e2a0ae8d2f,
     0x6a004c21f17a6180,
-    0x064c7f2a17061cc1,
-    0x14dfd65e519a1ecf,
+    0xd71d20e9f9177ff2,
+    0x1b316e52c8e39b85,
     0x6a004c21f17a6180,
-    0x064c7f2a17061cc1,
-    0x14dfd65e519a1ecf,
+    0xd71d20e9f9177ff2,
+    0x1b316e52c8e39b85,
     0x6a89d45c021a0b50,
     0x306035482b45690a,
-    0x36ce9f7802939af1,
+    0xe06514f181725e99,
     0xcf86a7239fe05eaf,
-    0x929bc7056fa01312,
-    0xe7b90f817dc5927b,
+    0xb1aa0949f0d233f5,
+    0x30651562574cbc1c,
     0xcf86a7239fe05eaf,
-    0x929bc7056fa01312,
-    0xe7b90f817dc5927b,
-    0x45772698d6fde900,
-    0xa22f31c6552a16ae,
-    0xe4c4f4e43c4cddce,
+    0xb1aa0949f0d233f5,
+    0x30651562574cbc1c,
+    0x4f205b833ad178f8,
+    0xb02de824bbe7fa75,
+    0xb02409a49aa5e9c5,
     0xe8581890fd7c8cd9,
     0xf676ea72d85a88de,
     0x06adce5ebf79d73d,
@@ -773,7 +773,7 @@ fn large_digests(digest: fn(&ResilienceReport) -> u64) -> Vec<u64> {
     out
 }
 
-const LARGE: [u64; 2] = [0x59e8cb22c66740e8, 0x59e8cb22c66740e8];
+const LARGE: [u64; 2] = [0x7e1fbb04cebf4655, 0x7e1fbb04cebf4655];
 
 #[test]
 fn large_calendar_case_is_bit_identical() {
