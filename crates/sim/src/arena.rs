@@ -44,7 +44,7 @@ use crate::dispatcher::HotTask;
 use crate::engine::SimResult;
 use crate::event::{EventQueue, IdleEvent, QueueMode};
 use crate::faults::FaultColumns;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 use rds_core::{Schedule, Slot, Time};
 
 /// Scratch storage for one engine run, reusable across runs.
@@ -150,35 +150,12 @@ impl SimArena {
 
     /// Materializes the last run's executed slots per machine (each in
     /// execution order) from the trace: a `Start` event opens the slot,
-    /// the matching `Complete` closes it. This allocates; the hot loop
-    /// itself records nothing beyond the trace columns.
+    /// the machine's next `Complete` closes it. Each machine's list is
+    /// allocated at its exact length, counted from the trace's columns
+    /// first. This allocates; the hot loop itself records nothing beyond
+    /// the trace columns.
     pub fn per_machine_slots(&self) -> Vec<Vec<Slot>> {
-        let mut out: Vec<Vec<Slot>> = vec![Vec::new(); self.m];
-        // `(machine, position)` of each task's open slot, for end fixup.
-        let mut open: Vec<(u32, u32)> = vec![(u32::MAX, 0); self.pending.len()];
-        for ev in self.trace.iter() {
-            match ev {
-                TraceEvent::Start {
-                    time,
-                    task,
-                    machine,
-                } => {
-                    let mi = machine.index();
-                    open[task.index()] = (mi as u32, out[mi].len() as u32);
-                    out[mi].push(Slot {
-                        task,
-                        start: time,
-                        end: time,
-                    });
-                }
-                TraceEvent::Complete { time, task, .. } => {
-                    let (mi, si) = open[task.index()];
-                    out[mi as usize][si as usize].end = time;
-                }
-                _ => {}
-            }
-        }
-        out
+        self.trace.slots_per_machine(self.m)
     }
 
     /// Clones the last run's outputs into an owned [`SimResult`] —

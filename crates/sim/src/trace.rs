@@ -8,7 +8,7 @@
 //! on the fly via [`Trace::iter`] / [`Trace::get`] or materialize them
 //! with [`Trace::events`].
 
-use rds_core::{MachineId, TaskId, Time};
+use rds_core::{MachineId, Slot, TaskId, Time};
 
 /// One recorded simulation event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -296,6 +296,41 @@ impl Trace {
     /// one-byte kind column.
     pub fn starts(&self) -> usize {
         self.kinds.iter().filter(|&&k| k == Kind::Start).count()
+    }
+
+    /// The executed slots of a run in one event loop, per machine and in
+    /// execution order, each list allocated at its exact length: a
+    /// `Start` opens a slot on its machine, and the machine's next
+    /// `Complete` closes it, since a machine runs one task at a time.
+    /// Reads the columns directly, counting each machine's starts first.
+    pub(crate) fn slots_per_machine(&self, m: usize) -> Vec<Vec<Slot>> {
+        let mut counts = vec![0usize; m];
+        for (&kind, &mi) in self.kinds.iter().zip(&self.machines) {
+            if kind == Kind::Start {
+                counts[mi as usize] += 1;
+            }
+        }
+        let mut out: Vec<Vec<Slot>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            let slots = &mut out[self.machines[i] as usize];
+            let time = Time::of(self.times[i]);
+            match kind {
+                Kind::Start => slots.push(Slot {
+                    task: TaskId::new(self.tasks[i] as usize),
+                    start: time,
+                    end: time,
+                }),
+                Kind::Complete => {
+                    let open = slots
+                        .last_mut()
+                        .expect("a completion closes a started slot");
+                    debug_assert_eq!(open.task.index(), self.tasks[i] as usize);
+                    open.end = time;
+                }
+                _ => {}
+            }
+        }
+        out
     }
 
     /// Total idle time across machines before the makespan: for each

@@ -25,7 +25,7 @@
 //! structural checks (placement, overlap, duplicates) hold always.
 
 use rds_core::{
-    memory, Error, Instance, Placement, Realization, Result, Schedule, Size, Uncertainty,
+    memory, Error, Instance, Placement, Realization, Result, Schedule, Size, Slot, Uncertainty,
 };
 use std::fmt;
 
@@ -296,18 +296,23 @@ pub fn validate_schedule(
     }
 
     let mut completions = vec![0usize; n];
+    let mut sorted = Vec::new();
     for (mi, slots) in per_machine.iter().enumerate() {
-        // Check consecutive pairs in start order without assuming the
-        // engine appended chronologically.
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_by(|&a, &b| {
-            slots[a]
-                .start
-                .cmp(&slots[b].start)
-                .then(slots[a].end.cmp(&slots[b].end))
-        });
-        for w in order.windows(2) {
-            let (prev, next) = (&slots[w[0]], &slots[w[1]]);
+        // Check consecutive pairs in `(start, end)` order without
+        // assuming the engine appended chronologically. The engines do,
+        // so the lists are read as they are; any other is stable-sorted
+        // in a copy, which keeps equal slots in list order.
+        let by_start = |a: &Slot, b: &Slot| a.start.cmp(&b.start).then(a.end.cmp(&b.end));
+        let in_order = if slots.windows(2).all(|w| by_start(&w[0], &w[1]).is_le()) {
+            &slots[..]
+        } else {
+            sorted.clear();
+            sorted.extend_from_slice(slots);
+            sorted.sort_by(by_start);
+            &sorted[..]
+        };
+        for w in in_order.windows(2) {
+            let (prev, next) = (&w[0], &w[1]);
             if next.start < prev.end {
                 out.push(Violation::Overlap {
                     machine: mi,
