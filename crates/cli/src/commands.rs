@@ -81,7 +81,9 @@ const COMMANDS: &[(&str, Body, &str)] = &[
             stream, checking exact-solver brackets, proven guarantees,
             and metamorphic invariants; failures shrink to minimal
             replayable counterexamples
-            [--cases <u64>] [--seconds <f64>] [--seed <u64>]
+            [--cases <u64>] [--seed <u64>]
+            [--seconds <f64>]  a time budget: once spent, no further
+                               case starts, but one always runs
             [--max-n <usize>] [--max-m <usize>]
             [--mutate <none|drop-replica|ignore-reliability|
                        ignore-memory-budget|ignore-speeds|

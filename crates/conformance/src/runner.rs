@@ -27,7 +27,8 @@ pub struct ConformanceConfig {
     pub seed: u64,
     /// Number of cases to generate.
     pub cases: u64,
-    /// Optional wall-clock budget; the sweep stops early when exceeded.
+    /// Optional wall-clock budget; once it is spent, the sweep stops
+    /// before its next case, but only after running at least one.
     pub seconds: Option<f64>,
     /// Maximum tasks per generated case.
     pub max_n: usize,
@@ -185,7 +186,9 @@ pub fn run(config: &ConformanceConfig) -> Result<ConformanceReport> {
 
     let deadline = config.seconds.map(Duration::from_secs_f64);
     for index in 0..config.cases {
-        if deadline.is_some_and(|d| started.elapsed() >= d) {
+        // A budget too short for any case still runs one, so a sweep
+        // that passes has checked something.
+        if report.cases_run > 0 && deadline.is_some_and(|d| started.elapsed() >= d) {
             break;
         }
         if skip.contains(&index) {
@@ -341,6 +344,18 @@ mod tests {
             report.counterexamples
         );
         assert!(report.checks_run > 200);
+    }
+
+    #[test]
+    fn a_spent_time_budget_still_runs_one_case() {
+        let config = ConformanceConfig {
+            cases: 50,
+            seconds: Some(1e-9),
+            ..ConformanceConfig::default()
+        };
+        let report = run(&config).unwrap();
+        assert_eq!(report.cases_run, 1);
+        assert!(report.checks_run > 0);
     }
 
     #[test]
