@@ -298,17 +298,28 @@ fn read_alpha(args: &Args, default: Option<f64>) -> Result<f64, ArgError> {
 
 /// Reads the `(m, n, alpha)` of an instance of the paper's model,
 /// rejecting values outside their domain as usage errors before any
-/// work: fewer than `min_m` machines, zero tasks, or an `alpha` below 1
-/// or not finite. `n` defaults to `n_per_m · m`, and `alpha` is required
+/// work: fewer than `min_m` machines, zero tasks, more machines or tasks
+/// than the engine's `u32` ids number ([`EventQueue::MAX_IDS`]), or an
+/// `alpha` below 1 or not finite. `n` defaults to `n_per_m · m`, an
+/// `--m` error when that is too many tasks, and `alpha` is required
 /// unless `default_alpha` gives it.
+///
+/// [`EventQueue::MAX_IDS`]: rds_sim::event::EventQueue::MAX_IDS
 fn shape(
     args: &Args,
     min_m: usize,
     n_per_m: usize,
     default_alpha: Option<f64>,
 ) -> Result<(usize, usize, f64), ArgError> {
-    let m = checked("m", args.require("m")?, |&m| m >= min_m)?;
-    let n = checked("n", args.get_or("n", n_per_m * m)?, |&n| n > 0)?;
+    let ids = 1..=rds_sim::event::EventQueue::MAX_IDS;
+    let m = checked("m", args.require("m")?, |m| *m >= min_m && ids.contains(m))?;
+    let n = match args.get("n")? {
+        Some(n) => checked("n", n, |n| ids.contains(n))?,
+        None => n_per_m
+            .checked_mul(m)
+            .filter(|n| ids.contains(n))
+            .ok_or_else(|| bad_value("m", m))?,
+    };
     Ok((m, n, read_alpha(args, default_alpha)?))
 }
 
@@ -3188,6 +3199,16 @@ mod tests {
         let shapes = [
             ("--m 0 --alpha 1.5", bad_value("m", "0")),
             ("--m 3 --n 0 --alpha 1.5", bad_value("n", "0")),
+            (
+                "--m 4294967295 --n 4 --alpha 1.5",
+                bad_value("m", "4294967295"),
+            ),
+            (
+                "--m 3 --n 4294967295 --alpha 1.5",
+                bad_value("n", "4294967295"),
+            ),
+            // Ids fit, but the default `n` (at least 3 per machine) does not.
+            ("--m 4294967294 --alpha 1.5", bad_value("m", "4294967294")),
             ("--m 3 --alpha 0.5", bad_value("alpha", "0.5")),
             ("--m 3 --alpha nan", bad_value("alpha", "NaN")),
             ("--m 3 --alpha inf", bad_value("alpha", "inf")),
@@ -3214,6 +3235,20 @@ mod tests {
             (
                 "reliability --m 3 --targets -0.1",
                 bad_value("targets", "-0.1"),
+            ),
+            // Machine counts past the engine's `u32` ids, whose default
+            // `n` wrapped or whose run never ended.
+            (
+                "plan --m 18446744073709551615 --alpha 2",
+                bad_value("m", "18446744073709551615"),
+            ),
+            (
+                "sweep --m 4611686018427387904 --reps 1",
+                bad_value("m", "4611686018427387904"),
+            ),
+            (
+                "frontier --m 9223372036854775807 --n 4",
+                bad_value("m", "9223372036854775807"),
             ),
             (
                 "plan --strategy group --m 3 --alpha 1.5 --k 0",
