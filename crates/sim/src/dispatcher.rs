@@ -156,9 +156,15 @@ impl SimView<'_> {
 /// An online dispatch policy.
 pub trait Dispatcher {
     /// Picks the task `machine` should start at time `now`, or `None` to
-    /// leave it idle (a machine left idle is never offered work again,
-    /// since all tasks are released at time zero and eligibility is
-    /// static).
+    /// leave it idle. All tasks are released at time zero and
+    /// eligibility is static, so a machine left idle is never offered
+    /// work again in a fault-free run. In a fault run it is offered
+    /// work again when it rejoins after an outage, or when a task whose
+    /// data it holds is requeued ([`Self::on_requeue`]) or gets a backup
+    /// request queued; the lowest-numbered idle machine outside that
+    /// task's replica set is then offered work too. A refusal must
+    /// therefore hold until one of those events: the machine is not
+    /// asked again in between.
     fn next_task(&mut self, machine: MachineId, now: Time, view: &SimView<'_>) -> Option<TaskId>;
 
     /// Observation hook: `task` completed on `machine` at `now`, having

@@ -33,7 +33,14 @@ pub enum TraceEvent {
         /// The revealed actual processing time.
         actual: Time,
     },
-    /// A machine went permanently idle (no eligible pending work).
+    /// A machine was offered work and refused it: the dispatcher had no
+    /// eligible pending task for it (nor, in a fault run, a queued
+    /// backup it could host). In a fault-free run it stays idle for
+    /// good. In a fault run it is offered work again when it rejoins,
+    /// or when a task whose data it holds is requeued or gets a backup
+    /// request queued; the lowest-numbered parked machine outside that
+    /// task's replica set is offered work then too, and may refuse
+    /// again.
     Starved {
         /// When the machine ran out of eligible work.
         time: Time,
