@@ -389,7 +389,9 @@ struct MachineState {
     alive: bool,
     /// Permanently crashed (suppresses a pending rejoin).
     crashed: bool,
-    /// Parked: idle with no eligible work; woken on requeues/backups.
+    /// Parked: idle, having refused work; woken by [`FaultArm::offer`]
+    /// when a task it holds is requeued or gets a backup request queued,
+    /// or as the one other machine offered work then.
     parked: bool,
     attempt: Option<Attempt>,
     /// Due time of the machine's one live idle/completion event. An
