@@ -799,9 +799,10 @@ impl<'a> FaultArm<'a> {
     /// attempt (fault events order before completion events).
     fn take_down<D: Dispatcher + ?Sized>(&mut self, time: Time, mi: usize, io: &mut LoopIo<'_, D>) {
         let st = &mut self.cols.machines[mi];
-        // Offered work at this instant (faults sort first, so only an
-        // offer can have woken an idle machine now), it never refuses:
-        // the next parked machine is offered in its place.
+        // An idle machine due now was offered work at this instant
+        // (faults sort first, so no rejoin or completion has woken it
+        // yet; at time zero nothing is parked). It will never refuse,
+        // so the lowest parked machine is offered work in its place.
         let offered = st.attempt.is_none() && st.due == Some(time);
         st.alive = false;
         st.parked = false;
