@@ -79,6 +79,7 @@ impl SurvivalPlan {
 }
 
 /// Internal planning state: per-task replica masks plus accounting.
+#[derive(Clone)]
 struct PlanState {
     masks: Vec<MachineMask>,
     survival: Vec<f64>,
@@ -232,14 +233,14 @@ impl SurvivalPlacement {
             }
         }
 
-        let mut state = self.base_layer(instance, &costs);
+        let mut state = base.clone();
         let feasible = self.raise_to_target(instance, &costs, &mut state);
         let mut degraded = false;
         if !feasible && self.budget.is_some() {
             // The target is out of reach under the budget: restart from
             // the base layer and spend the budget max-min instead, so the
             // weakest task ends as strong as the memory allows.
-            state = self.base_layer(instance, &costs);
+            state = base;
             self.water_fill(instance, &costs, &mut state);
             degraded = true;
         } else if !feasible {
@@ -266,8 +267,13 @@ impl SurvivalPlacement {
     /// Global greedy: while some task is below target, add the
     /// affordable `(task, machine)` replica with the best marginal
     /// survival gain per byte. Returns whether every task met the target.
+    ///
+    /// A task's best addition depends on its own mask alone, so it is
+    /// computed when the task is first scored and again only after the
+    /// task is granted a replica.
     fn raise_to_target(&self, instance: &Instance, costs: &[f64], state: &mut PlanState) -> bool {
         let m = instance.m();
+        let mut additions: Vec<Option<Option<(MachineId, f64)>>> = vec![None; costs.len()];
         loop {
             let mut best: Option<(usize, MachineId, f64)> = None;
             let mut all_met = true;
@@ -281,7 +287,9 @@ impl SurvivalPlacement {
                         continue; // this task's replicas are unaffordable
                     }
                 }
-                if let Some((machine, gain)) = self.best_addition(&state.masks[j], m) {
+                let addition =
+                    *additions[j].get_or_insert_with(|| self.best_addition(&state.masks[j], m));
+                if let Some((machine, gain)) = addition {
                     let ratio = gain / cost.max(GAIN_EPS);
                     if best.is_none_or(|(_, _, r)| ratio > r) {
                         best = Some((j, machine, ratio));
@@ -297,6 +305,7 @@ impl SurvivalPlacement {
             state.masks[j].insert(machine);
             state.survival[j] = self.mask_survival(&state.masks[j], m);
             state.memory += costs[j];
+            additions[j] = None;
         }
     }
 

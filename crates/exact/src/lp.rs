@@ -100,16 +100,22 @@ impl LpProblem {
     }
 }
 
-/// Dense simplex tableau. Column layout: structural variables, then one
-/// slack/surplus per inequality row, then one artificial per `Eq`/`Ge`
-/// row; the right-hand side is kept separately.
+/// Dense simplex tableau, stored row-major in one buffer. Column
+/// layout: structural variables, then one slack/surplus per inequality
+/// row, then one artificial per `Eq`/`Ge` row; the right-hand side is
+/// kept separately. A row with a negative right-hand side is stored
+/// negated, with its relation flipped, so every `rhs` starts at `≥ 0`.
 struct Tableau {
-    a: Vec<Vec<f64>>,
+    /// `rows × cols` coefficients; row `i` is `a[i·cols..(i+1)·cols]`.
+    a: Vec<f64>,
     rhs: Vec<f64>,
     basis: Vec<usize>,
     z: Vec<f64>,
     zval: f64,
     obj: Vec<f64>,
+    /// The scaled pivot row, copied out so the other rows can be
+    /// updated while it is read.
+    scratch: Vec<f64>,
     n_struct: usize,
     art_start: usize,
     cols: usize,
@@ -118,48 +124,56 @@ struct Tableau {
 impl Tableau {
     fn build(p: &LpProblem) -> Tableau {
         let m = p.rows.len();
-        // Normalize rows to b ≥ 0 first, then count slacks/artificials on
-        // the *normalized* relations (a flipped `Le` becomes `Ge`).
-        let mut norm: Vec<(Vec<f64>, Rel, f64)> = Vec::with_capacity(m);
-        for (coeffs, rel, rhs) in &p.rows {
-            if *rhs < 0.0 {
-                let flipped = match rel {
-                    Rel::Eq => Rel::Eq,
-                    Rel::Le => Rel::Ge,
-                    Rel::Ge => Rel::Le,
-                };
-                norm.push((coeffs.iter().map(|v| -v).collect(), flipped, -rhs));
-            } else {
-                norm.push((coeffs.clone(), *rel, *rhs));
-            }
-        }
-        let n_slack = norm.iter().filter(|r| r.1 != Rel::Eq).count();
-        let n_art = norm.iter().filter(|r| r.1 != Rel::Le).count();
+        // Count slacks/artificials on the normalized relations: a row
+        // with `b < 0` is negated, so a flipped `Le` becomes `Ge`.
+        let normalized = |rel: Rel, rhs: f64| match (rel, rhs < 0.0) {
+            (Rel::Le, true) => Rel::Ge,
+            (Rel::Ge, true) => Rel::Le,
+            (rel, _) => rel,
+        };
+        let n_slack = p
+            .rows
+            .iter()
+            .filter(|r| normalized(r.1, r.2) != Rel::Eq)
+            .count();
+        let n_art = p
+            .rows
+            .iter()
+            .filter(|r| normalized(r.1, r.2) != Rel::Le)
+            .count();
         let art_start = p.n + n_slack;
         let cols = art_start + n_art;
 
-        let mut a = vec![vec![0.0; cols]; m];
+        let mut a = vec![0.0; m * cols];
         let mut rhs = vec![0.0; m];
         let mut basis = vec![0usize; m];
         let (mut s, mut t) = (p.n, art_start);
-        for (i, (coeffs, rel, b)) in norm.into_iter().enumerate() {
-            a[i][..p.n].copy_from_slice(&coeffs);
-            rhs[i] = b;
-            match rel {
+        for (i, (coeffs, rel, b)) in p.rows.iter().enumerate() {
+            let row = &mut a[i * cols..(i + 1) * cols];
+            if *b < 0.0 {
+                for (dst, v) in row.iter_mut().zip(coeffs) {
+                    *dst = -v;
+                }
+                rhs[i] = -b;
+            } else {
+                row[..p.n].copy_from_slice(coeffs);
+                rhs[i] = *b;
+            }
+            match normalized(*rel, *b) {
                 Rel::Le => {
-                    a[i][s] = 1.0;
+                    row[s] = 1.0;
                     basis[i] = s;
                     s += 1;
                 }
                 Rel::Ge => {
-                    a[i][s] = -1.0;
+                    row[s] = -1.0;
                     s += 1;
-                    a[i][t] = 1.0;
+                    row[t] = 1.0;
                     basis[i] = t;
                     t += 1;
                 }
                 Rel::Eq => {
-                    a[i][t] = 1.0;
+                    row[t] = 1.0;
                     basis[i] = t;
                     t += 1;
                 }
@@ -172,10 +186,17 @@ impl Tableau {
             z: vec![0.0; cols],
             zval: 0.0,
             obj: p.objective.clone(),
+            scratch: vec![0.0; cols],
             n_struct: p.n,
             art_start,
             cols,
         }
+    }
+
+    /// Coefficient of row `i`, column `j`.
+    #[inline]
+    fn at(&self, i: usize, j: usize) -> f64 {
+        self.a[i * self.cols + j]
     }
 
     /// Loads reduced costs for cost vector `c` (length `cols`), pricing
@@ -184,43 +205,54 @@ impl Tableau {
     fn price(&mut self, c: &[f64]) {
         self.z.copy_from_slice(c);
         self.zval = 0.0;
-        for i in 0..self.a.len() {
-            let cb = c[self.basis[i]];
+        for (i, (&b, &rhs)) in self.basis.iter().zip(&self.rhs).enumerate() {
+            let cb = c[b];
             if cb != 0.0 {
-                for j in 0..self.cols {
-                    self.z[j] -= cb * self.a[i][j];
+                let row = &self.a[i * self.cols..(i + 1) * self.cols];
+                for (z, &v) in self.z.iter_mut().zip(row) {
+                    *z -= cb * v;
                 }
-                self.zval += cb * self.rhs[i];
+                self.zval += cb * rhs;
             }
         }
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        let piv = self.a[row][col];
-        for v in self.a[row].iter_mut() {
+        let cols = self.cols;
+        let pivot_row = &mut self.a[row * cols..(row + 1) * cols];
+        let piv = pivot_row[col];
+        for v in pivot_row.iter_mut() {
             *v /= piv;
         }
+        self.scratch.copy_from_slice(pivot_row);
         self.rhs[row] /= piv;
-        for i in 0..self.a.len() {
-            if i != row && self.a[i][col] != 0.0 {
-                let f = self.a[i][col];
-                for j in 0..self.cols {
-                    self.a[i][j] -= f * self.a[row][j];
+        let p = &self.scratch;
+        let rhs_row = self.rhs[row];
+        for (i, (a, rhs)) in self
+            .a
+            .chunks_exact_mut(cols)
+            .zip(self.rhs.iter_mut())
+            .enumerate()
+        {
+            let f = a[col];
+            if i != row && f != 0.0 {
+                for (v, &pv) in a.iter_mut().zip(p) {
+                    *v -= f * pv;
                 }
-                self.a[i][col] = 0.0;
-                self.rhs[i] -= f * self.rhs[row];
-                if self.rhs[i] < 0.0 && self.rhs[i] > -EPS {
-                    self.rhs[i] = 0.0;
+                a[col] = 0.0;
+                *rhs -= f * rhs_row;
+                if *rhs < 0.0 && *rhs > -EPS {
+                    *rhs = 0.0;
                 }
             }
         }
         let f = self.z[col];
         if f != 0.0 {
-            for j in 0..self.cols {
-                self.z[j] -= f * self.a[row][j];
+            for (z, &pv) in self.z.iter_mut().zip(p) {
+                *z -= f * pv;
             }
             self.z[col] = 0.0;
-            self.zval += f * self.rhs[row];
+            self.zval += f * rhs_row;
         }
         self.basis[row] = col;
     }
@@ -238,9 +270,10 @@ impl Tableau {
             };
             // Ratio test; ties broken by smallest basis index (Bland).
             let mut leave: Option<(usize, f64)> = None;
-            for i in 0..self.a.len() {
-                if self.a[i][e] > EPS {
-                    let ratio = self.rhs[i] / self.a[i][e];
+            for i in 0..self.rhs.len() {
+                let a = self.at(i, e);
+                if a > EPS {
+                    let ratio = self.rhs[i] / a;
                     let better = match leave {
                         None => true,
                         Some((li, lr)) => {
@@ -286,9 +319,9 @@ impl Tableau {
             // basis so phase 2 can never push it positive again. A row
             // with no real pivot column is redundant: its artificial
             // stays basic at 0 and the row can never activate.
-            for i in 0..self.a.len() {
+            for i in 0..self.rhs.len() {
                 if self.basis[i] >= self.art_start {
-                    if let Some(j) = (0..self.art_start).find(|&j| self.a[i][j].abs() > EPS) {
+                    if let Some(j) = (0..self.art_start).find(|&j| self.at(i, j).abs() > EPS) {
                         self.pivot(i, j);
                     }
                 }
@@ -303,7 +336,7 @@ impl Tableau {
             Some(false) => LpOutcome::Unbounded,
             Some(true) => {
                 let mut x = vec![0.0; self.n_struct];
-                for i in 0..self.a.len() {
+                for i in 0..self.rhs.len() {
                     if self.basis[i] < self.n_struct {
                         x[self.basis[i]] = self.rhs[i].max(0.0);
                     }
@@ -378,6 +411,12 @@ mod tests {
         lp.add_row(vec![-1.0], Rel::Le, -2.0);
         let s = optimal(lp.solve(1000));
         assert!((s.objective - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_program_without_variables_or_rows_is_optimal_at_zero() {
+        let s = optimal(LpProblem::new(0).solve(10));
+        assert_eq!((s.objective, s.x.len()), (0.0, 0));
     }
 
     #[test]

@@ -255,12 +255,11 @@ impl HeterogeneousFaultModel {
     /// engine-observed survival under these scripts matches the analytic
     /// horizon semantics.
     pub fn generate_at_zero(&self, rng: &mut StdRng) -> FaultScript {
-        let dead = sample_dead(&self.model, rng);
-        let events = dead
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d)
-            .map(|(i, _)| FaultEvent::Crash {
+        let mut dead = DeadMachines::new(&self.model);
+        dead.sample(&self.model, rng);
+        let events = (0..self.model.m())
+            .filter(|&i| dead.contains(i))
+            .map(|i| FaultEvent::Crash {
                 machine: MachineId::new(i),
                 at: Time::ZERO,
             })
@@ -269,22 +268,43 @@ impl HeterogeneousFaultModel {
     }
 }
 
-/// One Bernoulli draw of the horizon experiment: `dead[i]` is `true`
-/// when machine `i`'s zone went down or the machine failed on its own.
-fn sample_dead(model: &ReliabilityModel, rng: &mut StdRng) -> Vec<bool> {
-    let zone_dead: Vec<bool> = (0..model.zones())
-        .map(|z| {
+/// The dead machines of one Bernoulli draw of the horizon experiment,
+/// as a word mask, with the buffers reused from draw to draw.
+struct DeadMachines {
+    zone_dead: Vec<bool>,
+    words: Vec<u64>,
+}
+
+impl DeadMachines {
+    fn new(model: &ReliabilityModel) -> Self {
+        DeadMachines {
+            zone_dead: vec![false; model.zones()],
+            words: vec![0; model.m().div_ceil(64)],
+        }
+    }
+
+    /// One draw: machine `i` is dead when its zone went down or it
+    /// failed on its own. Each zone draws first, in id order; then each
+    /// machine draws, in id order, only when its zone is up and its own
+    /// failure probability is positive.
+    fn sample(&mut self, model: &ReliabilityModel, rng: &mut StdRng) {
+        for (z, dead) in self.zone_dead.iter_mut().enumerate() {
             let g = model.zone_outage(z);
-            g > 0.0 && rng.gen_bool(g.min(1.0))
-        })
-        .collect();
-    (0..model.m())
-        .map(|i| {
+            *dead = g > 0.0 && rng.gen_bool(g.min(1.0));
+        }
+        self.words.fill(0);
+        for i in 0..model.m() {
             let id = MachineId::new(i);
             let f = model.machine_fail(id);
-            zone_dead[model.zone_of(id)] || (f > 0.0 && rng.gen_bool(f.min(1.0)))
-        })
-        .collect()
+            if self.zone_dead[model.zone_of(id)] || (f > 0.0 && rng.gen_bool(f.min(1.0))) {
+                self.words[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
 }
 
 /// Monte-Carlo estimate of each task's survival probability under a
@@ -294,7 +314,9 @@ fn sample_dead(model: &ReliabilityModel, rng: &mut StdRng) -> Vec<bool> {
 /// This samples the [`ReliabilityModel`] directly (no engine in the
 /// loop), so by the law of large numbers the estimates converge to
 /// [`ReliabilityModel::survival`] of each task's machine set — the
-/// differential check the conformance oracle runs.
+/// differential check the conformance oracle runs. Each task's holders
+/// become a word mask once; a task is alive in a draw when its mask is
+/// not a subset of the dead machines'.
 pub fn monte_carlo_survival(
     placement: &Placement,
     model: &ReliabilityModel,
@@ -302,13 +324,20 @@ pub fn monte_carlo_survival(
     rng: &mut StdRng,
 ) -> Vec<f64> {
     let m = model.m();
-    let n = placement.sets().len();
-    let mut alive_counts = vec![0usize; n];
+    let mut dead = DeadMachines::new(model);
+    let words = dead.words.len();
+    let mut holders = vec![0u64; placement.sets().len() * words];
+    for (set, mask) in placement.sets().iter().zip(holders.chunks_exact_mut(words)) {
+        for id in set.iter(m) {
+            mask[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+    }
+    let mut alive_counts = vec![0usize; placement.sets().len()];
     for _ in 0..trials {
-        let dead = sample_dead(model, rng);
-        for (j, set) in placement.sets().iter().enumerate() {
-            if set.iter(m).any(|id| !dead[id.index()]) {
-                alive_counts[j] += 1;
+        dead.sample(model, rng);
+        for (count, mask) in alive_counts.iter_mut().zip(holders.chunks_exact(words)) {
+            if mask.iter().zip(&dead.words).any(|(h, d)| h & !d != 0) {
+                *count += 1;
             }
         }
     }
