@@ -1378,15 +1378,17 @@ pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
         )
     })?;
     // A budget that no `Duration` holds panics, and a zero budget, case
-    // count or case size runs nothing.
+    // count or case size runs nothing. Case sizes past the engine's ids
+    // overflow an allocation or never end.
+    let ids = 1..=rds_sim::event::EventQueue::MAX_IDS;
     let seconds: Option<f64> = args.get("seconds")?;
     let budget = |s: &f64| Duration::try_from_secs_f64(*s).is_ok_and(|d| !d.is_zero());
     let config = rds_conformance::ConformanceConfig {
         seed: args.get_or("seed", 42u64)?,
         cases: checked("cases", args.get_or("cases", 200u64)?, |&c| c > 0)?,
         seconds: seconds.map(|s| checked("seconds", s, budget)).transpose()?,
-        max_n: checked("max-n", args.get_or("max-n", 12usize)?, |&n| n > 0)?,
-        max_m: checked("max-m", args.get_or("max-m", 8usize)?, |&m| m > 0)?,
+        max_n: checked("max-n", args.get_or("max-n", 12usize)?, |n| ids.contains(n))?,
+        max_m: checked("max-m", args.get_or("max-m", 8usize)?, |m| ids.contains(m))?,
         mutation,
         artifact_dir: args.get::<String>("artifacts")?.map(PathBuf::from),
         journal: args.get::<String>("journal")?.map(PathBuf::from),
@@ -1461,7 +1463,9 @@ pub fn cmd_conformance(args: &Args, out: &mut dyn Write) -> Result<(), CmdError>
 fn serve_config(args: &Args) -> Result<rds_serve::ServeConfig, CmdError> {
     use rds_workloads::ArrivalProcess;
 
-    let m: usize = args.require("m")?;
+    // A machine count past the engine's ids overflows an allocation.
+    let ids = 1..=rds_sim::event::EventQueue::MAX_IDS;
+    let m = checked("m", args.require("m")?, |m| ids.contains(m))?;
     let k: usize = args.get_or("k", 2.min(m))?;
     let count: u64 = args.get_or("tasks", 10_000u64)?;
     let rate: f64 = args.get_or("rate", 4.0)?;
@@ -1718,8 +1722,17 @@ pub fn run<S: AsRef<str>>(argv: &[S], out: &mut dyn Write) -> Result<(), CmdErro
         return cmd_help(&args, out);
     }
     obs_setup(&args)?;
-    body(&args, out)?;
-    obs_finish(&args, out)
+    // A run that fails after its work still writes what it measured; a
+    // usage error has done no work and writes nothing.
+    let outcome = body(&args, out);
+    if outcome
+        .as_ref()
+        .is_err_and(|e| e.downcast_ref::<ArgError>().is_some())
+    {
+        return outcome;
+    }
+    let finished = obs_finish(&args, out);
+    outcome.and(finished)
 }
 
 #[cfg(test)]
@@ -3031,14 +3044,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_stdin_line_protocol() {
-        // --stdin reads the process stdin, which is closed/empty under
-        // the test harness — EOF must drain cleanly, not hang or panic.
-        let out = run_to_string(&["serve", "--m", "2", "--tasks", "0", "--stdin"]).unwrap();
-        assert!(out.contains("| admitted"));
-    }
-
-    #[test]
     fn serve_bad_arrivals_is_a_typed_error() {
         let err = run_to_string(&["serve", "--m", "2", "--arrivals", "fancy"]).unwrap_err();
         assert!(err.to_string().contains("unknown --arrivals"));
@@ -3172,6 +3177,20 @@ mod tests {
             ("conformance --cases 0", bad_value("cases", "0")),
             ("conformance --max-n 0", bad_value("max-n", "0")),
             ("conformance --max-m 0", bad_value("max-m", "0")),
+            // Sizes past the engine's `u32` ids, which overflowed an
+            // allocation or never ended.
+            (
+                "conformance --cases 1 --max-n 18446744073709551615",
+                bad_value("max-n", "18446744073709551615"),
+            ),
+            (
+                "conformance --cases 1 --max-m 18446744073709551615",
+                bad_value("max-m", "18446744073709551615"),
+            ),
+            (
+                "serve --m 18446744073709551615 --tasks 1",
+                bad_value("m", "18446744073709551615"),
+            ),
             ("reliability --m 3 --reps 0", bad_value("reps", "0")),
             (
                 "frontier --m 3 --budget-steps 0",

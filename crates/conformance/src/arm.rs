@@ -89,10 +89,16 @@ impl Arm {
     }
 
     /// Runs this arm's battery on its `index`-th case of the stream
-    /// `config` describes, with every check as its wire tag. A spec the
-    /// battery rejects becomes one violation of the arm's error check
-    /// instead of aborting the campaign.
+    /// `config` describes, with every check as its wire tag, inside a
+    /// `conformance.arm.<name>` span. A spec the battery rejects becomes
+    /// one violation of the arm's error check instead of aborting the
+    /// campaign.
     pub fn run(self, config: &ConformanceConfig, index: u64) -> ArmReport<&'static str> {
+        let _span = rds_obs::span(match self {
+            Arm::Survival => "conformance.arm.survival",
+            Arm::Ilp => "conformance.arm.ilp",
+            Arm::Hetero => "conformance.arm.hetero",
+        });
         let (seed, n, m, mutation) = (config.seed, config.max_n, config.max_m, config.mutation);
         let (outcome, rejected) = match self {
             Arm::Survival => (
