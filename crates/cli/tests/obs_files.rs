@@ -24,7 +24,7 @@ fn stderr(out: &Output) -> String {
 }
 
 /// A fresh directory for one test's files.
-fn scratch_dir(name: &str) -> PathBuf {
+fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rds-obs-files-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -150,7 +150,7 @@ fn the_json_reader_accepts_json_and_only_json() {
 
 #[test]
 fn a_gate_failure_exits_1_and_still_writes_what_it_measured() {
-    let dir = scratch_dir("gate");
+    let dir = fresh_dir("gate");
     let (metrics, trace) = (dir.join("metrics.json"), dir.join("trace.jsonl"));
     let files = [
         "--metrics",
@@ -200,7 +200,7 @@ fn a_gate_failure_exits_1_and_still_writes_what_it_measured() {
 
 #[test]
 fn a_usage_error_exits_2_and_writes_no_file() {
-    let dir = scratch_dir("usage");
+    let dir = fresh_dir("usage");
     let (metrics, trace) = (dir.join("metrics.json"), dir.join("trace.jsonl"));
     for line in [
         "resilience --m 4 --n 16 --mtbf 2 --reps 5 --seed 3 --min-survival 1.5",
@@ -224,7 +224,7 @@ fn a_usage_error_exits_2_and_writes_no_file() {
 
 #[test]
 fn conformance_traces_one_span_per_arm_and_case() {
-    let dir = scratch_dir("arms");
+    let dir = fresh_dir("arms");
     let trace = dir.join("t.jsonl");
     let out = rds(&[
         "conformance",
